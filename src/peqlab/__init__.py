@@ -4,14 +4,13 @@ from .params import PhysParams
 from .grid import Grid, make_grid
 from .bc import BcKind, FieldBcs, VELOCITY_BC, TEMPERATURE_BC, W_BC, fill_ghosts
 from .model import State, Tendency
-from .projection import PoissonSolve
 from .integrator import StepConfig, RunChecks, cfl_dt, step, run
 from .diagnostics import DiagRecord, kappa, gronwall_T_envelope
 
 __all__ = [
     "PhysParams", "Grid", "make_grid",
     "BcKind", "FieldBcs", "VELOCITY_BC", "TEMPERATURE_BC", "W_BC", "fill_ghosts",
-    "State", "Tendency", "PoissonSolve",
+    "State", "Tendency",
     "StepConfig", "RunChecks", "cfl_dt", "step", "run",
     "DiagRecord", "kappa", "gronwall_T_envelope",
 ]

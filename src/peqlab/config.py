@@ -18,7 +18,6 @@ from .grid import INTERIOR, Grid, make_grid
 from .integrator import RunChecks, StepConfig
 from .model import State
 from .params import PhysParams
-from .projection import PoissonSolve
 from .tail import TailConfig
 
 
@@ -68,10 +67,8 @@ KEY_SPEC = {
     "step.t_end": (float, 2.0),
     "step.cfl_target": (float, 0.5),
     "step.dt_max": (float, 0.1),
-    "step.diffusion_tol": (float, 1e-12),
     "step.output_every": (int, 10),
     "step.temperature_only": (_parse_bool, False),
-    "step.engine": (str, "eigen"),
     "init.kind": (str, "zero"),
     "init.center_x": (float, 0.0),
     "init.center_y": (float, 0.25),
@@ -86,9 +83,6 @@ KEY_SPEC = {
     "q.width": (float, 0.12),
     "q.amplitude": (float, 0.5),
     "q.path": (str, ""),
-    "poisson.tolerance": (float, 1e-12),
-    "poisson.max_iter": (int, 5000),
-    "poisson.kind": (str, "auto"),
     "output.dir": (str, "out"),
     "output.snapshots": (_parse_bool, False),
     "check.poincare_tol": (float, 1e-2),
@@ -102,7 +96,6 @@ KEY_SPEC = {
     "tail.radii": (_parse_float_list, (1.2, 1.6, 1.9)),
     "tail.epsilon": (float, 1e-3),
     "tail.tau_probe": (float, 2.0),
-    "tail.pair_seed": (int, 0),
     "truncate.factor": (int, 2),
     "truncate.max_rel": (float, 0.0),
     "contract.t_scale": (float, 1.5),
@@ -143,7 +136,7 @@ class RunConfig:
             raise ConfigError("check.energy must be auto, on, or off")
         try:
             self.step_config()
-            self.poisson()
+            StepConfig(dt=self["mms.dt"], t_end=self["mms.horizon"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
@@ -169,16 +162,8 @@ class RunConfig:
         v = self.values
         return StepConfig(
             dt=v["step.dt"], t_end=v["step.t_end"], cfl_target=v["step.cfl_target"],
-            dt_max=v["step.dt_max"], diffusion_tol=v["step.diffusion_tol"],
-            output_every=v["step.output_every"],
-            temperature_only=v["step.temperature_only"], engine=v["step.engine"],
-        )
-
-    def poisson(self) -> PoissonSolve:
-        return PoissonSolve(
-            tolerance=self["poisson.tolerance"],
-            max_iter=self["poisson.max_iter"],
-            kind=self["poisson.kind"],
+            dt_max=v["step.dt_max"], output_every=v["step.output_every"],
+            temperature_only=v["step.temperature_only"],
         )
 
     def checks(self) -> RunChecks:
@@ -195,7 +180,7 @@ class RunConfig:
         v = self.values
         return TailConfig(
             radii=v["tail.radii"], epsilon=v["tail.epsilon"],
-            tau_probe=v["tail.tau_probe"], pair_seed=v["tail.pair_seed"],
+            tau_probe=v["tail.tau_probe"],
         )
 
     def q_field(self, g: Grid, p: PhysParams) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 ConfigError     user input rejected (CLI exit code 1)
 NumericalError  non-finite state or a failed run (exit code 2)
-SolveError      linear solver did not reach its tolerance (exit code 2)
 CheckError      a configured inequality/acceptance check failed (exit code 3)
 """
 
@@ -12,10 +11,6 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    pass
-
-
-class SolveError(NumericalError):
     pass
 
 

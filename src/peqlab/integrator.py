@@ -15,6 +15,7 @@ implicit solves are contractions, and the projection removes energy.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -22,12 +23,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics as diag
-from .diffusion import ImplicitDiffusion, cg_diffusion_solve
+from .diffusion import ImplicitDiffusion
 from .errors import CheckError
 from .grid import INTERIOR, Grid
 from .model import State, momentum_rhs, temperature_rhs
 from .params import PhysParams
-from .projection import PoissonSolve, constraint_residual, project
+from .projection import project
 
 log = logging.getLogger(__name__)
 
@@ -38,10 +39,8 @@ class StepConfig:
     t_end: float = 1.0
     cfl_target: float = 0.5
     dt_max: float = 0.1
-    diffusion_tol: float = 1e-12
     output_every: int = 10
     temperature_only: bool = False
-    engine: str = "eigen"  # or "cg"
 
     def __post_init__(self):
         if not (self.dt > 0.0):
@@ -50,8 +49,17 @@ class StepConfig:
             raise ValueError("cfl_target must lie in (0, 1]")
         if self.output_every < 1:
             raise ValueError("output_every must be >= 1")
-        if self.engine not in ("eigen", "cg"):
-            raise ValueError(f"unknown diffusion engine {self.engine!r}")
+        # t_end/dt is rarely an exact float (0.2/0.01 is 20.000000000000004)
+        steps = self.t_end / self.dt
+        if not (0.0 <= steps < math.inf) or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"t_end={self.t_end!r} must be a non-negative whole number of steps of dt={self.dt!r}"
+            )
+
+    @property
+    def n_steps(self) -> int:
+        """Number of steps to t_end (a whole number, checked at construction)."""
+        return round(self.t_end / self.dt)
 
 
 @dataclass(frozen=True)
@@ -86,27 +94,14 @@ def _cached_diffusion(p: PhysParams, g: Grid, dt: float, kind: str) -> ImplicitD
     return ImplicitDiffusion(p=p, g=g, dt=dt, kind=kind)
 
 
-def _implicit_solve(b, p, g, dt, kind, cfg: StepConfig):
-    if cfg.engine == "eigen":
-        return _cached_diffusion(p, g, dt, kind).solve(b)
-    return cg_diffusion_solve(b, p, g, dt, kind, tol=cfg.diffusion_tol)
-
-
-def step(
-    s: State,
-    dt: float,
-    p: PhysParams,
-    g: Grid,
-    cfg: StepConfig,
-    poisson: PoissonSolve = PoissonSolve(),
-) -> State:
+def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig) -> State:
     """Advance a state (valid ghosts, diagnosed w) by one IMEX step in place."""
     I = INTERIOR
     tem = temperature_rhs(s, p, g, include_diffusion=False)
     if cfg.temperature_only:
         tem.validate()
         t_star = s.T[I] + dt * tem.dT
-        s.T[I] = _implicit_solve(t_star, p, g, dt, "temperature", cfg)
+        s.T[I] = _cached_diffusion(p, g, dt, "temperature").solve(t_star)
     else:
         mom = momentum_rhs(s, p, g, include_diffusion=False)
         # single non-finite sweep for the whole step
@@ -115,12 +110,13 @@ def step(
         v1_star = s.v1[I] + dt * mom.dv1
         v2_star = s.v2[I] + dt * mom.dv2
         t_star = s.T[I] + dt * tem.dT
-        s.v1[I] = _implicit_solve(v1_star, p, g, dt, "velocity", cfg)
-        s.v2[I] = _implicit_solve(v2_star, p, g, dt, "velocity", cfg)
-        s.T[I] = _implicit_solve(t_star, p, g, dt, "temperature", cfg)
+        velocity = _cached_diffusion(p, g, dt, "velocity")
+        s.v1[I] = velocity.solve(v1_star)
+        s.v2[I] = velocity.solve(v2_star)
+        s.T[I] = _cached_diffusion(p, g, dt, "temperature").solve(t_star)
     s.fill_all_ghosts(p, g)
     if not cfg.temperature_only:
-        project(s, dt, p, g, poisson)
+        project(s, dt, p, g)
     s.refresh_w(p, g)
     return s
 
@@ -130,7 +126,6 @@ def run(
     p: PhysParams,
     g: Grid,
     cfg: StepConfig,
-    poisson: PoissonSolve = PoissonSolve(),
     checks: Optional[RunChecks] = None,
     record_sink: Optional[Callable] = None,
     snapshot_sink: Optional[Callable] = None,
@@ -144,7 +139,7 @@ def run(
     s = initial.copy()
     s.fill_all_ghosts(p, g)
     if not cfg.temperature_only:
-        project(s, cfg.dt, p, g, poisson)
+        project(s, cfg.dt, p, g)
     s.refresh_w(p, g)
 
     checks = checks or RunChecks()
@@ -155,7 +150,7 @@ def run(
     kap = diag.kappa(p)
     l2_t0 = diag.l2sq(s.T[INTERIOR], g)
 
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     suggestion = cfl_dt(s, g, cfg)
     if cfg.dt > suggestion:
         log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)
@@ -177,9 +172,11 @@ def run(
     emit(0)
     energy = diag.l2sq(s.v1[INTERIOR], g) + diag.l2sq(s.v2[INTERIOR], g) + diag.l2sq(s.T[INTERIOR], g)
     for n in range(1, n_steps + 1):
-        s_prev = s.copy()
+        emits = n % cfg.output_every == 0 or n == n_steps
+        # the time-derivative norms of a record need the state one step back
+        s_prev = s.copy() if emits else None
         try:
-            step(s, cfg.dt, p, g, cfg, poisson)
+            step(s, cfg.dt, p, g, cfg)
         except Exception as exc:
             raise type(exc)(f"{exc} (run aborted; last valid time t={t:.6g})") from exc
         t = n * cfg.dt
@@ -195,7 +192,7 @@ def run(
                     f"energy increased at t={t:.6g}: {energy:.17g} -> {energy_new:.17g}"
                 )
             energy = energy_new
-        if n % cfg.output_every == 0 or n == n_steps:
+        if emits:
             emit(n)
     return s, records
 

@@ -21,7 +21,7 @@ is satisfied with p_s* = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -271,7 +271,8 @@ def mms_convergence_study(
         f1, f2, q = mms_forcing(spec, p, g)
         s.body_force = (f1, f2)
         s.Q = q
-        cfg = StepConfig(dt=dt, t_end=horizon, output_every=max(1, int(round(horizon / dt))))
+        cfg = StepConfig(dt=dt, t_end=horizon)
+        cfg = replace(cfg, output_every=max(1, cfg.n_steps))
         checks = RunChecks(check_poincare=False, check_constraint=False, check_energy=False)
         final, _ = run(s, p, g, cfg, checks=checks)
         ref = spec.state(g)

@@ -3,15 +3,18 @@
 Matrices are assembled by explicit index bookkeeping (loop over cells,
 per-face ghost elimination written out long-hand), deliberately independent
 of the vectorized stencil code they cross-check.  Sizes are capped at 4096
-unknowns; these exist for verification only.
+unknowns; these exist for verification only.  `helmholtz_apply` is the
+stencil side of one such cross-check: (I + dt*L) applied through the ghost
+fills, which the tests compare with the dense matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bc import BcKind, FieldBcs, TEMPERATURE_BC, VELOCITY_BC, robin_ghost_factor
-from .grid import Grid
+from .bc import BcKind, FieldBcs, TEMPERATURE_BC, VELOCITY_BC, fill_ghosts, robin_ghost_factor
+from .grid import INTERIOR, Grid
+from .model import apply_L1, apply_L2
 from .params import PhysParams
 
 MAX_UNKNOWNS = 4096
@@ -76,6 +79,17 @@ def dense_operator_oracle(g: Grid, op: str, p: PhysParams, dt: float | None = No
         base = dense_operator_oracle(g, "L1" if op.endswith("v") else "L2", p)
         return np.eye(base.shape[0]) + dt * base
     raise ValueError(f"unknown operator id {op!r}")
+
+
+def helmholtz_apply(x: np.ndarray, p: PhysParams, g: Grid, dt: float, kind: str) -> np.ndarray:
+    """(I + dt*L) x through the ghost-based stencils (interior in/out)."""
+    pad = g.zeros()
+    pad[INTERIOR] = x
+    if kind == "velocity":
+        fill_ghosts(pad, VELOCITY_BC, p, g)
+        return x + dt * apply_L1(pad, p, g)
+    fill_ghosts(pad, TEMPERATURE_BC, p, g)
+    return x + dt * apply_L2(pad, p, g)
 
 
 def dense_lap_h_2d(nx: int, ny: int, dx: float, dy: float, kind: BcKind) -> np.ndarray:

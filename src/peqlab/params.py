@@ -35,7 +35,3 @@ class PhysParams:
                 raise ValueError(f"parameter {name} must be strictly positive, got {value!r}")
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)))
-
-    def coriolis(self, y):
-        """Coriolis parameter f0 + beta*y (beta-plane)."""
-        return self.f0 + self.beta * y

@@ -9,25 +9,21 @@ with mirror (Neumann) closure on phi and the odd (Dirichlet) wall closure on
 the corrected velocity, then subtract dt * grad_h(phi) at every depth.  The
 composite operator is the Kronecker sum of 1D factors -Gx^T Gx and -Gy^T Gy
 whose only null vector is the constant, so the zero-mean gauge falls out of
-dropping that single mode.  Small grids use the exact eigen-tensor solve;
-larger ones a Jacobi-preconditioned CG on the same operator.
+dropping that single mode.  Every grid size uses the exact eigen-tensor
+solve: two small eigendecompositions, cached per grid, and four matrix
+products per solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import operators as ops
 from .bc import SURFACE_PRESSURE_BC, VELOCITY_BC, fill_ghosts
-from .errors import SolveError
 from .grid import INTERIOR2D, Grid
 from .params import PhysParams
-
-#: unknown count at or below which the exact eigen-tensor path is used
-DIRECT_LIMIT = 64 * 64
 
 
 def centered_gradient_matrix(n: int, d: float) -> np.ndarray:
@@ -46,82 +42,27 @@ def centered_gradient_matrix(n: int, d: float) -> np.ndarray:
     return m / (2.0 * d)
 
 
-@dataclass(frozen=True)
-class PoissonSolve:
-    """Solver configuration; `kind` is auto, direct, or cg."""
-
-    tolerance: float = 1e-12
-    max_iter: int = 5000
-    kind: str = "auto"
-
-    def __post_init__(self):
-        if not (0.0 < self.tolerance <= 1e-6):
-            raise ValueError(f"tolerance must lie in (0, 1e-6], got {self.tolerance!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.kind not in ("auto", "direct", "cg"):
-            raise ValueError(f"unknown solver kind {self.kind!r}")
-
-
 @lru_cache(maxsize=8)
 def _poisson_factors(g: Grid):
     gx = centered_gradient_matrix(g.nx, g.dx)
     gy = centered_gradient_matrix(g.ny, g.dy)
-    bx = gx.T @ gx
-    by = gy.T @ gy
-    wx, qx = np.linalg.eigh(bx)
-    wy, qy = np.linalg.eigh(by)
+    wx, qx = np.linalg.eigh(gx.T @ gx)
+    wy, qy = np.linalg.eigh(gy.T @ gy)
     lam = wx[:, None] + wy[None, :]
     scale = lam.max()
     null = lam < 1e-12 * scale
-    return qx, qy, lam, null, bx, by
+    return qx, qy, lam, null
 
 
 def _direct_solve(rhs: np.ndarray, g: Grid) -> np.ndarray:
-    qx, qy, lam, null, _, _ = _poisson_factors(g)
+    qx, qy, lam, null = _poisson_factors(g)
     r = qx.T @ (-rhs) @ qy
     r = np.where(null, 0.0, r / np.where(null, 1.0, lam))
     phi = qx @ r @ qy.T
     return phi - phi.mean()
 
 
-def _cg_solve(rhs: np.ndarray, g: Grid, cfg: PoissonSolve) -> np.ndarray:
-    _, _, _, _, bx, by = _poisson_factors(g)
-
-    def apply_a(x):
-        return bx @ x + x @ by.T
-
-    b = -rhs
-    b = b - b.mean()  # Neumann compatibility: remove the null component
-    norm_b = np.sqrt(ops.pairwise_dot(b, b))
-    x = np.zeros_like(b)
-    if norm_b == 0.0:
-        return x
-    minv = 1.0 / (np.diag(bx)[:, None] + np.diag(by)[None, :])
-    r = b.copy()
-    z = minv * r
-    d = z.copy()
-    rz = ops.pairwise_dot(r, z)
-    for _ in range(cfg.max_iter):
-        ad = apply_a(d)
-        alpha = rz / ops.pairwise_dot(d, ad)
-        x += alpha * d
-        r -= alpha * ad
-        x -= x.mean()
-        if np.sqrt(ops.pairwise_dot(r, r)) <= cfg.tolerance * norm_b:
-            return x - x.mean()
-        z = minv * r
-        rz_new = ops.pairwise_dot(r, z)
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    residual = np.sqrt(ops.pairwise_dot(r, r)) / norm_b
-    raise SolveError(
-        f"surface-pressure CG did not converge in {cfg.max_iter} iterations "
-        f"(relative residual {residual:.3e})"
-    )
-
-
-def solve_surface_pressure(vbar_star, dt: float, g: Grid, cfg: PoissonSolve) -> np.ndarray:
+def solve_surface_pressure(vbar_star, dt: float, g: Grid) -> np.ndarray:
     """Pressure increment phi from the padded depth-mean predictor velocity.
 
     Returns the interior 2D field with zero mean; the Neumann problem's
@@ -130,10 +71,7 @@ def solve_surface_pressure(vbar_star, dt: float, g: Grid, cfg: PoissonSolve) -> 
     """
     v1bar_p, v2bar_p = vbar_star
     rhs = ops.div_h(v1bar_p, v2bar_p, g) / dt
-    use_direct = cfg.kind == "direct" or (cfg.kind == "auto" and g.nx * g.ny <= DIRECT_LIMIT)
-    if use_direct:
-        return _direct_solve(rhs, g)
-    return _cg_solve(rhs, g, cfg)
+    return _direct_solve(rhs, g)
 
 
 def depth_mean_divergence(v1p: np.ndarray, v2p: np.ndarray, g: Grid) -> np.ndarray:
@@ -155,7 +93,7 @@ def constraint_residual(v1p: np.ndarray, v2p: np.ndarray, g: Grid) -> float:
     return peak / float(scale)
 
 
-def project(s, dt: float, p: PhysParams, g: Grid, cfg: PoissonSolve) -> np.ndarray:
+def project(s, dt: float, p: PhysParams, g: Grid) -> np.ndarray:
     """Project the state's velocity onto the constraint; returns the phi increment.
 
     The correction -dt * grad_h(phi) is depth-independent, so the baroclinic
@@ -168,7 +106,7 @@ def project(s, dt: float, p: PhysParams, g: Grid, cfg: PoissonSolve) -> np.ndarr
     v2bar[INTERIOR2D] = s.v2[1:-1, 1:-1, 1:-1].mean(axis=2)
     fill_ghosts(v1bar, VELOCITY_BC, p, g)
     fill_ghosts(v2bar, VELOCITY_BC, p, g)
-    phi = solve_surface_pressure((v1bar, v2bar), dt, g, cfg)
+    phi = solve_surface_pressure((v1bar, v2bar), dt, g)
 
     pad = g.zeros2d()
     pad[INTERIOR2D] = phi

@@ -22,7 +22,7 @@ from .grid import INTERIOR, Grid, make_grid
 from .integrator import StepConfig, step
 from .model import State, apply_L1, apply_L2
 from .params import PhysParams
-from .projection import PoissonSolve, project
+from .projection import project
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class TailConfig:
     radii: tuple = (0.6, 0.8, 1.0)
     epsilon: float = 1e-3
     tau_probe: float = 1.0
-    pair_seed: int = 0
 
     def validate(self, g: Grid):
         radii = tuple(self.radii)
@@ -110,7 +109,6 @@ def tail_decay_experiment(
     p: PhysParams,
     g: Grid,
     cfg: StepConfig,
-    poisson: PoissonSolve = PoissonSolve(),
 ) -> TailReport:
     """Run the simulation and track windowed tail energies per radius.
 
@@ -128,7 +126,7 @@ def tail_decay_experiment(
 
     s = initial.copy()
     s.fill_all_ghosts(p, g)
-    project(s, cfg.dt, p, g, poisson)
+    project(s, cfg.dt, p, g)
     s.refresh_w(p, g)
 
     def sample(t):
@@ -138,9 +136,9 @@ def tail_decay_experiment(
             report.windowed[i].append(windowed_T_energy(s.T[INTERIOR], r, g))
 
     sample(0.0)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     for n in range(1, n_steps + 1):
-        step(s, cfg.dt, p, g, cfg, poisson)
+        step(s, cfg.dt, p, g, cfg)
         if n % cfg.output_every == 0 or n == n_steps:
             sample(n * cfg.dt)
     return report.finish()
@@ -165,7 +163,6 @@ def truncation_convergence(
     factor: int = 2,
     factor_base: int = 1,
     ic_fn: Optional[Callable] = None,
-    poisson: PoissonSolve = PoissonSolve(),
 ) -> TruncationReport:
     """Compare runs of the same physics on channels widened by two factors.
 
@@ -190,7 +187,7 @@ def truncation_convergence(
         if ic_fn is not None:
             s.T[INTERIOR] = ic_fn(x, y, z) * np.ones((gg.nx, gg.ny, gg.nz))
         s.fill_all_ghosts(pp, gg)
-        project(s, cfg.dt, pp, gg, poisson)
+        project(s, cfg.dt, pp, gg)
         s.refresh_w(pp, gg)
         return gg, s
 
@@ -217,10 +214,10 @@ def truncation_convergence(
         report.rel_diff.append(math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num))
 
     sample(0.0)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     for n in range(1, n_steps + 1):
-        step(s_a, cfg.dt, p_a, g_a, cfg, poisson)
-        step(s_b, cfg.dt, p_b, g_b, cfg, poisson)
+        step(s_a, cfg.dt, p_a, g_a, cfg)
+        step(s_b, cfg.dt, p_b, g_b, cfg)
         if n % cfg.output_every == 0 or n == n_steps:
             sample(n * cfg.dt)
     return report
@@ -249,7 +246,6 @@ def two_trajectory_contraction(
     p: PhysParams,
     g: Grid,
     cfg: StepConfig,
-    poisson: PoissonSolve = PoissonSolve(),
 ) -> ContractionReport:
     """Integrate two states side by side and track their separation.
 
@@ -263,7 +259,7 @@ def two_trajectory_contraction(
     for s in (a, b):
         s.fill_all_ghosts(p, g)
         if not cfg.temperature_only:
-            project(s, cfg.dt, p, g, poisson)
+            project(s, cfg.dt, p, g)
         s.refresh_w(p, g)
 
     report = ContractionReport()
@@ -283,10 +279,10 @@ def two_trajectory_contraction(
         report.v_proxy.append(proxy)
 
     sample(0.0)
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = cfg.n_steps
     for n in range(1, n_steps + 1):
-        step(a, cfg.dt, p, g, cfg, poisson)
-        step(b, cfg.dt, p, g, cfg, poisson)
+        step(a, cfg.dt, p, g, cfg)
+        step(b, cfg.dt, p, g, cfg)
         if n % cfg.output_every == 0 or n == n_steps:
             sample(n * cfg.dt)
     return report

@@ -20,7 +20,7 @@ from peqlab.grid import INTERIOR
 from peqlab.mms import mms_convergence_study
 from peqlab.model import apply_L1, apply_L2
 from peqlab.oracle import dense_operator_oracle, flatten, unflatten
-from peqlab.projection import PoissonSolve, project
+from peqlab.projection import project
 from peqlab.tail import tail_decay_experiment, truncation_convergence, two_trajectory_contraction
 from tests.test_model import random_smooth_state
 
@@ -41,7 +41,7 @@ def execute(cfg: RunConfig):
     p = cfg.params()
     g = cfg.grid()
     s = cfg.initial_state(p, g)
-    final, records = run(s, p, g, cfg.step_config(), poisson=cfg.poisson(), checks=cfg.checks())
+    final, records = run(s, p, g, cfg.step_config(), checks=cfg.checks())
     return {"cfg": cfg, "p": p, "g": g, "final": final, "records": records, "initial": s}
 
 
@@ -140,10 +140,10 @@ def test_criterion_4_constraint(reference_run, dissipation_run, absorbing_runs):
     s.v1[INTERIOR] = rng.standard_normal((g.nx, g.ny, g.nz))
     s.v2[INTERIOR] = rng.standard_normal((g.nx, g.ny, g.nz))
     s.fill_all_ghosts(p, g)
-    project(s, 0.02, p, g, PoissonSolve())
+    project(s, 0.02, p, g)
     v1_once = s.v1.copy()
     v2_once = s.v2.copy()
-    project(s, 0.02, p, g, PoissonSolve())
+    project(s, 0.02, p, g)
     scale = max(np.abs(v1_once).max(), np.abs(v2_once).max())
     drift = max(np.abs(s.v1 - v1_once).max(), np.abs(s.v2 - v2_once).max()) / scale
     report(
@@ -210,7 +210,7 @@ def test_criterion_7_tail_energy():
     p = cfg.params()
     g = cfg.grid()
     s = cfg.initial_state(p, g)
-    rep = tail_decay_experiment(cfg.tail_config(), s, p, g, cfg.step_config(), cfg.poisson())
+    rep = tail_decay_experiment(cfg.tail_config(), s, p, g, cfg.step_config())
     w = np.array(rep.windowed)
     monotone = bool(np.all(np.diff(w, axis=0) <= 1e-18))
     largest_ok = rep.sup_rel[-1] <= cfg["tail.epsilon"]
@@ -254,7 +254,7 @@ def test_criterion_9_contraction():
         perturbed.values["init.v_amplitude"] *= cfg["contract.t_scale"]
         s_b = perturbed.initial_state(p, g)
         s_b.Q = s_a.Q.copy()
-        rep = two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config(), cfg.poisson())
+        rep = two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config())
         d = rep.dist_l2
         if want_monotone:
             outcomes.append(all(b <= a for a, b in zip(d, d[1:])))

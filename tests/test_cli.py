@@ -64,6 +64,16 @@ def test_invalid_value_exit_code(tmp_path):
     assert main(["run", cfg]) == 1
 
 
+@pytest.mark.parametrize("dt,t_end", [("0.01", "0.015"), ("0.01", "0.004"), ("0.01", "-1")])
+def test_horizon_off_step_lattice_rejected(tmp_path, capsys, dt, t_end):
+    body = TINY_RUN.replace("step.dt = 0.02", f"step.dt = {dt}")
+    cfg = write_cfg(tmp_path, body.replace("step.t_end = 0.2", f"step.t_end = {t_end}"))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--output-dir", str(out)]) == 1
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not out.exists()  # rejected at parse, before the output directory or a step
+
+
 def test_injected_check_violation_exits_3(tmp_path):
     # zero envelope slack makes any heated state fail the decay check
     cfg = write_cfg(tmp_path, TINY_RUN + "check.gronwall = true\ncheck.gronwall_factor = 1e-12\n")

@@ -54,6 +54,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("physics.viscosity = 1")
 
+    @pytest.mark.parametrize("key", ["step.engine", "step.diffusion_tol", "poisson.kind",
+                                     "poisson.tolerance", "poisson.max_iter", "tail.pair_seed"])
+    def test_removed_solver_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(f"{key} = 1")
+
     def test_duplicate_names_both_lines(self):
         with pytest.raises(ConfigError, match=r"line 3.*first set on line 1"):
             parse_config("step.dt = 0.1\n\nstep.dt = 0.2")

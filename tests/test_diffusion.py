@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from peqlab import PhysParams, make_grid
-from peqlab.diffusion import (
-    ImplicitDiffusion,
-    cg_diffusion_solve,
-    helmholtz_apply,
-    tridiag_second_derivative,
-)
-from peqlab.oracle import dense_operator_oracle, flatten, unflatten
+from peqlab.diffusion import ImplicitDiffusion, tridiag_second_derivative
+from peqlab.grid import INTERIOR
+from peqlab.oracle import dense_operator_oracle, flatten, helmholtz_apply, unflatten
 
 P = PhysParams(lx=1.0, l=0.8, h=0.6, re1=2.0, re2=0.5, rt1=1.5, rt2=1.1, alpha=0.9)
 DT = 0.05
@@ -31,14 +27,16 @@ def test_eigen_solve_matches_dense(small_grid, kind, op):
 
 
 @pytest.mark.parametrize("kind,op", [("velocity", "helmholtz_v"), ("temperature", "helmholtz_T")])
-def test_cg_solve_matches_dense(small_grid, kind, op):
-    g = small_grid
-    rng = np.random.default_rng(2)
-    b = rng.standard_normal((g.nx, g.ny, g.nz))
+def test_eigen_solve_uneven_grid_strided_input(kind, op):
+    """Axis lengths all differ, and the input is the interior view of a padded field."""
+    g = make_grid(P, 7, 5, 4)
+    padded = np.random.default_rng(2).standard_normal((g.nx + 2, g.ny + 2, g.nz + 2))
+    b = padded[INTERIOR]
+    assert not b.flags.c_contiguous
     a = dense_operator_oracle(g, op, P, dt=DT)
     x_dense = unflatten(np.linalg.solve(a, flatten(b)), g)
-    x_cg = cg_diffusion_solve(b, P, g, DT, kind, tol=1e-13)
-    assert np.abs(x_cg - x_dense).max() <= 1e-10 * np.abs(x_dense).max()
+    x_eigen = ImplicitDiffusion(P, g, DT, kind).solve(b)
+    assert np.abs(x_eigen - x_dense).max() <= 1e-11 * np.abs(x_dense).max()
 
 
 @pytest.mark.parametrize("kind,op", [("velocity", "helmholtz_v"), ("temperature", "helmholtz_T")])
@@ -70,18 +68,3 @@ def test_tridiagonal_boundary_rows():
     assert a[-1, -1] == pytest.approx(1 * w)  # Neumann end
     assert a[2, 2] == pytest.approx(2 * w)
     assert np.allclose(a, a.T)
-
-
-def test_cg_zero_rhs_short_circuits(small_grid):
-    g = small_grid
-    x = cg_diffusion_solve(np.zeros((g.nx, g.ny, g.nz)), P, g, DT, "temperature")
-    assert np.abs(x).max() == 0.0
-
-
-def test_cg_nonconvergence_raises(small_grid):
-    from peqlab.errors import SolveError
-
-    g = small_grid
-    b = np.ones((g.nx, g.ny, g.nz))
-    with pytest.raises(SolveError, match="did not converge"):
-        cg_diffusion_solve(b, P, g, DT, "temperature", tol=1e-15, max_iter=2)
