@@ -17,7 +17,7 @@ from . import diagnostics as diag
 from .config import RunConfig, parse_config_file
 from .errors import CheckError, ConfigError, NumericalError
 from .integrator import run
-from .io import plot_svg, read_timeseries, write_snapshot, write_timeseries
+from .io import TimeseriesWriter, plot_svg, read_timeseries, write_snapshot
 from .mms import mms_convergence_study
 from .tail import tail_decay_experiment, truncation_convergence, two_trajectory_contraction
 
@@ -49,11 +49,11 @@ def cmd_run(args) -> int:
         if snapshots:
             write_snapshot(state, out / f"snapshot_{n:06d}.peq")
 
-    final, records = run(
-        s, p, g, step_cfg, checks=cfg.checks(),
-        snapshot_sink=snapshot_sink,
-    )
-    write_timeseries(records, out / "timeseries.csv")
+    with TimeseriesWriter(out / "timeseries.csv") as record_sink:
+        final, records = run(
+            s, p, g, step_cfg, checks=cfg.checks(),
+            record_sink=record_sink, snapshot_sink=snapshot_sink,
+        )
     write_snapshot(final, out / "snapshot_final.peq")
     last = records[-1]
     print(f"run finished at t={last.t:.6g}: |T|^2={last.l2_T:.6g} |v|^2={last.l2_v:.6g} "
@@ -212,6 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _describe(exc: Exception) -> str:
+    """The exception message followed by its notes, such as a run's last valid time."""
+    return "; ".join((str(exc), *getattr(exc, "__notes__", ())))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -221,13 +226,13 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"config error: {_describe(exc)}", file=sys.stderr)
         return 1
     except CheckError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
+        print(f"check failed: {_describe(exc)}", file=sys.stderr)
         return 3
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
         return 2
 
 

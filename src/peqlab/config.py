@@ -190,12 +190,22 @@ class RunConfig:
         if kind == "gaussian":
             x, y, z = g.coords()
             return self._blob(x, y, z, "q") * np.ones((g.nx, g.ny, g.nz))
-        data = np.load(self["q.path"])
+        path = self["q.path"]
+        try:
+            data = np.asarray(np.load(path), dtype=float)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read q file {path}: {exc}") from exc
         if data.shape != (g.nx, g.ny, g.nz):
             raise ConfigError(
                 f"q file shape {data.shape} does not match grid {(g.nx, g.ny, g.nz)}"
             )
-        return np.asarray(data, dtype=float)
+        bad = ~np.isfinite(data)
+        if bad.any():
+            idx = tuple(int(v) for v in np.argwhere(bad)[0])
+            raise ConfigError(
+                f"q file {path} holds {int(bad.sum())} non-finite values (first at index {idx})"
+            )
+        return data
 
     def _blob(self, x, y, z, section):
         v = self.values

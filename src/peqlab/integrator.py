@@ -23,6 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diagnostics as diag
+from .bc import TEMPERATURE_BC, fill_ghosts
 from .diffusion import ImplicitDiffusion
 from .errors import CheckError
 from .grid import INTERIOR, Grid
@@ -114,7 +115,8 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig) -> State:
         s.v1[I] = velocity.solve(v1_star)
         s.v2[I] = velocity.solve(v2_star)
         s.T[I] = _cached_diffusion(p, g, dt, "temperature").solve(t_star)
-    s.fill_all_ghosts(p, g)
+    # project refills the v1, v2 and p_s ghosts, refresh_w those of w
+    fill_ghosts(s.T, TEMPERATURE_BC, p, g)
     if not cfg.temperature_only:
         project(s, dt, p, g)
     s.refresh_w(p, g)
@@ -133,8 +135,8 @@ def run(
     """Advance to t_end, emitting a DiagRecord every output_every steps.
 
     Returns (final_state, records).  The initial state is projected onto the
-    constraint before the first step; a failed step aborts with the last
-    valid time in the exception message.
+    constraint before the first step; an exception from a failed step keeps
+    its type and carries the last valid time as a note (PEP 678).
     """
     s = initial.copy()
     s.fill_all_ghosts(p, g)
@@ -178,7 +180,8 @@ def run(
         try:
             step(s, cfg.dt, p, g, cfg)
         except Exception as exc:
-            raise type(exc)(f"{exc} (run aborted; last valid time t={t:.6g})") from exc
+            exc.add_note(f"run aborted; last valid time t={t:.6g}")
+            raise
         t = n * cfg.dt
         if check_energy:
             energy_new = (

@@ -30,20 +30,46 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-def timeseries_lines(records: Sequence[DiagRecord]):
-    yield ",".join(CSV_COLUMNS)
-    for rec in records:
-        yield ",".join(format_float(v) for v in rec.row())
+class TimeseriesWriter:
+    """Time-series CSV written one record at a time, flushed after every row.
+
+    Called with a DiagRecord it appends that record's row, so it serves as
+    the record sink of a run: a run that fails part-way leaves every record
+    it emitted.  Use it as a context manager to close the file.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        try:
+            self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write time series {self.path}: {exc}") from exc
+        self._line(CSV_COLUMNS)
+
+    def __call__(self, rec: DiagRecord) -> None:
+        self._line(format_float(v) for v in rec.row())
+
+    def _line(self, fields) -> None:
+        try:
+            self._fh.write(",".join(fields) + "\n")
+            self._fh.flush()
+        except OSError as exc:
+            raise ConfigError(f"cannot write time series {self.path}: {exc}") from exc
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 def write_timeseries(records: Sequence[DiagRecord], path) -> None:
-    path = Path(path)
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in timeseries_lines(records):
-                fh.write(line + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write time series {path}: {exc}") from exc
+    with TimeseriesWriter(path) as sink:
+        for rec in records:
+            sink(rec)
 
 
 def read_timeseries(path) -> dict:
@@ -84,12 +110,21 @@ def read_snapshot(path) -> dict:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ConfigError(f"{path}: not a PEQ1 snapshot")
-    nx, ny, nz = np.frombuffer(raw, dtype="<i4", count=3, offset=4)
-    out = {"dims": (int(nx), int(ny), int(nz))}
-    offset = 4 + 12
-    for name in SNAPSHOT_FIELDS:
-        shape = (nx, ny) if name == "p_s" else (nx, ny, nz)
-        count = int(np.prod(shape))
+    header = 4 + 12
+    if len(raw) < header:
+        raise ConfigError(f"{path}: truncated snapshot header ({len(raw)} of {header} bytes)")
+    nx, ny, nz = (int(n) for n in np.frombuffer(raw, dtype="<i4", count=3, offset=4))
+    shapes = {name: (nx, ny) if name == "p_s" else (nx, ny, nz) for name in SNAPSHOT_FIELDS}
+    expected = header + 8 * sum(math.prod(shape) for shape in shapes.values())
+    if min(nx, ny, nz) < 1 or len(raw) != expected:
+        raise ConfigError(
+            f"{path}: snapshot of dims {(nx, ny, nz)} should hold {expected} bytes, "
+            f"file holds {len(raw)}"
+        )
+    out = {"dims": (nx, ny, nz)}
+    offset = header
+    for name, shape in shapes.items():
+        count = math.prod(shape)
         vals = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
         out[name] = vals.reshape(shape, order="F").copy()
         offset += count * 8

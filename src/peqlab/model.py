@@ -8,8 +8,8 @@ hydrostatic integral of T, and the momentum/temperature tendencies assemble
   dv/dt = -adv(v) - grad p_s - (f/Ro) k x v + int_0^z grad T dz' - L1 v
   dT/dt = -adv(T) - L2 T + Q
 
-with the advection in skew-symmetric split form so that its discrete energy
-contribution cancels exactly.
+with the advection in skew-symmetric split form, evaluated as face sums, so
+that its discrete energy contribution cancels exactly.
 """
 
 from __future__ import annotations
@@ -100,7 +100,8 @@ def diagnose_w(v1p: np.ndarray, v2p: np.ndarray, g: Grid) -> np.ndarray:
     the bottom, so the surface value equals -h times the uniform depth mean
     of the divergence.
     """
-    return -ops.integrate_from_bottom(ops.div_h(v1p, v2p, g), g)
+    w = ops.integrate_from_bottom(ops.div_h(v1p, v2p, g), g)
+    return np.negative(w, out=w)
 
 
 def reconstruct_pressure(T: np.ndarray, p_s: np.ndarray, g: Grid) -> np.ndarray:
@@ -109,9 +110,19 @@ def reconstruct_pressure(T: np.ndarray, p_s: np.ndarray, g: Grid) -> np.ndarray:
 
 
 def baroclinic_pressure_gradient(Tp: np.ndarray, g: Grid):
-    """int_0^z grad T dz' as the pair of interior component fields."""
-    tx, ty = ops.grad_h(Tp, g)
-    return -ops.integrate_from_top(tx, g), -ops.integrate_from_top(ty, g)
+    """int_0^z grad T dz' as the pair of interior component fields.
+
+    Computed as -grad_h of the one hydrostatic integral int_z^0 T dz' over
+    the laterally padded T: the integral acts column by column, so it
+    commutes with the horizontal differences, and the mirrored lateral ghosts
+    of T give valid ghost columns of the integral.
+    """
+    P = ops.integrate_from_top(Tp[:, :, 1:-1], g)
+    bx = P[:-2, 1:-1] - P[2:, 1:-1]
+    bx *= 0.5 / g.dx
+    by = P[1:-1, :-2] - P[1:-1, 2:]
+    by *= 0.5 / g.dy
+    return bx, by
 
 
 def apply_L1(vp: np.ndarray, p: PhysParams, g: Grid) -> np.ndarray:
@@ -124,37 +135,64 @@ def apply_L2(Tp: np.ndarray, p: PhysParams, g: Grid) -> np.ndarray:
     return -ops.lap_h(Tp, g) / p.rt1 - ops.d2_dz2(Tp, g) / p.rt2
 
 
+def face_velocities(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, g: Grid):
+    """Pre-scaled face velocities U_{i+1/2} = (u_i + u_{i+1}) / (4 d), one array per axis.
+
+    Each array holds the faces between consecutive padded cells along its
+    axis (interior in the other two), ghost faces included.
+    """
+    ux = u1p[:-1, 1:-1, 1:-1] + u1p[1:, 1:-1, 1:-1]
+    ux *= 0.25 / g.dx
+    uy = u2p[1:-1, :-1, 1:-1] + u2p[1:-1, 1:, 1:-1]
+    uy *= 0.25 / g.dy
+    uz = wp[1:-1, 1:-1, :-1] + wp[1:-1, 1:-1, 1:]
+    uz *= 0.25 / g.dz
+    return ux, uy, uz
+
+
+def advect_faces(faces, fp: np.ndarray) -> np.ndarray:
+    """Skew-symmetric advection of the padded field fp by precomputed face velocities."""
+    ux, uy, uz = faces
+    out = ux[1:] * fp[2:, 1:-1, 1:-1]
+    buf = np.multiply(ux[:-1], fp[:-2, 1:-1, 1:-1])
+    out -= buf
+    np.multiply(uy[:, 1:], fp[1:-1, 2:, 1:-1], out=buf)
+    out += buf
+    np.multiply(uy[:, :-1], fp[1:-1, :-2, 1:-1], out=buf)
+    out -= buf
+    np.multiply(uz[:, :, 1:], fp[1:-1, 1:-1, 2:], out=buf)
+    out += buf
+    np.multiply(uz[:, :, :-1], fp[1:-1, 1:-1, :-2], out=buf)
+    out -= buf
+    return out
+
+
 def advect(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, fp: np.ndarray, g: Grid) -> np.ndarray:
     """Skew-symmetric advection 0.5 [ u.grad f + div(u f) ] (interior out).
 
-    The flux products are formed on the padded arrays, so with the advecting
-    normal component odd across each face the discrete inner product
-    <advect(f), f> telescopes to zero.
+    Per axis the centred split form 0.5 [u_i (f_{i+1} - f_{i-1})
+    + u_{i+1} f_{i+1} - u_{i-1} f_{i-1}] / (2d) regroups into the face-sum
+    form U_{i+1/2} f_{i+1} - U_{i-1/2} f_{i-1} with U_{i+1/2} = (u_i + u_{i+1})
+    / (4d) (Morinishi et al., J. Comput. Phys. 143, 1998).  Summed against f,
+    the term U_{i+1/2} f_i f_{i+1} appears once with each sign, so <advect(f),
+    f> telescopes to the two wall faces, where U vanishes exactly because the
+    advecting normal component is odd across the wall (u_ghost = -u).
     """
-    I = INTERIOR
-    conv = (
-        u1p[I] * (fp[2:, 1:-1, 1:-1] - fp[:-2, 1:-1, 1:-1]) / (2.0 * g.dx)
-        + u2p[I] * (fp[1:-1, 2:, 1:-1] - fp[1:-1, :-2, 1:-1]) / (2.0 * g.dy)
-        + wp[I] * (fp[1:-1, 1:-1, 2:] - fp[1:-1, 1:-1, :-2]) / (2.0 * g.dz)
-    )
-    f1 = u1p * fp
-    f2 = u2p * fp
-    f3 = wp * fp
-    dive = (
-        (f1[2:, 1:-1, 1:-1] - f1[:-2, 1:-1, 1:-1]) / (2.0 * g.dx)
-        + (f2[1:-1, 2:, 1:-1] - f2[1:-1, :-2, 1:-1]) / (2.0 * g.dy)
-        + (f3[1:-1, 1:-1, 2:] - f3[1:-1, 1:-1, :-2]) / (2.0 * g.dz)
-    )
-    return 0.5 * (conv + dive)
+    return advect_faces(face_velocities(u1p, u2p, wp, g), fp)
 
 
 def momentum_rhs(s: State, p: PhysParams, g: Grid, include_diffusion: bool = True) -> Tendency:
     """Momentum tendency; requires current ghosts, diagnosed w, and p_s."""
     f = coriolis_f(g.y(np.arange(g.ny)), p)[None, :, None] / p.ro
-    bx, by = baroclinic_pressure_gradient(s.T, g)
+    faces = face_velocities(s.v1, s.v2, s.w, g)
     px, py = ops.grad_h(s.p_s, g)
-    dv1 = -advect(s.v1, s.v2, s.w, s.v1, g) + f * s.v2[INTERIOR] - px[:, :, None] + bx
-    dv2 = -advect(s.v1, s.v2, s.w, s.v2, g) - f * s.v1[INTERIOR] - py[:, :, None] + by
+    dv1, dv2 = baroclinic_pressure_gradient(s.T, g)
+    dv1 -= advect_faces(faces, s.v1)
+    dv1 += f * s.v2[INTERIOR]
+    dv1 -= px[:, :, None]
+    dv2 -= advect_faces(faces, s.v2)
+    dv2 -= f * s.v1[INTERIOR]
+    dv2 -= py[:, :, None]
     if include_diffusion:
         dv1 -= apply_L1(s.v1, p, g)
         dv2 -= apply_L1(s.v2, p, g)
@@ -166,7 +204,8 @@ def momentum_rhs(s: State, p: PhysParams, g: Grid, include_diffusion: bool = Tru
 
 def temperature_rhs(s: State, p: PhysParams, g: Grid, include_diffusion: bool = True) -> Tendency:
     """Temperature tendency; requires current ghosts and diagnosed w."""
-    dT = -advect(s.v1, s.v2, s.w, s.T, g) + s.Q
+    dT = advect(s.v1, s.v2, s.w, s.T, g)
+    np.subtract(s.Q, dT, out=dT)
     if include_diffusion:
         dT -= apply_L2(s.T, p, g)
     return Tendency(dT=dT)

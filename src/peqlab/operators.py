@@ -2,14 +2,15 @@
 
 Stencil functions consume ghost-padded arrays (valid ghosts are the caller's
 responsibility) and return interior-shaped arrays.  Vertical quadratures and
-averages operate on interior arrays.
+averages act along the last (z) axis of arrays without z ghosts.
 
-All reductions used for diagnostics and solver dot products go through
-:func:`pairwise_sum`, a fixed-shape binary tree, so results do not depend on
-thread count or summation chunking.
+All diagnostic reductions go through :func:`pairwise_sum`, a fixed-shape
+binary tree, so results do not depend on thread count or summation chunking.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,33 +72,45 @@ def vertical_average(f: np.ndarray, g: Grid):
     return fbar, f - fbar[:, :, None]
 
 
+@lru_cache(maxsize=16)
+def _quadrature_matrices(nz: int, dz: float):
+    """(from_bottom, from_top) trapezoid weight matrices; column k yields cell k."""
+    eye = np.eye(nz)
+    steps = 0.5 * dz * (eye[:-1] + eye[1:])  # row m: the trapezoid between cells m and m+1
+    bottom = np.cumsum(np.vstack((0.5 * dz * eye[:1], steps)), axis=0)
+    surface = dz * (5.0 * eye[-1:] - eye[-2:-1]) / 8.0
+    top = np.cumsum(np.vstack((steps, surface))[::-1], axis=0)[::-1]
+    weights = tuple(np.ascontiguousarray(m.T) for m in (bottom, top))
+    for w in weights:
+        w.setflags(write=False)
+    return weights
+
+
+def _vertical_quadrature(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    nz = f.shape[-1]
+    return (f.reshape(-1, nz) @ weights).reshape(f.shape)
+
+
 def integrate_from_bottom(f: np.ndarray, g: Grid):
     """Cumulative vertical integral from z = -h to each cell center.
 
     Trapezoidal, with the bottom-face value mirrored from the first cell, so
-    the top-face total matches h times the uniform depth mean exactly.
+    the top-face total matches h times the uniform depth mean.  Applied as
+    one matrix product of the (columns, nz) field with the (nz, nz) weight
+    matrix, cached per (nz, dz); f may carry lateral ghosts.
     """
-    nz = f.shape[2]
-    out = np.empty_like(f)
-    out[:, :, 0] = 0.5 * g.dz * f[:, :, 0]
-    if nz > 1:
-        steps = 0.5 * g.dz * (f[:, :, 1:] + f[:, :, :-1])
-        out[:, :, 1:] = out[:, :, 0][:, :, None] + np.cumsum(steps, axis=2)
-    return out
+    return _vertical_quadrature(f, _quadrature_matrices(f.shape[-1], g.dz)[0])
 
 
 def integrate_from_top(f: np.ndarray, g: Grid):
     """Cumulative vertical integral from each cell center up to z = 0.
 
     Trapezoidal; the surface-face value is linearly extrapolated from the two
-    top cells, making the rule exact for integrands linear in z.
+    top cells, making the rule exact for integrands linear in z.  Applied as
+    one matrix product with a cached (nz, nz) weight matrix, as in
+    :func:`integrate_from_bottom`.
     """
-    out = np.empty_like(f)
-    out[:, :, -1] = g.dz * (5.0 * f[:, :, -1] - f[:, :, -2]) / 8.0
-    steps = 0.5 * g.dz * (f[:, :, 1:] + f[:, :, :-1])
-    rev = np.cumsum(steps[:, :, ::-1], axis=2)[:, :, ::-1]
-    out[:, :, :-1] = out[:, :, -1][:, :, None] + rev
-    return out
+    return _vertical_quadrature(f, _quadrature_matrices(f.shape[-1], g.dz)[1])
 
 
 def pairwise_sum(a: np.ndarray) -> float:

@@ -5,7 +5,9 @@ per-face ghost elimination written out long-hand), deliberately independent
 of the vectorized stencil code they cross-check.  Sizes are capped at 4096
 unknowns; these exist for verification only.  `helmholtz_apply` is the
 stencil side of one such cross-check: (I + dt*L) applied through the ghost
-fills, which the tests compare with the dense matrix.
+fills, which the tests compare with the dense matrix.  `advect_reference` is
+the textbook split form of the skew-symmetric advection, against which the
+tests check the production face-sum form.
 """
 
 from __future__ import annotations
@@ -90,6 +92,25 @@ def helmholtz_apply(x: np.ndarray, p: PhysParams, g: Grid, dt: float, kind: str)
         return x + dt * apply_L1(pad, p, g)
     fill_ghosts(pad, TEMPERATURE_BC, p, g)
     return x + dt * apply_L2(pad, p, g)
+
+
+def advect_reference(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, fp: np.ndarray, g: Grid) -> np.ndarray:
+    """0.5 [ u.grad f + div(u f) ] with centred differences, term by term (interior out)."""
+    I = INTERIOR
+    conv = (
+        u1p[I] * (fp[2:, 1:-1, 1:-1] - fp[:-2, 1:-1, 1:-1]) / (2.0 * g.dx)
+        + u2p[I] * (fp[1:-1, 2:, 1:-1] - fp[1:-1, :-2, 1:-1]) / (2.0 * g.dy)
+        + wp[I] * (fp[1:-1, 1:-1, 2:] - fp[1:-1, 1:-1, :-2]) / (2.0 * g.dz)
+    )
+    f1 = u1p * fp
+    f2 = u2p * fp
+    f3 = wp * fp
+    dive = (
+        (f1[2:, 1:-1, 1:-1] - f1[:-2, 1:-1, 1:-1]) / (2.0 * g.dx)
+        + (f2[1:-1, 2:, 1:-1] - f2[1:-1, :-2, 1:-1]) / (2.0 * g.dy)
+        + (f3[1:-1, 1:-1, 2:] - f3[1:-1, 1:-1, :-2]) / (2.0 * g.dz)
+    )
+    return 0.5 * (conv + dive)
 
 
 def dense_lap_h_2d(nx: int, ny: int, dx: float, dy: float, kind: BcKind) -> np.ndarray:

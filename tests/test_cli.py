@@ -206,6 +206,73 @@ def test_plot_unknown_column(tmp_path):
     assert main(["plot", str(out / "timeseries.csv"), "no_such"]) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_q_file_rejected(tmp_path, capsys, bad):
+    q = np.zeros((8, 8, 4))
+    q[3, 2, 1] = bad
+    np.save(tmp_path / "q.npy", q)
+    body = TINY_RUN.replace("q.kind = zero", f"q.kind = file\nq.path = {tmp_path / 'q.npy'}")
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "(3, 2, 1)" in err
+    assert not (out / "timeseries.csv").exists()  # rejected before the first step
+
+
+def test_unreadable_q_file_rejected(tmp_path, capsys):
+    body = TINY_RUN.replace("q.kind = zero", f"q.kind = file\nq.path = {tmp_path / 'none.npy'}")
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == 1
+    assert "cannot read q file" in capsys.readouterr().err
+
+
+def test_streamed_series_matches_batch_writer(tmp_path):
+    from peqlab.config import parse_config_file
+    from peqlab.integrator import run
+    from peqlab.io import write_timeseries
+
+    cfg_path = write_cfg(tmp_path, TINY_RUN)
+    assert main(["run", cfg_path, "--output-dir", str(tmp_path / "o")]) == 0
+    cfg = parse_config_file(cfg_path)
+    p, g = cfg.params(), cfg.grid()
+    _, records = run(cfg.initial_state(p, g), p, g, cfg.step_config(), checks=cfg.checks())
+    write_timeseries(records, tmp_path / "batch.csv")
+    assert (tmp_path / "o" / "timeseries.csv").read_bytes() == (tmp_path / "batch.csv").read_bytes()
+
+
+def test_failed_run_keeps_records_and_reports_time(tmp_path, capsys, monkeypatch):
+    import peqlab.integrator as integrator
+    from peqlab.errors import NumericalError
+
+    step = integrator.step
+    calls = []
+
+    def failing_step(*args):
+        calls.append(1)
+        if len(calls) == 7:
+            raise NumericalError("injected failure")
+        return step(*args)
+
+    monkeypatch.setattr(integrator, "step", failing_step)
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path, TINY_RUN), "--output-dir", str(out)]) == 2
+    assert "injected failure; run aborted; last valid time t=0.12" in capsys.readouterr().err
+    data = read_timeseries(out / "timeseries.csv")
+    assert np.allclose(data["t"], [0.0, 0.04, 0.08, 0.12])
+
+
+def test_failed_check_keeps_records(tmp_path, capsys):
+    # a weak initial blob decays until the heat source wins, which trips the
+    # monotone-energy check forced on at t = 0.06
+    body = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian\nq.amplitude = 5.0")
+    body = body.replace("init.t_amplitude = 0.5", "init.t_amplitude = 0.05")
+    cfg = write_cfg(tmp_path, body + "check.energy = on\ncheck.energy_slack = 0\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--output-dir", str(out)]) == 3
+    assert "energy increased at t=0.06" in capsys.readouterr().err
+    data = read_timeseries(out / "timeseries.csv")
+    assert np.allclose(data["t"], [0.0, 0.04])
+
+
 def test_two_runs_identical_bytes(tmp_path):
     cfg = write_cfg(tmp_path, TINY_RUN)
     a, b = tmp_path / "a", tmp_path / "b"

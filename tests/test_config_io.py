@@ -150,6 +150,21 @@ class TestSnapshot:
         ref = s.v1[INTERIOR]
         assert v[0] == ref[0, 0, 0] and v[1] == ref[1, 0, 0]
 
+    @pytest.mark.parametrize("keep", [10, 16, 200, -8])
+    def test_truncated_snapshot_rejected(self, tmp_path, keep):
+        g = make_grid(PhysParams(), 4, 4, 4)
+        path = tmp_path / "cut.peq"
+        write_snapshot(State.zeros(g), path)
+        full = path.read_bytes()
+        assert len(full) == 16 + 8 * (4 * 64 + 16)
+        path.write_bytes(full[:keep])
+        size = len(full[:keep])
+        expected = "16" if size < 16 else str(len(full))
+        with pytest.raises(ConfigError) as info:
+            read_snapshot(path)
+        message = str(info.value)
+        assert str(path) in message and expected in message and str(size) in message
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.peq"
         path.write_bytes(b"NOPE" + b"\0" * 64)

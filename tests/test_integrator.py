@@ -160,6 +160,42 @@ def test_first_order_in_dt():
     assert order >= 0.9
 
 
+@pytest.mark.parametrize("temperature_only", [False, True])
+def test_step_leaves_no_stale_ghosts(temperature_only):
+    g = make_grid(P, 10, 8, 6)
+    s = gaussian_state(g, P, amp_v=0.3)
+    cfg = StepConfig(dt=0.02, t_end=0.1, temperature_only=temperature_only)
+    for _ in range(3):
+        step(s, cfg.dt, P, g, cfg)
+    before = s.copy()
+    s.fill_all_ghosts(P, g)
+    for name in ("v1", "v2", "T", "w", "p_s"):
+        assert getattr(s, name).tobytes() == getattr(before, name).tobytes(), name
+
+
+def test_failed_step_keeps_exception_type(monkeypatch):
+    import peqlab.integrator as integrator
+
+    class TwoArgError(Exception):
+        def __init__(self, code, where):
+            super().__init__(code, where)
+
+    calls = []
+
+    def failing_step(s, dt, p, g, cfg):
+        calls.append(1)
+        if len(calls) == 3:
+            raise TwoArgError(7, "solver")
+        return step(s, dt, p, g, cfg)
+
+    monkeypatch.setattr(integrator, "step", failing_step)
+    g = make_grid(P, 8, 8, 4)
+    with pytest.raises(TwoArgError) as info:
+        run(gaussian_state(g, P), P, g, StepConfig(dt=0.01, t_end=0.1))
+    assert info.value.args == (7, "solver")
+    assert info.value.__notes__ == ["run aborted; last valid time t=0.02"]
+
+
 def test_failed_step_reports_last_valid_time():
     from peqlab.errors import NumericalError
 

@@ -189,6 +189,21 @@ def test_skew_advection_energy_neutral():
             assert abs(inner) <= 1e-12 * scale
 
 
+def test_face_advection_matches_textbook_form():
+    from peqlab.oracle import advect_reference
+
+    p = PhysParams(lx=1.3, l=0.9, h=0.6)
+    g = make_grid(p, 11, 7, 5)
+    for seed in range(3):
+        s = random_smooth_state(p, g, seed)
+        faces = model.face_velocities(s.v1, s.v2, s.w, g)
+        for phi_pad in (s.v1, s.v2, s.T):
+            ref = advect_reference(s.v1, s.v2, s.w, phi_pad, g)
+            got = model.advect_faces(faces, phi_pad)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.array_equal(got, model.advect(s.v1, s.v2, s.w, phi_pad, g))
+
+
 class TestRhs:
     def setup_method(self):
         self.p = PhysParams(lx=1.0, l=1.0, h=1.0)

@@ -156,6 +156,30 @@ def test_integrate_from_top_linear_exact():
     assert np.abs(got - (-(z**2) / 2.0)).max() < 1e-14
 
 
+def test_vertical_quadratures_match_trapezoid_loop():
+    p = PhysParams(h=0.7)
+    g = make_grid(p, 5, 4, 7)
+    f = np.random.default_rng(3).standard_normal((7, 6, g.nz))  # lateral ghosts included
+    dz = g.dz
+    bottom = np.empty_like(f)
+    top = np.empty_like(f)
+    for i in range(f.shape[0]):
+        for j in range(f.shape[1]):
+            col = f[i, j]
+            acc = 0.5 * dz * col[0]  # mirrored bottom face
+            bottom[i, j, 0] = acc
+            for k in range(1, g.nz):
+                acc += 0.5 * dz * (col[k - 1] + col[k])
+                bottom[i, j, k] = acc
+            acc = dz * (5.0 * col[-1] - col[-2]) / 8.0  # extrapolated surface face
+            top[i, j, -1] = acc
+            for k in range(g.nz - 2, -1, -1):
+                acc += 0.5 * dz * (col[k] + col[k + 1])
+                top[i, j, k] = acc
+    for got, ref in ((ops.integrate_from_bottom(f, g), bottom), (ops.integrate_from_top(f, g), top)):
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_pairwise_sum_matches_math_fsum():
     import math
 
