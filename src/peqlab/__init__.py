@@ -4,14 +4,14 @@ from .params import PhysParams
 from .grid import Grid, make_grid
 from .bc import BcKind, FieldBcs, VELOCITY_BC, TEMPERATURE_BC, W_BC, fill_ghosts
 from .model import State, Tendency
-from .integrator import StepConfig, RunChecks, cfl_dt, step, run
+from .integrator import StepConfig, RunChecks, cfl_dt, step, run, trajectory
 from .diagnostics import DiagRecord, kappa, gronwall_T_envelope
 
 __all__ = [
     "PhysParams", "Grid", "make_grid",
     "BcKind", "FieldBcs", "VELOCITY_BC", "TEMPERATURE_BC", "W_BC", "fill_ghosts",
     "State", "Tendency",
-    "StepConfig", "RunChecks", "cfl_dt", "step", "run",
+    "StepConfig", "RunChecks", "cfl_dt", "step", "run", "trajectory",
     "DiagRecord", "kappa", "gronwall_T_envelope",
 ]
 

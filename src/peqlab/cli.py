@@ -86,7 +86,7 @@ def cmd_tail(args) -> int:
     p = cfg.params()
     g = cfg.grid()
     s = cfg.initial_state(p, g)
-    report = tail_decay_experiment(cfg.tail_config(), s, p, g, cfg.step_config())
+    report = tail_decay_experiment(cfg.tail_config(), s, p, g, cfg.step_config(), cfg.checks())
     out = _outdir(cfg, args.output_dir)
     header = ["t", "total"] + [f"w_{r:g}" for r in report.radii]
     rows = [
@@ -115,7 +115,7 @@ def cmd_truncate(args) -> int:
 
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
     report = truncation_convergence(p, counts, cfg.step_config(), q_fn,
-                                    factor=cfg["truncate.factor"])
+                                    factor=cfg["truncate.factor"], checks=cfg.checks())
     out = _outdir(cfg, args.output_dir)
     _write_csv(out / "truncate.csv", ("t", "rel_diff"), list(zip(report.times, report.rel_diff)))
     print(f"max relative difference against {report.factor}x domain: {report.max_rel_diff:.3e}")
@@ -136,7 +136,7 @@ def cmd_contract(args) -> int:
     perturbed.values["init.v_amplitude"] = cfg["init.v_amplitude"] * cfg["contract.t_scale"]
     s_b = perturbed.initial_state(p, g)
     s_b.Q = s_a.Q.copy()
-    report = two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config())
+    report = two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config(), cfg.checks())
     out = _outdir(cfg, args.output_dir)
     _write_csv(
         out / "contract.csv",

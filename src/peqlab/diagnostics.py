@@ -2,7 +2,7 @@
 
 Every functional tracked by the energy method is evaluated here with the
 same deterministic quadrature (uniform cell weights, i.e. the trapezoid rule
-with mirrored boundary faces; pairwise-tree sums).  A DiagRecord is one
+with mirrored boundary faces; single-threaded float64 sums).  A DiagRecord is one
 time-stamped bundle of all of them plus the constraint residual; the two
 Poincare-type inequality checks and the exponential decay envelope for the
 temperature energy are evaluated against records.

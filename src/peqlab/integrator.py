@@ -1,4 +1,4 @@
-"""IMEX time stepping: explicit transport, implicit diffusion, projection.
+"""IMEX time stepping and the one trajectory driver.
 
 One step advances the prognostic fields by
 
@@ -10,6 +10,11 @@ One step advances the prognostic fields by
 
 which keeps the discrete energy balance: transport is skew-neutral, the
 implicit solves are contractions, and the projection removes energy.
+
+:func:`trajectory` is the only loop over steps: it advances one or more
+states in lockstep under one prologue and one set of run monitors, and
+hands each output step to a caller's sampler.  :func:`run` and the
+experiments in :mod:`peqlab.tail` are samplers on it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,6 +128,100 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig) -> State:
     return s
 
 
+class _Member:
+    """One trajectory's state after the prologue, and its run monitors."""
+
+    def __init__(self, initial: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: RunChecks):
+        s = initial.copy()
+        s.fill_all_ghosts(p, g)
+        if not cfg.temperature_only:
+            project(s, cfg.dt, p, g)
+        s.refresh_w(p, g)
+        suggestion = cfl_dt(s, g, cfg)
+        if cfg.dt > suggestion:
+            log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)
+        self.s, self.p, self.g, self.cfg, self.checks = s, p, g, cfg, checks
+        self.l2_q = diag.l2sq(s.Q, g)
+        self.l2_t0 = diag.l2sq(s.T[INTERIOR], g)
+        on = checks.check_energy
+        self.energy = self._energy() if on or (on is None and self.l2_q == 0.0) else None
+
+    def _energy(self) -> float:
+        return sum(diag.l2sq(f[INTERIOR], self.g) for f in (self.s.v1, self.s.v2, self.s.T))
+
+    def check_energy_step(self, t: float):
+        """The energy inequality after a step, when enabled (Q == 0 by default)."""
+        if self.energy is None:
+            return
+        energy = self._energy()
+        slack = 0.0 if self.cfg.temperature_only else self.checks.energy_slack
+        if energy > self.energy * (1.0 + slack):
+            raise CheckError(f"energy increased at t={t:.6g}: {self.energy:.17g} -> {energy:.17g}")
+        self.energy = energy
+
+    def record(self, t: float, s_prev: Optional[State]) -> diag.DiagRecord:
+        """The DiagRecord of the current state, checked against the inequality monitors."""
+        rec = diag.compute_record(self.s, s_prev, self.cfg.dt, self.p, self.g, t=t)
+        checks = self.checks
+        if checks.check_poincare:
+            for name, ratio in (("temperature", diag.check_poincare_T(rec)),
+                                ("velocity", diag.check_poincare_v(rec))):
+                if ratio > 1.0 + checks.poincare_tol:
+                    raise CheckError(f"{name} Poincare ratio {ratio:.6g} > 1 + {checks.poincare_tol}")
+        # a temperature-only step never projects the (frozen) velocity
+        if (checks.check_constraint and not self.cfg.temperature_only
+                and rec.constraint_residual > checks.div_tol):
+            raise CheckError(
+                f"constraint residual {rec.constraint_residual:.3e} > {checks.div_tol:.1e} at t={t:.6g}"
+            )
+        if checks.check_gronwall:
+            bound = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, self.p) * checks.gronwall_factor
+            if rec.l2_T > bound:
+                raise CheckError(
+                    f"temperature energy {rec.l2_T:.6g} above decay envelope {bound:.6g} at t={t:.6g}"
+                )
+        return rec
+
+
+def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfig,
+               checks: Optional[RunChecks] = None, observe: Optional[Callable] = None) -> List[State]:
+    """Advance (initial, params, grid) members in lockstep to t_end.
+
+    Every member gets the same prologue and run monitors.  At t = 0 and every
+    output_every steps (and the last) each member's DiagRecord is evaluated
+    and checked, then observe(n, t, states, records) is called.  Returns the
+    final states.  An exception from a failed step keeps its type and carries
+    the last valid time as a note (PEP 678).
+    """
+    checks = checks or RunChecks()
+    group = [_Member(initial, p, g, cfg, checks) for initial, p, g in members]
+    states = [m.s for m in group]
+
+    def emit(n, t, prev):
+        records = [m.record(t, sp) for m, sp in zip(group, prev)]
+        if observe is not None:
+            observe(n, t, states, records)
+
+    emit(0, 0.0, [None] * len(group))
+    n_steps = cfg.n_steps
+    for n in range(1, n_steps + 1):
+        emits = n % cfg.output_every == 0 or n == n_steps
+        # the time-derivative norms of a record need the state one step back
+        prev = [s.copy() for s in states] if emits else None
+        try:
+            for m in group:
+                step(m.s, cfg.dt, m.p, m.g, cfg)
+        except Exception as exc:
+            exc.add_note(f"run aborted; last valid time t={(n - 1) * cfg.dt:.6g}")
+            raise
+        t = n * cfg.dt
+        for m in group:
+            m.check_energy_step(t)
+        if emits:
+            emit(n, t, prev)
+    return states
+
+
 def run(
     initial: State,
     p: PhysParams,
@@ -132,89 +231,18 @@ def run(
     record_sink: Optional[Callable] = None,
     snapshot_sink: Optional[Callable] = None,
 ):
-    """Advance to t_end, emitting a DiagRecord every output_every steps.
+    """Advance one state to t_end, emitting a DiagRecord every output_every steps.
 
-    Returns (final_state, records).  The initial state is projected onto the
-    constraint before the first step; an exception from a failed step keeps
-    its type and carries the last valid time as a note (PEP 678).
+    Returns (final_state, records); see :func:`trajectory`.
     """
-    s = initial.copy()
-    s.fill_all_ghosts(p, g)
-    if not cfg.temperature_only:
-        project(s, cfg.dt, p, g)
-    s.refresh_w(p, g)
-
-    checks = checks or RunChecks()
-    l2_q = diag.l2sq(s.Q, g)
-    check_energy = checks.check_energy
-    if check_energy is None:
-        check_energy = l2_q == 0.0
-    kap = diag.kappa(p)
-    l2_t0 = diag.l2sq(s.T[INTERIOR], g)
-
-    n_steps = cfg.n_steps
-    suggestion = cfl_dt(s, g, cfg)
-    if cfg.dt > suggestion:
-        log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)
-
     records = []
-    s_prev = None
-    t = 0.0
 
-    def emit(step_index):
-        rec = diag.compute_record(s, s_prev, cfg.dt, p, g, t=t)
-        _check_record(rec, checks, check_gronwall=checks.check_gronwall,
-                      l2_t0=l2_t0, l2_q=l2_q, kap=kap)
-        records.append(rec)
+    def observe(n, t, states, recs):
+        records.append(recs[0])
         if record_sink is not None:
-            record_sink(rec)
+            record_sink(recs[0])
         if snapshot_sink is not None:
-            snapshot_sink(s, t, step_index)
+            snapshot_sink(states[0], t, n)
 
-    emit(0)
-    energy = diag.l2sq(s.v1[INTERIOR], g) + diag.l2sq(s.v2[INTERIOR], g) + diag.l2sq(s.T[INTERIOR], g)
-    for n in range(1, n_steps + 1):
-        emits = n % cfg.output_every == 0 or n == n_steps
-        # the time-derivative norms of a record need the state one step back
-        s_prev = s.copy() if emits else None
-        try:
-            step(s, cfg.dt, p, g, cfg)
-        except Exception as exc:
-            exc.add_note(f"run aborted; last valid time t={t:.6g}")
-            raise
-        t = n * cfg.dt
-        if check_energy:
-            energy_new = (
-                diag.l2sq(s.v1[INTERIOR], g)
-                + diag.l2sq(s.v2[INTERIOR], g)
-                + diag.l2sq(s.T[INTERIOR], g)
-            )
-            slack = 0.0 if cfg.temperature_only else checks.energy_slack
-            if energy_new > energy * (1.0 + slack):
-                raise CheckError(
-                    f"energy increased at t={t:.6g}: {energy:.17g} -> {energy_new:.17g}"
-                )
-            energy = energy_new
-        if emits:
-            emit(n)
-    return s, records
-
-
-def _check_record(rec, checks: RunChecks, check_gronwall, l2_t0, l2_q, kap):
-    if checks.check_poincare:
-        r_t = diag.check_poincare_T(rec)
-        if r_t > 1.0 + checks.poincare_tol:
-            raise CheckError(f"temperature Poincare ratio {r_t:.6g} > 1 + {checks.poincare_tol}")
-        r_v = diag.check_poincare_v(rec)
-        if r_v > 1.0 + checks.poincare_tol:
-            raise CheckError(f"velocity Poincare ratio {r_v:.6g} > 1 + {checks.poincare_tol}")
-    if checks.check_constraint and rec.constraint_residual > checks.div_tol:
-        raise CheckError(
-            f"constraint residual {rec.constraint_residual:.3e} > {checks.div_tol:.1e} at t={rec.t:.6g}"
-        )
-    if check_gronwall:
-        bound = diag.gronwall_T_envelope(rec.t, l2_t0, l2_q, kap=kap) * checks.gronwall_factor
-        if rec.l2_T > bound:
-            raise CheckError(
-                f"temperature energy {rec.l2_T:.6g} above decay envelope {bound:.6g} at t={rec.t:.6g}"
-            )
+    (final,) = trajectory([(initial, p, g)], cfg, checks, observe)
+    return final, records

@@ -26,6 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .diagnostics import l2sq
 from .grid import INTERIOR, Grid, make_grid
 from .integrator import RunChecks, StepConfig, run
 from .model import State, coriolis_f
@@ -259,14 +260,13 @@ def mms_convergence_study(
     sizes=((8, 8, 8), (16, 16, 16), (32, 32, 32)),
     dt: float = 2e-3,
     horizon: float = 0.1,
-    spec_kw: Optional[dict] = None,
 ) -> MmsReport:
     """Integrate the forced system on refined grids; measure held-state error."""
     report = MmsReport()
     errs_v, errs_T = [], []
     for nx, ny, nz in sizes:
         g = make_grid(p, nx, ny, nz)
-        spec = MmsSpec(p, **(spec_kw or {}))
+        spec = MmsSpec(p)
         s = spec.state(g)
         f1, f2, q = mms_forcing(spec, p, g)
         s.body_force = (f1, f2)
@@ -276,14 +276,10 @@ def mms_convergence_study(
         checks = RunChecks(check_poincare=False, check_constraint=False, check_energy=False)
         final, _ = run(s, p, g, cfg, checks=checks)
         ref = spec.state(g)
-        vol = g.cell_volume
-        err_v1 = math.sqrt(vol * float(np.sum((final.v1[INTERIOR] - ref.v1[INTERIOR]) ** 2)))
-        err_v2 = math.sqrt(vol * float(np.sum((final.v2[INTERIOR] - ref.v2[INTERIOR]) ** 2)))
-        err_T = math.sqrt(vol * float(np.sum((final.T[INTERIOR] - ref.T[INTERIOR]) ** 2)))
+        err_v1, err_v2, err_T = (math.sqrt(l2sq(a[INTERIOR] - b[INTERIOR], g))
+                                 for a, b in ((final.v1, ref.v1), (final.v2, ref.v2), (final.T, ref.T)))
         delta = max(g.dx, g.dy, g.dz)
-        report.levels.append(
-            {"delta": delta, "err_v1": err_v1, "err_v2": err_v2, "err_T": err_T}
-        )
+        report.levels.append({"delta": delta, "err_v1": err_v1, "err_v2": err_v2, "err_T": err_T})
         errs_v.append((delta, math.hypot(err_v1, err_v2)))
         errs_T.append((delta, err_T))
     rv = convergence_order(errs_v)

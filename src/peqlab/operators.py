@@ -4,8 +4,8 @@ Stencil functions consume ghost-padded arrays (valid ghosts are the caller's
 responsibility) and return interior-shaped arrays.  Vertical quadratures and
 averages act along the last (z) axis of arrays without z ghosts.
 
-All diagnostic reductions go through :func:`pairwise_sum`, a fixed-shape
-binary tree, so results do not depend on thread count or summation chunking.
+All diagnostic reductions go through :func:`pairwise_sum`, numpy's
+single-threaded pairwise sum, so results do not depend on thread count.
 """
 
 from __future__ import annotations
@@ -114,24 +114,13 @@ def integrate_from_top(f: np.ndarray, g: Grid):
 
 
 def pairwise_sum(a: np.ndarray) -> float:
-    """Deterministic binary-tree sum of all entries of `a`.
+    """Sum of all entries of `a` in float64.
 
-    The tree shape depends only on the element count, so the result is
-    bit-identical across runs, BLAS backends, and thread counts.
+    numpy's pairwise summation runs on one thread, and its blocking depends
+    only on the shape and memory layout, so the result is bit-identical
+    across runs, BLAS backends, and thread counts.
     """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        if a.size % 2:
-            tail = a[-1:]
-            a = a[:-1]
-        else:
-            tail = None
-        a = a[0::2] + a[1::2]
-        if tail is not None:
-            a = np.concatenate((a, tail))
-    return float(a[0])
+    return float(np.sum(a, dtype=np.float64))
 
 
 def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -6,6 +6,10 @@ behavior that justifies truncating the unbounded channel: tail energy stays
 a small fraction of the total once the window clears the heat source,
 doubling the truncation half-length barely changes the solution on the
 common subdomain, and paired trajectories contract.
+
+Each experiment is a sampler on :func:`peqlab.integrator.trajectory`, so it
+advances under the same prologue and run monitors (``checks``) as a run and
+reads the norms it shares with a DiagRecord from the members' records.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ import numpy as np
 from .diagnostics import l2sq
 from .errors import ConfigError
 from .grid import INTERIOR, Grid, make_grid
-from .integrator import StepConfig, step
-from .model import State, apply_L1, apply_L2
+from .integrator import RunChecks, StepConfig, trajectory
+from .model import State
 from .params import PhysParams
-from .projection import project
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,7 @@ def windowed_T_energy(T: np.ndarray, r: float, g: Grid) -> float:
     if r <= 0:
         raise ValueError("window radius must be positive")
     x = g.x(np.arange(g.nx))[:, None, None]
-    w = cutoff_eta(x**2 / r**2) ** 2
-    return g.cell_volume * float(np.sum(w * np.asarray(T) ** 2))
+    return l2sq(cutoff_eta(x**2 / r**2) * np.asarray(T), g)
 
 
 @dataclass
@@ -109,6 +111,7 @@ def tail_decay_experiment(
     p: PhysParams,
     g: Grid,
     cfg: StepConfig,
+    checks: Optional[RunChecks] = None,
 ) -> TailReport:
     """Run the simulation and track windowed tail energies per radius.
 
@@ -124,23 +127,13 @@ def tail_decay_experiment(
     report = TailReport(radii=tuple(tail.radii), tau_probe=tail.tau_probe, epsilon=tail.epsilon)
     report.windowed = [[] for _ in tail.radii]
 
-    s = initial.copy()
-    s.fill_all_ghosts(p, g)
-    project(s, cfg.dt, p, g)
-    s.refresh_w(p, g)
-
-    def sample(t):
+    def observe(n, t, states, records):
         report.times.append(t)
-        report.totals.append(l2sq(s.T[INTERIOR], g))
+        report.totals.append(records[0].l2_T)
         for i, r in enumerate(tail.radii):
-            report.windowed[i].append(windowed_T_energy(s.T[INTERIOR], r, g))
+            report.windowed[i].append(windowed_T_energy(states[0].T[INTERIOR], r, g))
 
-    sample(0.0)
-    n_steps = cfg.n_steps
-    for n in range(1, n_steps + 1):
-        step(s, cfg.dt, p, g, cfg)
-        if n % cfg.output_every == 0 or n == n_steps:
-            sample(n * cfg.dt)
+    trajectory([(initial, p, g)], cfg, checks, observe)
     return report.finish()
 
 
@@ -162,7 +155,7 @@ def truncation_convergence(
     q_fn: Callable,
     factor: int = 2,
     factor_base: int = 1,
-    ic_fn: Optional[Callable] = None,
+    checks: Optional[RunChecks] = None,
 ) -> TruncationReport:
     """Compare runs of the same physics on channels widened by two factors.
 
@@ -179,47 +172,32 @@ def truncation_convergence(
     if rem:
         raise ConfigError(f"nx * {fb - fa} must be even for aligned grids")
 
-    def build(pp, counts_):
-        gg = make_grid(pp, *counts_)
+    def member(f):
+        pp = replace(p, lx=f * p.lx)
+        gg = make_grid(pp, f * nx, ny, nz)
         s = State.zeros(gg)
-        x, y, z = gg.coords()
-        s.Q[...] = q_fn(x, y, z) * np.ones((gg.nx, gg.ny, gg.nz))
-        if ic_fn is not None:
-            s.T[INTERIOR] = ic_fn(x, y, z) * np.ones((gg.nx, gg.ny, gg.nz))
-        s.fill_all_ghosts(pp, gg)
-        project(s, cfg.dt, pp, gg)
-        s.refresh_w(pp, gg)
-        return gg, s
+        s.Q[...] = q_fn(*gg.coords()) * np.ones((gg.nx, gg.ny, gg.nz))
+        return s, pp, gg
 
-    p_a = replace(p, lx=fa * p.lx)
-    p_b = replace(p, lx=fb * p.lx)
-    g_a, s_a = build(p_a, (fa * nx, ny, nz))
-    g_b, s_b = build(p_b, (fb * nx, ny, nz))
-    na = fa * nx
+    members = [member(fa), member(fb)]
+    g_a, g_b = members[0][2], members[1][2]
+    na = g_a.nx
     if not np.allclose(g_a.x(np.arange(na)), g_b.x(np.arange(offset, offset + na))):
         raise ConfigError("incompatible grids: cell centers do not align")
 
     report = TruncationReport(factor=fb)
-    narrow = np.s_[1:1 + na, 1:-1, 1:-1]
     sl = np.s_[1 + offset:1 + offset + na, 1:-1, 1:-1]
 
-    def sample(t):
-        num = 0.0
-        den = 0.0
-        for wide, base in ((s_b.v1, s_a.v1), (s_b.v2, s_a.v2), (s_b.T, s_a.T)):
-            d = wide[sl] - base[narrow]
-            num += float(np.sum(d * d))
-            den += float(np.sum(base[narrow] ** 2))
+    def observe(n, t, states, records):
+        base, wide = states
+        # the narrow domain is the whole interior of the base grid
+        num = sum(l2sq(w[sl] - b[INTERIOR], g_a) for w, b in (
+            (wide.v1, base.v1), (wide.v2, base.v2), (wide.T, base.T)))
+        den = records[0].l2_v + records[0].l2_T
         report.times.append(t)
         report.rel_diff.append(math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num))
 
-    sample(0.0)
-    n_steps = cfg.n_steps
-    for n in range(1, n_steps + 1):
-        step(s_a, cfg.dt, p_a, g_a, cfg)
-        step(s_b, cfg.dt, p_b, g_b, cfg)
-        if n % cfg.output_every == 0 or n == n_steps:
-            sample(n * cfg.dt)
+    trajectory(members, cfg, checks, observe)
     return report
 
 
@@ -232,20 +210,13 @@ class ContractionReport:
     v_proxy: List[float] = field(default_factory=list)
 
 
-def _h2_level(s: State, p: PhysParams, g: Grid) -> float:
-    return math.sqrt(
-        l2sq(apply_L1(s.v1, p, g), g)
-        + l2sq(apply_L1(s.v2, p, g), g)
-        + l2sq(apply_L2(s.T, p, g), g)
-    )
-
-
 def two_trajectory_contraction(
     s_a: State,
     s_b: State,
     p: PhysParams,
     g: Grid,
     cfg: StepConfig,
+    checks: Optional[RunChecks] = None,
 ) -> ContractionReport:
     """Integrate two states side by side and track their separation.
 
@@ -255,34 +226,20 @@ def two_trajectory_contraction(
     """
     if not np.array_equal(s_a.Q, s_b.Q):
         raise ConfigError("contraction probe requires identical heat sources")
-    a, b = s_a.copy(), s_b.copy()
-    for s in (a, b):
-        s.fill_all_ghosts(p, g)
-        if not cfg.temperature_only:
-            project(s, cfg.dt, p, g)
-        s.refresh_w(p, g)
-
     report = ContractionReport()
 
-    def sample(t):
-        dv = math.sqrt(
-            l2sq(a.v1[INTERIOR] - b.v1[INTERIOR], g)
-            + l2sq(a.v2[INTERIOR] - b.v2[INTERIOR], g)
-        )
-        dT = math.sqrt(l2sq(a.T[INTERIOR] - b.T[INTERIOR], g))
+    def observe(n, t, states, records):
+        a, b = states
+        dv1, dv2, dT2 = (l2sq(x[INTERIOR] - y[INTERIOR], g)
+                         for x, y in ((a.v1, b.v1), (a.v2, b.v2), (a.T, b.T)))
+        dv, dT = math.sqrt(dv1 + dv2), math.sqrt(dT2)
         dist = math.hypot(dv, dT)
-        proxy = math.sqrt(dist) * math.sqrt(_h2_level(a, p, g) + _h2_level(b, p, g))
+        h2 = sum(math.sqrt(rec.l2_L1v + rec.l2_L2T) for rec in records)
         report.times.append(t)
         report.dist_v.append(dv)
         report.dist_T.append(dT)
         report.dist_l2.append(dist)
-        report.v_proxy.append(proxy)
+        report.v_proxy.append(math.sqrt(dist) * math.sqrt(h2))
 
-    sample(0.0)
-    n_steps = cfg.n_steps
-    for n in range(1, n_steps + 1):
-        step(a, cfg.dt, p, g, cfg)
-        step(b, cfg.dt, p, g, cfg)
-        if n % cfg.output_every == 0 or n == n_steps:
-            sample(n * cfg.dt)
+    trajectory([(s_a, p, g), (s_b, p, g)], cfg, checks, observe)
     return report

@@ -80,6 +80,32 @@ def test_injected_check_violation_exits_3(tmp_path):
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
 
 
+def test_frozen_velocity_temperature_only_run(tmp_path):
+    # a temperature-only step never projects v, so its constraint is not monitored
+    body = (CONFIG_DIR / "dissipation_temponly.cfg").read_text()
+    body = body.replace("init.v_amplitude = 0.0", "init.v_amplitude = 0.1")
+    body = body.replace("step.t_end = 2.0", "step.t_end = 0.2")
+    assert "init.v_amplitude = 0.1" in body and "step.t_end = 0.2" in body
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(out)]) == 0
+    data = read_timeseries(out / "timeseries.csv")
+    assert data["constraint_residual"][0] > 1e-8
+    assert np.all(np.diff(data["l2_T"]) < 0.0)
+
+
+@pytest.mark.parametrize("command,config", [
+    ("tail", "tail.cfg"),
+    ("truncate", "truncation.cfg"),
+    ("contract", "contraction_diffusive.cfg"),
+])
+def test_experiments_enforce_run_checks(tmp_path, capsys, command, config):
+    # zero envelope slack: the decay check configured for a run must trip here too
+    body = (CONFIG_DIR / config).read_text() + "check.gronwall = true\ncheck.gronwall_factor = 1e-12\n"
+    cfg = write_cfg(tmp_path, body)
+    assert main([command, cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    assert "check failed: temperature energy" in capsys.readouterr().err
+
+
 def test_mms_subcommand(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peqlab import PhysParams, State, StepConfig, RunChecks, make_grid, cfl_dt, run, step
+from peqlab import PhysParams, State, StepConfig, RunChecks, make_grid, cfl_dt, run, step, trajectory
 from peqlab.grid import INTERIOR
 
 # moderately diffusive reference regime: the coupled energy bound holds with margin
@@ -140,6 +140,25 @@ def test_records_independent_of_output_cadence():
     assert sorted(rows[5]) == [0, 5, 10, 15, 20]
     for n, row in rows[5].items():
         assert np.array_equal(np.array(row), np.array(rows[1][n]), equal_nan=True)
+
+
+def test_lockstep_members_match_separate_runs():
+    """Two members on different grids step exactly as two single runs do."""
+    grids = [make_grid(P, 16, 6, 4), make_grid(P, 32, 6, 4)]
+    cfg = StepConfig(dt=0.02, t_end=0.2, output_every=3)
+    records = [[], []]
+
+    def observe(n, t, states, recs):
+        for series, rec in zip(records, recs):
+            series.append(rec.row())
+
+    finals = trajectory([(gaussian_state(g, P, amp_v=0.2), P, g) for g in grids], cfg, observe=observe)
+    for g, final, rows in zip(grids, finals, records):
+        alone, alone_records = run(gaussian_state(g, P, amp_v=0.2), P, g, cfg)
+        assert [round(r[0] / cfg.dt) for r in rows] == [0, 3, 6, 9, 10]
+        assert np.array(rows).tobytes() == np.array([r.row() for r in alone_records]).tobytes()
+        for name in ("v1", "v2", "T", "w", "p_s"):
+            assert getattr(final, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
 def test_first_order_in_dt():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peqlab import PhysParams, State, StepConfig, make_grid
+from peqlab import PhysParams, State, StepConfig, make_grid, run
 from peqlab.errors import ConfigError
 from peqlab.grid import INTERIOR
 from peqlab.tail import (
@@ -127,6 +127,15 @@ def test_tail_short_unforced_bounded_by_initial(tail_setup):
     rep = tail_decay_experiment(tail, s, p, g, cfg)
     total0 = rep.totals[0]
     assert all(w <= total0 for series in rep.windowed for w in series)
+
+
+def test_tail_totals_are_run_records(tail_setup):
+    p, g, s = tail_setup
+    cfg = StepConfig(dt=0.02, t_end=0.4, output_every=5)
+    rep = tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.0), s, p, g, cfg)
+    _, records = run(s, p, g, cfg)
+    assert rep.times == [rec.t for rec in records]
+    assert np.array(rep.totals).tobytes() == np.array([rec.l2_T for rec in records]).tobytes()
 
 
 def test_tail_rejects_wide_source(tail_setup):
