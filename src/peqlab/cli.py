@@ -8,6 +8,7 @@ configured acceptance/inequality check fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -106,15 +107,8 @@ def cmd_truncate(args) -> int:
     cfg = parse_config_file(args.config)
     if cfg["q.kind"] == "file":
         raise ConfigError("truncate requires an analytic heat source (q.kind zero or gaussian)")
-    p = cfg.params()
-
-    def q_fn(x, y, z):
-        if cfg["q.kind"] == "zero":
-            return 0.0 * x
-        return cfg._blob(x, y, z, "q")
-
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
-    report = truncation_convergence(p, counts, cfg.step_config(), q_fn,
+    report = truncation_convergence(cfg.params(), counts, cfg.step_config(), cfg.q_field,
                                     factor=cfg["truncate.factor"], checks=cfg.checks())
     out = _outdir(cfg, args.output_dir)
     _write_csv(out / "truncate.csv", ("t", "rel_diff"), list(zip(report.times, report.rel_diff)))
@@ -163,10 +157,9 @@ def cmd_plot(args) -> int:
         if not args.config:
             raise ConfigError("--envelope needs --config to supply kappa and the heat source")
         cfg = parse_config_file(args.config)
-        p = cfg.params()
         g = cfg.grid()
-        kap = diag.kappa(p)
-        l2_q = diag.l2sq(cfg.q_field(g, p), g)
+        kap = diag.kappa(cfg.params())
+        l2_q = diag.l2sq(cfg.q_field(g), g)
         if "l2_T" not in data:
             raise ConfigError("envelope overlay needs an l2_T column")
         l2_t0 = float(data["l2_T"][0])
@@ -179,6 +172,7 @@ def cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peqlab",

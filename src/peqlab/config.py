@@ -9,13 +9,14 @@ same invariants the library enforces.  Serialization writes every key with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import INTERIOR, Grid, make_grid
 from .integrator import RunChecks, StepConfig
+from .mms import MmsSpec
 from .model import State
 from .params import PhysParams
 from .tail import TailConfig
@@ -142,15 +143,12 @@ class RunConfig:
         return self
 
     # builders ---------------------------------------------------------------
+    def _section(self, cls, section):
+        """cls built from the keys `section.<field>`, one per dataclass field."""
+        return cls(**{f.name: self[f"{section}.{f.name}"] for f in fields(cls)})
+
     def params(self) -> PhysParams:
-        v = self.values
-        return PhysParams(
-            re1=v["physics.re1"], re2=v["physics.re2"],
-            rt1=v["physics.rt1"], rt2=v["physics.rt2"],
-            ro=v["physics.ro"], f0=v["physics.f0"], beta=v["physics.beta"],
-            alpha=v["physics.alpha"], h=v["physics.h"], l=v["physics.l"],
-            lx=v["physics.lx"],
-        )
+        return self._section(PhysParams, "physics")
 
     def grid(self) -> Grid:
         try:
@@ -159,12 +157,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def step_config(self) -> StepConfig:
-        v = self.values
-        return StepConfig(
-            dt=v["step.dt"], t_end=v["step.t_end"], cfl_target=v["step.cfl_target"],
-            dt_max=v["step.dt_max"], output_every=v["step.output_every"],
-            temperature_only=v["step.temperature_only"],
-        )
+        return self._section(StepConfig, "step")
 
     def checks(self) -> RunChecks:
         v = self.values
@@ -177,13 +170,10 @@ class RunConfig:
         )
 
     def tail_config(self) -> TailConfig:
-        v = self.values
-        return TailConfig(
-            radii=v["tail.radii"], epsilon=v["tail.epsilon"],
-            tau_probe=v["tail.tau_probe"],
-        )
+        return self._section(TailConfig, "tail")
 
-    def q_field(self, g: Grid, p: PhysParams) -> np.ndarray:
+    def q_field(self, g: Grid) -> np.ndarray:
+        """The heat source Q on grid g, per the q.* keys."""
         kind = self["q.kind"]
         if kind == "zero":
             return np.zeros((g.nx, g.ny, g.nz))
@@ -227,15 +217,8 @@ class RunConfig:
             s.v1[INTERIOR] = self["init.v_amplitude"] * blob
             s.v2[INTERIOR] = -self["init.v_amplitude"] * blob
         elif kind == "mms":
-            from .mms import MmsSpec, mms_forcing
-
-            spec = MmsSpec(p)
-            s = spec.state(g)
-            f1, f2, q = mms_forcing(spec, p, g)
-            s.body_force = (f1, f2)
-            s.Q = q
-            return s
-        s.Q = self.q_field(g, p)
+            return MmsSpec(p).forced_state(g)
+        s.Q = self.q_field(g)
         s.fill_all_ghosts(p, g)
         s.refresh_w(p, g)
         return s

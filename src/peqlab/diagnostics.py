@@ -23,21 +23,11 @@ from .model import State, apply_L1, apply_L2
 from .params import PhysParams
 from .projection import constraint_residual
 
-#: CSV schema: column order is frozen (golden-header tested)
-CSV_COLUMNS = (
-    "t",
-    "l2_T", "l2_v",
-    "l6_T", "l6_vtilde", "l6_vz", "l6_Tz",
-    "v1norm_v", "v2norm_T", "grad_vbar_2d",
-    "l2_vz", "l2_gradv",
-    "l2_L1v", "l2_L2T",
-    "l2_vt", "l2_Tt",
-    "constraint_residual",
-)
-
 
 @dataclass(frozen=True)
 class DiagRecord:
+    """One output record; its fields, in order, are the frozen CSV schema."""
+
     t: float
     l2_T: float
     l2_v: float
@@ -55,12 +45,13 @@ class DiagRecord:
     l2_vt: float
     l2_Tt: float
     constraint_residual: float
-    # carried for the inequality checks, not part of the CSV schema
-    kappa_value: float = float("nan")
-    width_l: float = float("nan")
 
     def row(self):
         return tuple(getattr(self, name) for name in CSV_COLUMNS)
+
+
+#: CSV schema: column order is frozen (golden-header tested)
+CSV_COLUMNS = tuple(f.name for f in fields(DiagRecord))
 
 
 def kappa_scalar(rt2: float, h: float, alpha: float) -> float:
@@ -111,7 +102,6 @@ def compute_record(
     NaN (missing) on the first record.
     """
     I = INTERIOR
-    vol = g.cell_volume
 
     v1, v2, T = s.v1, s.v2, s.T
     l2_T = l2sq(T[I], g)
@@ -176,22 +166,21 @@ def compute_record(
         l2_L1v=l2_L1v, l2_L2T=l2_L2T,
         l2_vt=l2_vt, l2_Tt=l2_Tt,
         constraint_residual=constraint_residual(v1, v2, g),
-        kappa_value=kappa(p), width_l=p.l,
     )
 
 
-def check_poincare_T(rec: DiagRecord) -> float:
+def check_poincare_T(rec: DiagRecord, p: PhysParams) -> float:
     """||T||_2^2 / (kappa ||T||_V^2); at most 1 + O(dx^2) on valid states."""
     if rec.v2norm_T <= 0.0:
         return 0.0 if rec.l2_T == 0.0 else float("inf")
-    return rec.l2_T / (rec.kappa_value * rec.v2norm_T)
+    return rec.l2_T / (kappa(p) * rec.v2norm_T)
 
 
-def check_poincare_v(rec: DiagRecord) -> float:
+def check_poincare_v(rec: DiagRecord, p: PhysParams) -> float:
     """||v||_2 / (2 l ||grad v||_2); zero gradient with nonzero v is a violation."""
     if rec.l2_gradv <= 0.0:
         return 0.0 if rec.l2_v == 0.0 else float("inf")
-    return math.sqrt(rec.l2_v) / (2.0 * rec.width_l * math.sqrt(rec.l2_gradv))
+    return math.sqrt(rec.l2_v) / (2.0 * p.l * math.sqrt(rec.l2_gradv))
 
 
 def absorbing_entry_time(records: Sequence[DiagRecord], radius_sq: float) -> Optional[float]:
@@ -205,22 +194,3 @@ def absorbing_entry_time(records: Sequence[DiagRecord], radius_sq: float) -> Opt
         else:
             entry = None
     return entry
-
-
-def v6_split_ratio(s: State, p: PhysParams, g: Grid) -> float:
-    """Monitored ratio of ||v||_6 to its depth-split upper bound (constant 1).
-
-    The decomposition constant is generic, so this is reported, never
-    asserted.  Returns 0 for the zero state.
-    """
-    I = INTERIOR
-    l6_v = norm6(g, s.v1[I], s.v2[I])
-    if l6_v == 0.0:
-        return 0.0
-    rec = compute_record(s, None, 1.0, p, g)
-    denom = (
-        p.h ** (-1.0 / 3.0) * math.sqrt(rec.l2_v)
-        + p.h ** (1.0 / 6.0) * math.sqrt(rec.grad_vbar_2d)
-        + rec.l6_vtilde
-    )
-    return l6_v / denom if denom > 0.0 else float("inf")

@@ -103,13 +103,13 @@ def _cached_diffusion(p: PhysParams, g: Grid, dt: float, kind: str) -> ImplicitD
 def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig) -> State:
     """Advance a state (valid ghosts, diagnosed w) by one IMEX step in place."""
     I = INTERIOR
-    tem = temperature_rhs(s, p, g, include_diffusion=False)
+    tem = temperature_rhs(s, p, g)
     if cfg.temperature_only:
         tem.validate()
         t_star = s.T[I] + dt * tem.dT
         s.T[I] = _cached_diffusion(p, g, dt, "temperature").solve(t_star)
     else:
-        mom = momentum_rhs(s, p, g, include_diffusion=False)
+        mom = momentum_rhs(s, p, g)
         # single non-finite sweep for the whole step
         mom.dT = tem.dT
         mom.validate()
@@ -164,8 +164,8 @@ class _Member:
         rec = diag.compute_record(self.s, s_prev, self.cfg.dt, self.p, self.g, t=t)
         checks = self.checks
         if checks.check_poincare:
-            for name, ratio in (("temperature", diag.check_poincare_T(rec)),
-                                ("velocity", diag.check_poincare_v(rec))):
+            for name, ratio in (("temperature", diag.check_poincare_T(rec, self.p)),
+                                ("velocity", diag.check_poincare_v(rec, self.p))):
                 if ratio > 1.0 + checks.poincare_tol:
                     raise CheckError(f"{name} Poincare ratio {ratio:.6g} > 1 + {checks.poincare_tol}")
         # a temperature-only step never projects the (frozen) velocity

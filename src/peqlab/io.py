@@ -73,17 +73,30 @@ def write_timeseries(records: Sequence[DiagRecord], path) -> None:
 
 
 def read_timeseries(path) -> dict:
-    """Columns of a written time series as float arrays keyed by name."""
+    """Columns of a written time series as float arrays keyed by name.
+
+    A file with no header, a cell that is not a number or a row whose width
+    differs from the header's raises ConfigError naming the path and line.
+    """
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise ConfigError(f"cannot read time series {path}: {exc}") from exc
-    header = lines[0].split(",")
-    data = np.array(
-        [[float(tok) for tok in ln.split(",")] for ln in lines[1:]], dtype=float
-    ).reshape(len(lines) - 1, len(header))
+    if not lines:
+        raise ConfigError(f"{path}: empty time series, no header line")
+    header = lines[0][1].split(",")
+    rows = []
+    for lineno, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(f"{path}: line {lineno} has {len(cells)} cells, the header has {len(header)}")
+        try:
+            rows.append([float(tok) for tok in cells])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
     return {name: data[:, i] for i, name in enumerate(header)}
 
 

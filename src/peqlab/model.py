@@ -3,18 +3,20 @@
 The prognostic variables are the horizontal velocity (v1, v2) and the
 temperature T.  The vertical velocity w is diagnosed from the horizontal
 divergence, the pressure splits into a surface part p_s(x, y) plus the
-hydrostatic integral of T, and the momentum/temperature tendencies assemble
+hydrostatic integral of T, and the equations read
 
   dv/dt = -adv(v) - grad p_s - (f/Ro) k x v + int_0^z grad T dz' - L1 v
   dT/dt = -adv(T) - L2 T + Q
 
 with the advection in skew-symmetric split form, evaluated as face sums, so
-that its discrete energy contribution cancels exactly.
+that its discrete energy contribution cancels exactly.  `momentum_rhs` and
+`temperature_rhs` give the explicit part of the step, everything but the
+diffusion terms -L1 v and -L2 T, which the step solves implicitly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,11 +106,6 @@ def diagnose_w(v1p: np.ndarray, v2p: np.ndarray, g: Grid) -> np.ndarray:
     return np.negative(w, out=w)
 
 
-def reconstruct_pressure(T: np.ndarray, p_s: np.ndarray, g: Grid) -> np.ndarray:
-    """Hydrostatic pressure p(x,y,z) = p_s(x,y) - int_0^z T dz' (interior arrays)."""
-    return p_s[:, :, None] + ops.integrate_from_top(T, g)
-
-
 def baroclinic_pressure_gradient(Tp: np.ndarray, g: Grid):
     """int_0^z grad T dz' as the pair of interior component fields.
 
@@ -181,8 +178,8 @@ def advect(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, fp: np.ndarray, g: 
     return advect_faces(face_velocities(u1p, u2p, wp, g), fp)
 
 
-def momentum_rhs(s: State, p: PhysParams, g: Grid, include_diffusion: bool = True) -> Tendency:
-    """Momentum tendency; requires current ghosts, diagnosed w, and p_s."""
+def momentum_rhs(s: State, p: PhysParams, g: Grid) -> Tendency:
+    """Explicit momentum tendency (no L1 v); requires current ghosts, diagnosed w, and p_s."""
     f = coriolis_f(g.y(np.arange(g.ny)), p)[None, :, None] / p.ro
     faces = face_velocities(s.v1, s.v2, s.w, g)
     px, py = ops.grad_h(s.p_s, g)
@@ -193,19 +190,14 @@ def momentum_rhs(s: State, p: PhysParams, g: Grid, include_diffusion: bool = Tru
     dv2 -= advect_faces(faces, s.v2)
     dv2 -= f * s.v1[INTERIOR]
     dv2 -= py[:, :, None]
-    if include_diffusion:
-        dv1 -= apply_L1(s.v1, p, g)
-        dv2 -= apply_L1(s.v2, p, g)
     if s.body_force is not None:
         dv1 = dv1 + s.body_force[0]
         dv2 = dv2 + s.body_force[1]
     return Tendency(dv1=dv1, dv2=dv2)
 
 
-def temperature_rhs(s: State, p: PhysParams, g: Grid, include_diffusion: bool = True) -> Tendency:
-    """Temperature tendency; requires current ghosts and diagnosed w."""
+def temperature_rhs(s: State, p: PhysParams, g: Grid) -> Tendency:
+    """Explicit temperature tendency (no L2 T); requires current ghosts and diagnosed w."""
     dT = advect(s.v1, s.v2, s.w, s.T, g)
     np.subtract(s.Q, dT, out=dT)
-    if include_diffusion:
-        dT -= apply_L2(s.T, p, g)
     return Tendency(dT=dT)

@@ -7,7 +7,9 @@ unknowns; these exist for verification only.  `helmholtz_apply` is the
 stencil side of one such cross-check: (I + dt*L) applied through the ghost
 fills, which the tests compare with the dense matrix.  `advect_reference` is
 the textbook split form of the skew-symmetric advection, against which the
-tests check the production face-sum form.
+tests check the production face-sum form.  `full_rhs` is the full tendency,
+the step's explicit tendency minus L1 v and L2 T, which the tests take to
+the manufactured solution's discrete residual.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .bc import BcKind, FieldBcs, TEMPERATURE_BC, VELOCITY_BC, fill_ghosts, robin_ghost_factor
 from .grid import INTERIOR, Grid
-from .model import apply_L1, apply_L2
+from .model import State, Tendency, apply_L1, apply_L2, momentum_rhs, temperature_rhs
 from .params import PhysParams
 
 MAX_UNKNOWNS = 4096
@@ -92,6 +94,13 @@ def helmholtz_apply(x: np.ndarray, p: PhysParams, g: Grid, dt: float, kind: str)
         return x + dt * apply_L1(pad, p, g)
     fill_ghosts(pad, TEMPERATURE_BC, p, g)
     return x + dt * apply_L2(pad, p, g)
+
+
+def full_rhs(s: State, p: PhysParams, g: Grid) -> Tendency:
+    """(dv1, dv2, dT) of the full equations: the explicit tendency with diffusion added."""
+    mom = momentum_rhs(s, p, g)
+    dT = temperature_rhs(s, p, g).dT - apply_L2(s.T, p, g)
+    return Tendency(dv1=mom.dv1 - apply_L1(s.v1, p, g), dv2=mom.dv2 - apply_L1(s.v2, p, g), dT=dT)
 
 
 def advect_reference(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, fp: np.ndarray, g: Grid) -> np.ndarray:

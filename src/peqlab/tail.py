@@ -78,8 +78,6 @@ class TailReport:
 
     def finish(self):
         mask = [t >= self.tau_probe for t in self.times]
-        if not any(mask):
-            raise ConfigError("tau_probe lies beyond the simulated horizon")
         self.sup_abs = []
         self.sup_rel = []
         for series in self.windowed:
@@ -115,9 +113,12 @@ def tail_decay_experiment(
 ) -> TailReport:
     """Run the simulation and track windowed tail energies per radius.
 
-    The heat source must live well inside the smallest window radius.
+    The heat source must live well inside the smallest window radius, and
+    tau_probe no later than the last output time, n_steps * dt.
     """
     tail.validate(g)
+    if tail.tau_probe > cfg.n_steps * cfg.dt:
+        raise ConfigError("tau_probe lies beyond the simulated horizon")
     support = _q_support_radius(initial.Q, g)
     if support > 0.75 * min(tail.radii):
         raise ConfigError(
@@ -159,10 +160,11 @@ def truncation_convergence(
 ) -> TruncationReport:
     """Compare runs of the same physics on channels widened by two factors.
 
-    The default pairs the base half-length with factor times it.  Both grids
-    keep the spacing (nx scales with the factor), so the narrow domain's
-    cells are a subset of the wide one's; the report holds the relative L2
-    difference of (v1, v2, T) on the narrow domain at every output time.
+    q_fn(grid) gives the heat source on either grid.  The default pairs the
+    base half-length with factor times it.  Both grids keep the spacing (nx
+    scales with the factor), so the narrow domain's cells are a subset of the
+    wide one's; the report holds the relative L2 difference of (v1, v2, T) on
+    the narrow domain at every output time.
     """
     nx, ny, nz = counts
     fa, fb = int(factor_base), int(factor)
@@ -176,7 +178,7 @@ def truncation_convergence(
         pp = replace(p, lx=f * p.lx)
         gg = make_grid(pp, f * nx, ny, nz)
         s = State.zeros(gg)
-        s.Q[...] = q_fn(*gg.coords()) * np.ones((gg.nx, gg.ny, gg.nz))
+        s.Q[...] = q_fn(gg)
         return s, pp, gg
 
     members = [member(fa), member(fb)]

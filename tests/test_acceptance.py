@@ -97,16 +97,17 @@ def test_criterion_1_gronwall_envelope(reference_run):
 
 
 def test_criterion_2_poincare(reference_run, dissipation_run, temponly_run, absorbing_runs):
-    records = all_records(reference_run, dissipation_run, temponly_run, *absorbing_runs)
-    worst_t = max(diag.check_poincare_T(rec) for rec in records)
-    worst_v = max(diag.check_poincare_v(rec) for rec in records)
+    runs = (reference_run, dissipation_run, temponly_run, *absorbing_runs)
+    records = [(rec, res["p"]) for res in runs for rec in res["records"]]
+    worst_t = max(diag.check_poincare_T(rec, rp) for rec, rp in records)
+    worst_v = max(diag.check_poincare_v(rec, rp) for rec, rp in records)
     p = PhysParams(lx=1.0, l=1.0, h=1.0, alpha=1.0)
     g = make_grid(p, 32, 32, 32)
     for seed in range(1000):
         s = random_smooth_state(p, g, seed)
         rec = diag.compute_record(s, None, 0.1, p, g)
-        worst_t = max(worst_t, diag.check_poincare_T(rec))
-        worst_v = max(worst_v, diag.check_poincare_v(rec))
+        worst_t = max(worst_t, diag.check_poincare_T(rec, p))
+        worst_v = max(worst_v, diag.check_poincare_v(rec, p))
     report(
         2,
         worst_t <= 1.01 and worst_v <= 1.01,
@@ -225,14 +226,10 @@ def test_criterion_7_tail_energy():
 def test_criterion_8_truncation_convergence():
     cfg = load("truncation.cfg")
     p = cfg.params()
-
-    def q_fn(x, y, z):
-        return cfg._blob(x, y, z, "q")
-
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
     step_cfg = cfg.step_config()
-    d12 = truncation_convergence(p, counts, step_cfg, q_fn, factor=2).max_rel_diff
-    d23 = truncation_convergence(p, counts, step_cfg, q_fn, factor=3, factor_base=2).max_rel_diff
+    d12 = truncation_convergence(p, counts, step_cfg, cfg.q_field, factor=2).max_rel_diff
+    d23 = truncation_convergence(p, counts, step_cfg, cfg.q_field, factor=3, factor_base=2).max_rel_diff
     report(
         8,
         d12 <= 1e-3 and d23 < d12,

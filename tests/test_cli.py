@@ -28,6 +28,32 @@ init.t_amplitude = 0.5
 q.kind = zero
 """
 
+TINY_TAIL = """
+physics.re1 = 0.5
+physics.re2 = 0.5
+physics.rt1 = 4.0
+physics.rt2 = 1.0
+physics.alpha = 4.0
+physics.beta = 0.1
+physics.h = 0.5
+physics.lx = 4.0
+grid.nx = 48
+grid.ny = 8
+grid.nz = 6
+step.dt = 0.04
+step.t_end = 3.0
+step.output_every = 15
+init.kind = zero
+q.kind = gaussian
+q.center_y = 0.5
+q.center_z = -0.25
+q.width = 0.12
+q.amplitude = 0.5
+tail.radii = 1.2,1.6,1.9
+tail.epsilon = 0.001
+tail.tau_probe = 1.0
+"""
+
 
 def test_run_zero_preset(tmp_path, capsys):
     out = tmp_path / "out"
@@ -130,38 +156,23 @@ mms.horizon = 0.05
 
 
 def test_tail_subcommand(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        """
-physics.re1 = 0.5
-physics.re2 = 0.5
-physics.rt1 = 4.0
-physics.rt2 = 1.0
-physics.alpha = 4.0
-physics.beta = 0.1
-physics.h = 0.5
-physics.lx = 4.0
-grid.nx = 48
-grid.ny = 8
-grid.nz = 6
-step.dt = 0.04
-step.t_end = 3.0
-step.output_every = 15
-init.kind = zero
-q.kind = gaussian
-q.center_y = 0.5
-q.center_z = -0.25
-q.width = 0.12
-q.amplitude = 0.5
-tail.radii = 1.2,1.6,1.9
-tail.epsilon = 0.001
-tail.tau_probe = 1.0
-""",
-    )
+    cfg = write_cfg(tmp_path, TINY_TAIL)
     out = tmp_path / "tail"
     assert main(["tail", cfg, "--output-dir", str(out)]) == 0
     rows = (out / "tail.csv").read_text().splitlines()
     assert rows[0] == "t,total,w_1.2,w_1.6,w_1.9"
+
+
+def test_tail_probe_beyond_horizon_exits_before_stepping(tmp_path, capsys, monkeypatch):
+    import peqlab.integrator as integrator
+
+    def no_step(*args):
+        raise AssertionError("stepped before the horizon was checked")
+
+    monkeypatch.setattr(integrator, "step", no_step)
+    cfg = write_cfg(tmp_path, TINY_TAIL.replace("tail.tau_probe = 1.0", "tail.tau_probe = 3.04"))
+    assert main(["tail", cfg, "--output-dir", str(tmp_path / "o")]) == 1
+    assert "config error: tau_probe lies beyond the simulated horizon" in capsys.readouterr().err
 
 
 def test_truncate_subcommand(tmp_path):
@@ -223,6 +234,38 @@ def test_plot_with_envelope(tmp_path):
     assert code == 0
     text = svg.read_text()
     assert "gronwall_envelope" in text and "<polyline" in text
+
+
+def test_successive_main_calls_behave_like_fresh_calls(tmp_path):
+    from peqlab import cli
+
+    cfg = write_cfg(tmp_path, TINY_RUN)
+    csv = str(tmp_path / "o" / "timeseries.csv")
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
+
+    def plot(name, *flags):
+        assert main(["plot", csv, "l2_T", "--out", str(tmp_path / name), *flags]) == 0
+        return (tmp_path / name).read_bytes()
+
+    linear = plot("linear.svg", "--linear", "--config", cfg, "--envelope")
+    log = plot("log.svg")
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.cache_clear()
+    assert log == plot("fresh.svg")
+    assert b"gronwall_envelope" in linear and b"gronwall_envelope" not in log
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "empty time series"),
+    ("t,l2_T\n0,1\n0.1,abc\n", "line 3"),
+    ("t,l2_T\n0,1\n\n0.1\n", "line 4"),
+], ids=["empty", "non_numeric", "ragged"])
+def test_malformed_timeseries_plot_exits_1(tmp_path, capsys, text, where):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(text)
+    assert main(["plot", str(csv), "l2_T", "--out", str(tmp_path / "f.svg")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(csv) in err and where in err
 
 
 def test_plot_unknown_column(tmp_path):

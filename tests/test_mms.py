@@ -15,6 +15,7 @@ from peqlab.mms import (
     robin_wavenumber,
 )
 from peqlab import model
+from peqlab.oracle import full_rhs
 
 P = PhysParams(lx=1.0, l=1.0, h=1.0, re1=1.0, re2=1.0, rt1=1.0, rt2=1.3, alpha=0.8,
                f0=1.0, beta=0.3, ro=1.0)
@@ -30,7 +31,7 @@ def test_robin_wavenumber_solves_transcendental():
 def test_zero_spec_zero_forcing():
     g = make_grid(P, 8, 8, 8)
     spec = MmsSpec(P, amp_v1=0.0, amp_v2=0.0, amp_T=0.0)
-    f1, f2, q = mms_forcing(spec, P, g)
+    f1, f2, q = mms_forcing(spec, g)
     assert np.abs(f1).max() == 0.0
     assert np.abs(f2).max() == 0.0
     assert np.abs(q).max() == 0.0
@@ -42,7 +43,7 @@ def test_pure_diffusion_spec_forcing_is_heat_operator():
     errs = []
     for n in (12, 24):
         g = make_grid(P, n, n, n)
-        _, _, q = mms_forcing(spec, P, g)
+        _, _, q = mms_forcing(spec, g)
         # independent route: discrete L2 on the analytically-ghosted field
         X = g.x(np.arange(-1, g.nx + 1))[:, None, None]
         Y = g.y(np.arange(-1, g.ny + 1))[None, :, None]
@@ -59,24 +60,33 @@ def test_discrete_residual_second_order():
     errs_v, errs_T = [], []
     for n in (8, 16, 32):
         g = make_grid(P, n, n, n)
-        spec = MmsSpec(P)
-        s = spec.state(g)
-        f1, f2, q = mms_forcing(spec, P, g)
-        s.body_force = (f1, f2)
-        s.Q = q
-        mom = model.momentum_rhs(s, P, g)
-        tem = model.temperature_rhs(s, P, g)
-        errs_v.append((g.dx, max(np.abs(mom.dv1).max(), np.abs(mom.dv2).max())))
-        errs_T.append((g.dx, np.abs(tem.dT).max()))
+        rhs = full_rhs(MmsSpec(P).forced_state(g), P, g)
+        errs_v.append((g.dx, max(np.abs(rhs.dv1).max(), np.abs(rhs.dv2).max())))
+        errs_T.append((g.dx, np.abs(rhs.dT).max()))
     assert 1.8 <= convergence_order(errs_v).order <= 2.3
     assert 1.8 <= convergence_order(errs_T).order <= 2.3
 
 
-def test_boundary_incompatible_spec_rejected():
-    g = make_grid(P, 8, 8, 8)
-    bad = MmsSpec(P, kz_T=1.7 * robin_wavenumber(P))
-    with pytest.raises(ValueError, match="boundary conditions"):
-        mms_forcing(bad, P, g)
+def test_manufactured_fields_meet_boundary_conditions():
+    """Every face family's condition holds analytically, the Robin top only at the root kz."""
+    spec = MmsSpec(P)
+
+    def at(factor, value):
+        return factor(np.array(value))
+
+    # velocity: stress-free top and bottom, no-slip at y = 0, l and x = +-lx
+    dz_v = [at(spec._zv, z)[1] for z in (0.0, -P.h)]
+    walls_v = [at(spec._yv, y)[0] for y in (0.0, P.l)] + [at(f, P.lx)[0] for f in (spec._xv1, spec._xv2)]
+    # temperature: insulating bottom and walls
+    dz_t = at(spec._zt, -P.h)[1]
+    walls_t = [at(spec._yt, y)[1] for y in (0.0, P.l)] + [at(spec._xt, P.lx)[1]]
+    assert max(abs(float(r)) for r in (*dz_v, *walls_v, dz_t, *walls_t)) <= 1e-9
+
+    # Robin top (1/rt2) dT/dz + alpha T = 0; a profile cos(k (z + h)) off the root misses it
+    zt0, dzt0, _ = at(spec._zt, 0.0)
+    assert abs(float(dzt0) / P.rt2 + P.alpha * float(zt0)) <= 1e-9
+    k = 1.7 * spec.kz
+    assert abs(-k * math.sin(k * P.h) / P.rt2 + P.alpha * math.cos(k * P.h)) > 1e-2
 
 
 class TestConvergenceOrder:
@@ -104,10 +114,7 @@ def test_steady_state_held_for_100_steps():
     delta = max(g.dx, g.dy, g.dz)
 
     def drift(steps):
-        s = spec.state(g)
-        f1, f2, q = mms_forcing(spec, P, g)
-        s.body_force = (f1, f2)
-        s.Q = q
+        s = spec.forced_state(g)
         cfg = StepConfig(dt=2e-3, t_end=2e-3 * steps, output_every=10**6)
         final, _ = run(s, P, g, cfg, checks=NO_CHECKS)
         ref = spec.state(g)

