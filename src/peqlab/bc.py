@@ -18,7 +18,8 @@ velocity vanishes at top and bottom faces, hence Dirichlet in z.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,37 +78,36 @@ def robin_ghost_factor(p: PhysParams, g: Grid) -> float:
     return (1.0 - c) / (1.0 + c)
 
 
-def _mirror_factor(kind: BcKind, p: PhysParams, g: Grid, face: str) -> float:
-    if kind is BcKind.DIRICHLET:
-        return -1.0
-    if kind is BcKind.NEUMANN:
-        return 1.0
-    if kind is BcKind.ROBIN_TOP:
-        if face != "zhi":
-            raise ValueError("ROBIN_TOP applies to the top z face only")
-        return robin_ghost_factor(p, g)
-    raise ValueError(f"unknown boundary kind {kind!r}")
+@lru_cache(maxsize=64)
+def ghost_factors(bcs: FieldBcs, p: PhysParams, g: Grid) -> tuple:
+    """Mirror multiplier gamma (ghost = gamma * adjacent interior) per face.
+
+    The one home of the boundary closures: the ghost fills and the end rows
+    of the implicit diffusion operators both read it.  Faces come in
+    FieldBcs order (xlo, xhi, ylo, yhi, zlo, zhi).
+    """
+    kinds = [getattr(bcs, face.name) for face in fields(bcs)]
+    if BcKind.ROBIN_TOP in kinds[:-1]:
+        raise ValueError("ROBIN_TOP applies to the top z face only")
+    gamma = {BcKind.DIRICHLET: -1.0, BcKind.NEUMANN: 1.0, BcKind.ROBIN_TOP: robin_ghost_factor(p, g)}
+    return tuple(gamma[kind] for kind in kinds)
+
+
+#: (ghost, adjacent interior) planes of a padded field per face, in FieldBcs
+#: order; a 2D (x, y) field takes the first four
+_FACES = tuple(((slice(None),) * axis + (ghost,), (slice(None),) * axis + (inner,))
+               for axis in range(3) for ghost, inner in ((0, 1), (-1, -2)))
 
 
 def fill_ghosts(field: np.ndarray, bcs: FieldBcs, p: PhysParams, g: Grid) -> np.ndarray:
-    """Populate ghost layers of a padded field in place; returns the field.
+    """Populate ghost layers of a padded 2D or 3D field in place; returns the field.
 
     Faces are processed x, then y, then z, each writing its whole ghost
     plane, so one pass leaves every edge and corner consistent and a second
     pass reproduces the same values.
     """
-    if field.ndim == 3:
-        field[0, :, :] = _mirror_factor(bcs.xlo, p, g, "xlo") * field[1, :, :]
-        field[-1, :, :] = _mirror_factor(bcs.xhi, p, g, "xhi") * field[-2, :, :]
-        field[:, 0, :] = _mirror_factor(bcs.ylo, p, g, "ylo") * field[:, 1, :]
-        field[:, -1, :] = _mirror_factor(bcs.yhi, p, g, "yhi") * field[:, -2, :]
-        field[:, :, 0] = _mirror_factor(bcs.zlo, p, g, "zlo") * field[:, :, 1]
-        field[:, :, -1] = _mirror_factor(bcs.zhi, p, g, "zhi") * field[:, :, -2]
-    elif field.ndim == 2:
-        field[0, :] = _mirror_factor(bcs.xlo, p, g, "xlo") * field[1, :]
-        field[-1, :] = _mirror_factor(bcs.xhi, p, g, "xhi") * field[-2, :]
-        field[:, 0] = _mirror_factor(bcs.ylo, p, g, "ylo") * field[:, 1]
-        field[:, -1] = _mirror_factor(bcs.yhi, p, g, "yhi") * field[:, -2]
-    else:
+    if field.ndim not in (2, 3):
         raise ValueError("fill_ghosts expects a 2D or 3D padded field")
+    for (ghost, inner), gamma in zip(_FACES[:2 * field.ndim], ghost_factors(bcs, p, g)):
+        field[ghost] = gamma * field[inner]
     return field

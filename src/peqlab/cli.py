@@ -18,22 +18,24 @@ from . import diagnostics as diag
 from .config import RunConfig, parse_config_file
 from .errors import CheckError, ConfigError, NumericalError
 from .integrator import run
-from .io import TimeseriesWriter, plot_svg, read_timeseries, write_snapshot
+from .io import CsvWriter, plot_svg, read_timeseries, write_snapshot
 from .mms import mms_convergence_study
 from .tail import tail_decay_experiment, truncation_convergence, two_trajectory_contraction
 
 
 def _outdir(cfg: RunConfig, override):
     path = Path(override) if override else Path(cfg["output.dir"])
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
     return path
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with CsvWriter(path, header) as out:
         for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            out(row)
 
 
 def cmd_run(args) -> int:
@@ -50,10 +52,10 @@ def cmd_run(args) -> int:
         if snapshots:
             write_snapshot(state, out / f"snapshot_{n:06d}.peq")
 
-    with TimeseriesWriter(out / "timeseries.csv") as record_sink:
+    with CsvWriter(out / "timeseries.csv", diag.CSV_COLUMNS) as series:
         final, records = run(
             s, p, g, step_cfg, checks=cfg.checks(),
-            record_sink=record_sink, snapshot_sink=snapshot_sink,
+            record_sink=lambda rec: series(rec.row()), snapshot_sink=snapshot_sink,
         )
     write_snapshot(final, out / "snapshot_final.peq")
     last = records[-1]
@@ -67,8 +69,8 @@ def cmd_mms(args) -> int:
     cfg = parse_config_file(args.config)
     p = cfg.params()
     sizes = tuple((n, n, n) for n in cfg["mms.sizes"])
-    report = mms_convergence_study(p, sizes=sizes, dt=cfg["mms.dt"], horizon=cfg["mms.horizon"])
     out = _outdir(cfg, args.output_dir)
+    report = mms_convergence_study(p, sizes=sizes, dt=cfg["mms.dt"], horizon=cfg["mms.horizon"])
     _write_csv(out / "mms.csv",
                ("delta", "err_v1", "err_v2", "err_T", "order_v", "order_T"),
                report.rows())
@@ -86,9 +88,9 @@ def cmd_tail(args) -> int:
     cfg = parse_config_file(args.config)
     p = cfg.params()
     g = cfg.grid()
+    out = _outdir(cfg, args.output_dir)
     s = cfg.initial_state(p, g)
     report = tail_decay_experiment(cfg.tail_config(), s, p, g, cfg.step_config(), cfg.checks())
-    out = _outdir(cfg, args.output_dir)
     header = ["t", "total"] + [f"w_{r:g}" for r in report.radii]
     rows = [
         (t, tot, *[report.windowed[i][k] for i in range(len(report.radii))])
@@ -108,9 +110,9 @@ def cmd_truncate(args) -> int:
     if cfg["q.kind"] == "file":
         raise ConfigError("truncate requires an analytic heat source (q.kind zero or gaussian)")
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
+    out = _outdir(cfg, args.output_dir)
     report = truncation_convergence(cfg.params(), counts, cfg.step_config(), cfg.q_field,
                                     factor=cfg["truncate.factor"], checks=cfg.checks())
-    out = _outdir(cfg, args.output_dir)
     _write_csv(out / "truncate.csv", ("t", "rel_diff"), list(zip(report.times, report.rel_diff)))
     print(f"max relative difference against {report.factor}x domain: {report.max_rel_diff:.3e}")
     limit = cfg["truncate.max_rel"]
@@ -123,6 +125,7 @@ def cmd_contract(args) -> int:
     cfg = parse_config_file(args.config)
     p = cfg.params()
     g = cfg.grid()
+    out = _outdir(cfg, args.output_dir)
     s_a = cfg.initial_state(p, g)
     perturbed = RunConfig(dict(cfg.values))
     perturbed.values["init.center_x"] = cfg["init.center_x"] + cfg["contract.shift_x"]
@@ -131,7 +134,6 @@ def cmd_contract(args) -> int:
     s_b = perturbed.initial_state(p, g)
     s_b.Q = s_a.Q.copy()
     report = two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config(), cfg.checks())
-    out = _outdir(cfg, args.output_dir)
     _write_csv(
         out / "contract.csv",
         ("t", "dist_v", "dist_T", "dist_l2", "v_proxy"),

@@ -66,8 +66,6 @@ KEY_SPEC = {
     "grid.nz": (int, 8),
     "step.dt": (float, 0.01),
     "step.t_end": (float, 2.0),
-    "step.cfl_target": (float, 0.5),
-    "step.dt_max": (float, 0.1),
     "step.output_every": (int, 10),
     "step.temperature_only": (_parse_bool, False),
     "init.kind": (str, "zero"),
@@ -86,10 +84,8 @@ KEY_SPEC = {
     "q.path": (str, ""),
     "output.dir": (str, "out"),
     "output.snapshots": (_parse_bool, False),
-    "check.poincare_tol": (float, 1e-2),
     "check.energy_slack": (float, 1e-8),
     "check.gronwall_factor": (float, 1.05),
-    "check.div_tol": (float, 1e-8),
     "check.poincare": (_parse_bool, True),
     "check.constraint": (_parse_bool, True),
     "check.energy": (str, "auto"),
@@ -135,6 +131,9 @@ class RunConfig:
             raise ConfigError("q.kind = file requires q.path")
         if self["check.energy"] not in ("auto", "on", "off"):
             raise ConfigError("check.energy must be auto, on, or off")
+        sizes = self["mms.sizes"]
+        if len(sizes) < 2 or min(sizes) < 4:
+            raise ConfigError(f"mms.sizes must list at least two grid sizes, each >= 4, got {sizes!r}")
         try:
             self.step_config()
             StepConfig(dt=self["mms.dt"], t_end=self["mms.horizon"])
@@ -163,8 +162,7 @@ class RunConfig:
         v = self.values
         energy = {"auto": None, "on": True, "off": False}[v["check.energy"]]
         return RunChecks(
-            poincare_tol=v["check.poincare_tol"], energy_slack=v["check.energy_slack"],
-            gronwall_factor=v["check.gronwall_factor"], div_tol=v["check.div_tol"],
+            energy_slack=v["check.energy_slack"], gronwall_factor=v["check.gronwall_factor"],
             check_poincare=v["check.poincare"], check_constraint=v["check.constraint"],
             check_energy=energy, check_gronwall=v["check.gronwall"],
         )

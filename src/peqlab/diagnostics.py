@@ -17,11 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import operators as ops
-from .bc import VELOCITY_BC, fill_ghosts
-from .grid import INTERIOR, Grid
+from .grid import INTERIOR, INTERIOR2D, Grid
 from .model import State, apply_L1, apply_L2
 from .params import PhysParams
-from .projection import constraint_residual
+from .projection import constraint_residual, depth_mean
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,8 @@ def kappa(p: PhysParams) -> float:
     return kappa_scalar(p.rt2, p.h, p.alpha)
 
 
-def gronwall_T_envelope(t: float, l2_T0: float, l2_Q: float,
-                        p: Optional[PhysParams] = None, kap: Optional[float] = None) -> float:
+def gronwall_T_envelope(t: float, l2_T0: float, l2_Q: float, kap: float) -> float:
     """Decay envelope ||T0||^2 exp(-t/kappa) + kappa^2 ||Q||^2."""
-    if kap is None:
-        kap = kappa(p)
     return l2_T0 * math.exp(-t / kap) + kap * kap * l2_Q
 
 
@@ -108,8 +104,9 @@ def compute_record(
     l2_v = l2sq(v1[I], g) + l2sq(v2[I], g)
     l6_T = norm6(g, T[I])
 
-    vbar1, vt1 = ops.vertical_average(v1[I], g)
-    vbar2, vt2 = ops.vertical_average(v2[I], g)
+    vbar1, vbar2 = depth_mean(v1, p, g), depth_mean(v2, p, g)
+    vt1 = v1[I] - vbar1[INTERIOR2D][:, :, None]
+    vt2 = v2[I] - vbar2[INTERIOR2D][:, :, None]
     l6_vtilde = norm6(g, vt1, vt2)
 
     v1z = ops.d_dz(v1, g)
@@ -130,14 +127,8 @@ def compute_record(
     v2norm_T = l2_gradT / p.rt1 + l2_Tz / p.rt2 + p.alpha * surface_integral_sq(T, g)
 
     # depth-mean shear: 2D integral of |grad vbar|^2
-    pad1 = g.zeros2d()
-    pad2 = g.zeros2d()
-    pad1[1:-1, 1:-1] = vbar1
-    pad2[1:-1, 1:-1] = vbar2
-    fill_ghosts(pad1, VELOCITY_BC, p, g)
-    fill_ghosts(pad2, VELOCITY_BC, p, g)
-    b1x, b1y = ops.grad_h(pad1, g)
-    b2x, b2y = ops.grad_h(pad2, g)
+    b1x, b1y = ops.grad_h(vbar1, g)
+    b2x, b2y = ops.grad_h(vbar2, g)
     area = g.dx * g.dy
     grad_vbar_2d = area * (
         ops.pairwise_sum(b1x**2) + ops.pairwise_sum(b1y**2)

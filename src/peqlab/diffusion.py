@@ -1,12 +1,13 @@
 """Backward-Euler solves for the stiff viscosity/diffusion operators.
 
 The discrete operators are Kronecker sums of 1D symmetric tridiagonal
-operators (one per axis, boundary closure folded into the end rows), so
-(I + dt*L) can be inverted exactly through the 1D eigendecompositions:
-the fast diagonalisation method of Lynch, Rice & Thomas (Numer. Math. 6,
-1964).  A solve transforms into the eigenbasis one axis at a time, divides
-by the Kronecker-sum eigenvalues and transforms back; each axis transform is
-one BLAS matrix product over a reshaped view of the field.  The dense oracle
+operators (one per axis, the field's bc.ghost_factors folded into the end
+rows), so (I + dt*L) can be inverted exactly through the 1D
+eigendecompositions: the fast diagonalisation method of Lynch, Rice &
+Thomas (Numer. Math. 6, 1964).  A solve transforms into the eigenbasis one
+axis at a time, divides by the Kronecker-sum eigenvalues and transforms
+back; each axis transform is one BLAS matrix product over a reshaped view
+of the field.  The dense oracle
 in oracle.py cross-checks the result in the tests.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bc import robin_ghost_factor
+from .bc import TEMPERATURE_BC, VELOCITY_BC, ghost_factors
 from .grid import Grid
 from .params import PhysParams
 
@@ -36,16 +37,16 @@ def tridiag_second_derivative(n: int, d: float, coef: float, gamma_lo: float, ga
 def axis_operators(p: PhysParams, g: Grid, kind: str):
     """The three 1D operators whose Kronecker sum is L1 (velocity) or L2 (temperature)."""
     if kind == "velocity":
-        ax = tridiag_second_derivative(g.nx, g.dx, 1.0 / p.re1, -1.0, -1.0)
-        ay = tridiag_second_derivative(g.ny, g.dy, 1.0 / p.re1, -1.0, -1.0)
-        az = tridiag_second_derivative(g.nz, g.dz, 1.0 / p.re2, 1.0, 1.0)
+        bcs, coefs = VELOCITY_BC, (p.re1, p.re1, p.re2)
     elif kind == "temperature":
-        ax = tridiag_second_derivative(g.nx, g.dx, 1.0 / p.rt1, 1.0, 1.0)
-        ay = tridiag_second_derivative(g.ny, g.dy, 1.0 / p.rt1, 1.0, 1.0)
-        az = tridiag_second_derivative(g.nz, g.dz, 1.0 / p.rt2, 1.0, robin_ghost_factor(p, g))
+        bcs, coefs = TEMPERATURE_BC, (p.rt1, p.rt1, p.rt2)
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return ax, ay, az
+    gamma = ghost_factors(bcs, p, g)
+    return tuple(
+        tridiag_second_derivative(n, d, 1.0 / c, gamma[2 * axis], gamma[2 * axis + 1])
+        for axis, (n, d, c) in enumerate(zip((g.nx, g.ny, g.nz), (g.dx, g.dy, g.dz), coefs))
+    )
 
 
 @dataclass

@@ -39,20 +39,25 @@ from .projection import project
 log = logging.getLogger(__name__)
 
 
+#: advisory CFL step: the advective Courant number and the cap
+CFL_TARGET = 0.5
+DT_MAX = 0.1
+#: a Poincare ratio above 1 + POINCARE_TOL or a constraint residual above
+#: DIV_TOL aborts a run
+POINCARE_TOL = 1e-2
+DIV_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class StepConfig:
     dt: float = 0.01
     t_end: float = 1.0
-    cfl_target: float = 0.5
-    dt_max: float = 0.1
     output_every: int = 10
     temperature_only: bool = False
 
     def __post_init__(self):
         if not (self.dt > 0.0):
             raise ValueError("dt must be positive")
-        if not (0.0 < self.cfl_target <= 1.0):
-            raise ValueError("cfl_target must lie in (0, 1]")
         if self.output_every < 1:
             raise ValueError("output_every must be >= 1")
         # t_end/dt is rarely an exact float (0.2/0.01 is 20.000000000000004)
@@ -72,26 +77,24 @@ class StepConfig:
 class RunChecks:
     """Inequality monitors evaluated during a run; violations abort it."""
 
-    poincare_tol: float = 1e-2
     energy_slack: float = 1e-8
     gronwall_factor: float = 1.05
-    div_tol: float = 1e-8
     check_poincare: bool = True
     check_constraint: bool = True
     check_energy: Optional[bool] = None  # None: enabled when Q is identically zero
     check_gronwall: bool = False
 
 
-def cfl_dt(s: State, g: Grid, cfg: StepConfig) -> float:
-    """Advisory advective time step, capped at cfg.dt_max."""
-    suggestion = cfg.dt_max
+def cfl_dt(s: State, g: Grid) -> float:
+    """Advisory advective time step, capped at DT_MAX."""
+    suggestion = DT_MAX
     for vmax, d in (
         (float(np.abs(s.v1[INTERIOR]).max()), g.dx),
         (float(np.abs(s.v2[INTERIOR]).max()), g.dy),
         (float(np.abs(s.w[INTERIOR]).max()), g.dz),
     ):
         if vmax > 0.0:
-            suggestion = min(suggestion, cfg.cfl_target * d / vmax)
+            suggestion = min(suggestion, CFL_TARGET * d / vmax)
     return suggestion
 
 
@@ -137,7 +140,7 @@ class _Member:
         if not cfg.temperature_only:
             project(s, cfg.dt, p, g)
         s.refresh_w(p, g)
-        suggestion = cfl_dt(s, g, cfg)
+        suggestion = cfl_dt(s, g)
         if cfg.dt > suggestion:
             log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)
         self.s, self.p, self.g, self.cfg, self.checks = s, p, g, cfg, checks
@@ -166,16 +169,17 @@ class _Member:
         if checks.check_poincare:
             for name, ratio in (("temperature", diag.check_poincare_T(rec, self.p)),
                                 ("velocity", diag.check_poincare_v(rec, self.p))):
-                if ratio > 1.0 + checks.poincare_tol:
-                    raise CheckError(f"{name} Poincare ratio {ratio:.6g} > 1 + {checks.poincare_tol}")
+                if ratio > 1.0 + POINCARE_TOL:
+                    raise CheckError(f"{name} Poincare ratio {ratio:.6g} > 1 + {POINCARE_TOL}")
         # a temperature-only step never projects the (frozen) velocity
         if (checks.check_constraint and not self.cfg.temperature_only
-                and rec.constraint_residual > checks.div_tol):
+                and rec.constraint_residual > DIV_TOL):
             raise CheckError(
-                f"constraint residual {rec.constraint_residual:.3e} > {checks.div_tol:.1e} at t={t:.6g}"
+                f"constraint residual {rec.constraint_residual:.3e} > {DIV_TOL:.1e} at t={t:.6g}"
             )
         if checks.check_gronwall:
-            bound = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, self.p) * checks.gronwall_factor
+            envelope = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, diag.kappa(self.p))
+            bound = envelope * checks.gronwall_factor
             if rec.l2_T > bound:
                 raise CheckError(
                     f"temperature energy {rec.l2_T:.6g} above decay envelope {bound:.6g} at t={t:.6g}"

@@ -30,31 +30,31 @@ def format_float(v: float) -> str:
     return f"{v:.17g}"
 
 
-class TimeseriesWriter:
-    """Time-series CSV written one record at a time, flushed after every row.
+class CsvWriter:
+    """CSV written one row of floats at a time, flushed after every row.
 
-    Called with a DiagRecord it appends that record's row, so it serves as
-    the record sink of a run: a run that fails part-way leaves every record
-    it emitted.  Use it as a context manager to close the file.
+    Cells carry 17 significant digits.  Wrapped as the record sink of a run
+    (one DiagRecord row per call), a run that fails part-way leaves every
+    record it emitted.  Use it as a context manager to close the file.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, header):
         self.path = Path(path)
         try:
             self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
         except OSError as exc:
-            raise ConfigError(f"cannot write time series {self.path}: {exc}") from exc
-        self._line(CSV_COLUMNS)
+            raise ConfigError(f"cannot write {self.path}: {exc}") from exc
+        self._line(header)
 
-    def __call__(self, rec: DiagRecord) -> None:
-        self._line(format_float(v) for v in rec.row())
+    def __call__(self, values) -> None:
+        self._line(format_float(v) for v in values)
 
-    def _line(self, fields) -> None:
+    def _line(self, cells) -> None:
         try:
-            self._fh.write(",".join(fields) + "\n")
+            self._fh.write(",".join(cells) + "\n")
             self._fh.flush()
         except OSError as exc:
-            raise ConfigError(f"cannot write time series {self.path}: {exc}") from exc
+            raise ConfigError(f"cannot write {self.path}: {exc}") from exc
 
     def close(self) -> None:
         self._fh.close()
@@ -67,9 +67,9 @@ class TimeseriesWriter:
 
 
 def write_timeseries(records: Sequence[DiagRecord], path) -> None:
-    with TimeseriesWriter(path) as sink:
+    with CsvWriter(path, CSV_COLUMNS) as out:
         for rec in records:
-            sink(rec)
+            out(rec.row())
 
 
 def read_timeseries(path) -> dict:

@@ -1,8 +1,8 @@
 """Second-order centered stencils, vertical quadratures, and deterministic sums.
 
 Stencil functions consume ghost-padded arrays (valid ghosts are the caller's
-responsibility) and return interior-shaped arrays.  Vertical quadratures and
-averages act along the last (z) axis of arrays without z ghosts.
+responsibility) and return interior-shaped arrays.  Vertical quadratures act
+along the last (z) axis of arrays without z ghosts.
 
 All diagnostic reductions go through :func:`pairwise_sum`, numpy's
 single-threaded pairwise sum, so results do not depend on thread count.
@@ -17,36 +17,36 @@ import numpy as np
 from .grid import Grid
 
 
+_OFFSET = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None)}
+#: (i, j, ndim) -> index of the interior of a padded field shifted (i, j) cells in x, y
+_SHIFTS = {(i, j, ndim): (_OFFSET[i], _OFFSET[j]) + (_OFFSET[0],) * (ndim - 2)
+           for i in _OFFSET for j in _OFFSET for ndim in (2, 3)}
+
+
+def _shifted(fp: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Interior-shaped view of a padded 2D or 3D field, offset (i, j) cells in x and y."""
+    return fp[_SHIFTS[i, j, fp.ndim]]
+
+
 def grad_h(fp: np.ndarray, g: Grid):
     """Horizontal gradient (d/dx, d/dy) of a padded 2D or 3D field."""
-    if fp.ndim == 3:
-        fx = (fp[2:, 1:-1, 1:-1] - fp[:-2, 1:-1, 1:-1]) / (2.0 * g.dx)
-        fy = (fp[1:-1, 2:, 1:-1] - fp[1:-1, :-2, 1:-1]) / (2.0 * g.dy)
-    else:
-        fx = (fp[2:, 1:-1] - fp[:-2, 1:-1]) / (2.0 * g.dx)
-        fy = (fp[1:-1, 2:] - fp[1:-1, :-2]) / (2.0 * g.dy)
+    fx = (_shifted(fp, 1, 0) - _shifted(fp, -1, 0)) / (2.0 * g.dx)
+    fy = (_shifted(fp, 0, 1) - _shifted(fp, 0, -1)) / (2.0 * g.dy)
     return fx, fy
 
 
 def div_h(up: np.ndarray, vp: np.ndarray, g: Grid):
     """Horizontal divergence d(u)/dx + d(v)/dy of padded component fields."""
-    if up.ndim == 3:
-        return (up[2:, 1:-1, 1:-1] - up[:-2, 1:-1, 1:-1]) / (2.0 * g.dx) + (
-            vp[1:-1, 2:, 1:-1] - vp[1:-1, :-2, 1:-1]
-        ) / (2.0 * g.dy)
-    return (up[2:, 1:-1] - up[:-2, 1:-1]) / (2.0 * g.dx) + (
-        vp[1:-1, 2:] - vp[1:-1, :-2]
+    return (_shifted(up, 1, 0) - _shifted(up, -1, 0)) / (2.0 * g.dx) + (
+        _shifted(vp, 0, 1) - _shifted(vp, 0, -1)
     ) / (2.0 * g.dy)
 
 
 def lap_h(fp: np.ndarray, g: Grid):
     """Horizontal five-point Laplacian of a padded 2D or 3D field."""
-    if fp.ndim == 3:
-        return (fp[2:, 1:-1, 1:-1] - 2.0 * fp[1:-1, 1:-1, 1:-1] + fp[:-2, 1:-1, 1:-1]) / g.dx**2 + (
-            fp[1:-1, 2:, 1:-1] - 2.0 * fp[1:-1, 1:-1, 1:-1] + fp[1:-1, :-2, 1:-1]
-        ) / g.dy**2
-    return (fp[2:, 1:-1] - 2.0 * fp[1:-1, 1:-1] + fp[:-2, 1:-1]) / g.dx**2 + (
-        fp[1:-1, 2:] - 2.0 * fp[1:-1, 1:-1] + fp[1:-1, :-2]
+    centre = _shifted(fp, 0, 0)
+    return (_shifted(fp, 1, 0) - 2.0 * centre + _shifted(fp, -1, 0)) / g.dx**2 + (
+        _shifted(fp, 0, 1) - 2.0 * centre + _shifted(fp, 0, -1)
     ) / g.dy**2
 
 
@@ -58,18 +58,6 @@ def d_dz(fp: np.ndarray, g: Grid):
 def d2_dz2(fp: np.ndarray, g: Grid):
     """Centered second vertical derivative of a padded 3D field."""
     return (fp[1:-1, 1:-1, 2:] - 2.0 * fp[1:-1, 1:-1, 1:-1] + fp[1:-1, 1:-1, :-2]) / g.dz**2
-
-
-def vertical_average(f: np.ndarray, g: Grid):
-    """Depth average and fluctuation of an interior field.
-
-    The average is the trapezoid rule with boundary-face values taken from
-    the stress-free mirror, which collapses to uniform weights; the resulting
-    split is an exact projection (the fluctuation depth-averages to zero to
-    rounding).
-    """
-    fbar = f.mean(axis=2)
-    return fbar, f - fbar[:, :, None]
 
 
 @lru_cache(maxsize=16)

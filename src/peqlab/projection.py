@@ -22,23 +22,14 @@ import numpy as np
 
 from . import operators as ops
 from .bc import SURFACE_PRESSURE_BC, VELOCITY_BC, fill_ghosts
-from .grid import INTERIOR2D, Grid
+from .grid import INTERIOR, INTERIOR2D, Grid
 from .params import PhysParams
 
 
 def centered_gradient_matrix(n: int, d: float) -> np.ndarray:
     """1D centered difference with mirror end closure (acts on phi)."""
-    m = np.zeros((n, n))
-    for i in range(n):
-        if i == 0:
-            m[0, 1] += 1.0
-            m[0, 0] -= 1.0
-        elif i == n - 1:
-            m[i, i] += 1.0
-            m[i, i - 1] -= 1.0
-        else:
-            m[i, i + 1] += 1.0
-            m[i, i - 1] -= 1.0
+    m = np.eye(n, k=1) - np.eye(n, k=-1)
+    m[0, 0], m[-1, -1] = -1.0, 1.0  # phi_ghost = phi_adjacent
     return m / (2.0 * d)
 
 
@@ -74,6 +65,18 @@ def solve_surface_pressure(vbar_star, dt: float, g: Grid) -> np.ndarray:
     return _direct_solve(rhs, g)
 
 
+def depth_mean(vp: np.ndarray, p: PhysParams, g: Grid) -> np.ndarray:
+    """Depth mean of a padded velocity component, padded with the wall closure.
+
+    The trapezoid rule with stress-free mirrored faces collapses to uniform
+    weights, so the split into mean and fluctuation is an exact projection.
+    Only the interior layers of vp are read; its ghosts may be stale.
+    """
+    bar = g.zeros2d()
+    bar[INTERIOR2D] = vp[INTERIOR].mean(axis=2)
+    return fill_ghosts(bar, VELOCITY_BC, p, g)
+
+
 def depth_mean_divergence(v1p: np.ndarray, v2p: np.ndarray, g: Grid) -> np.ndarray:
     """div_h of the depth-averaged velocity (interior 2D array).
 
@@ -100,13 +103,7 @@ def project(s, dt: float, p: PhysParams, g: Grid) -> np.ndarray:
     part of the velocity is untouched; p_s accumulates phi and keeps its zero
     mean.  Ghosts of the modified fields are refreshed.
     """
-    v1bar = g.zeros2d()
-    v2bar = g.zeros2d()
-    v1bar[INTERIOR2D] = s.v1[1:-1, 1:-1, 1:-1].mean(axis=2)
-    v2bar[INTERIOR2D] = s.v2[1:-1, 1:-1, 1:-1].mean(axis=2)
-    fill_ghosts(v1bar, VELOCITY_BC, p, g)
-    fill_ghosts(v2bar, VELOCITY_BC, p, g)
-    phi = solve_surface_pressure((v1bar, v2bar), dt, g)
+    phi = solve_surface_pressure((depth_mean(s.v1, p, g), depth_mean(s.v2, p, g)), dt, g)
 
     pad = g.zeros2d()
     pad[INTERIOR2D] = phi

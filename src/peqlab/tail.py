@@ -71,19 +71,16 @@ class TailReport:
     times: List[float] = field(default_factory=list)
     totals: List[float] = field(default_factory=list)
     windowed: List[List[float]] = field(default_factory=list)  # [radius][time]
-    sup_abs: List[float] = field(default_factory=list)
     sup_rel: List[float] = field(default_factory=list)
     r_star: Optional[float] = None
     passed: bool = False
 
     def finish(self):
         mask = [t >= self.tau_probe for t in self.times]
-        self.sup_abs = []
         self.sup_rel = []
         for series in self.windowed:
             vals = [w for w, m in zip(series, mask) if m]
             tot = [max(T, 1e-300) for T, m in zip(self.totals, mask) if m]
-            self.sup_abs.append(max(vals))
             self.sup_rel.append(max(w / T for w, T in zip(vals, tot)))
         self.r_star = None
         for i, r in enumerate(self.radii):

@@ -3,12 +3,14 @@ import pytest
 
 from peqlab import PhysParams, make_grid
 from peqlab.bc import (
+    SURFACE_PRESSURE_BC,
     TEMPERATURE_BC,
     VELOCITY_BC,
     W_BC,
     BcKind,
     FieldBcs,
     fill_ghosts,
+    ghost_factors,
     robin_ghost_factor,
 )
 from peqlab.grid import INTERIOR
@@ -81,3 +83,29 @@ def test_unknown_kind_rejected(setup):
     f = g.zeros()
     with pytest.raises(ValueError):
         fill_ghosts(f, bad, p, g)
+
+
+def test_ghost_factor_table(setup):
+    p, g = setup
+    gamma = robin_ghost_factor(p, g)
+    assert ghost_factors(VELOCITY_BC, p, g) == (-1.0, -1.0, -1.0, -1.0, 1.0, 1.0)
+    assert ghost_factors(TEMPERATURE_BC, p, g) == (1.0, 1.0, 1.0, 1.0, 1.0, gamma)
+    assert ghost_factors(W_BC, p, g) == (1.0, 1.0, 1.0, 1.0, -1.0, -1.0)
+
+
+@pytest.mark.parametrize("bcs", [VELOCITY_BC, TEMPERATURE_BC, W_BC, SURFACE_PRESSURE_BC])
+def test_3d_fill_matches_2d_fill_per_layer(setup, bcs):
+    """One fill path for both ranks: each z-layer's x/y faces get the 2D fill."""
+    p, g = setup
+    f = np.random.default_rng(3).standard_normal(g.zeros().shape)
+    filled = fill_ghosts(f.copy(), bcs, p, g)
+    for k in range(1, g.nz + 1):
+        layer = fill_ghosts(f[:, :, k].copy(), bcs, p, g)
+        assert np.array_equal(filled[:, :, k], layer)
+
+
+def test_other_ranks_rejected(setup):
+    p, g = setup
+    for shape in ((g.nx + 2,), (g.nx + 2, g.ny + 2, g.nz + 2, 2)):
+        with pytest.raises(ValueError, match="2D or 3D"):
+            fill_ghosts(np.zeros(shape), VELOCITY_BC, p, g)

@@ -175,6 +175,41 @@ def test_tail_probe_beyond_horizon_exits_before_stepping(tmp_path, capsys, monke
     assert "config error: tau_probe lies beyond the simulated horizon" in capsys.readouterr().err
 
 
+def _forbid_steps(monkeypatch):
+    import peqlab.integrator as integrator
+
+    def no_step(*args):
+        raise AssertionError("stepped before the input was checked")
+
+    monkeypatch.setattr(integrator, "step", no_step)
+
+
+@pytest.mark.parametrize("command,config", [
+    ("run", "zero.cfg"),
+    ("mms", "mms.cfg"),
+    ("tail", "tail.cfg"),
+    ("truncate", "truncation.cfg"),
+    ("contract", "contraction_default.cfg"),
+])
+def test_unusable_output_dir_exits_before_stepping(tmp_path, capsys, monkeypatch, command, config):
+    _forbid_steps(monkeypatch)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    code = main([command, str(CONFIG_DIR / config), "--output-dir", str(blocker)])
+    assert code == 1
+    assert "config error: cannot make output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["8", "8,16,2", "", "2,4"])
+def test_bad_mms_sizes_rejected(tmp_path, capsys, monkeypatch, sizes):
+    _forbid_steps(monkeypatch)
+    cfg = write_cfg(tmp_path, f"mms.sizes = {sizes}\n")
+    out = tmp_path / "o"
+    assert main(["mms", cfg, "--output-dir", str(out)]) == 1
+    assert "config error: mms.sizes must list at least two" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_truncate_subcommand(tmp_path):
     cfg = write_cfg(
         tmp_path,

@@ -67,11 +67,11 @@ class TestKappa:
 class TestGronwall:
     def test_t_zero(self):
         p = PhysParams(rt2=1.0, h=1.0, alpha=1.0)
-        assert diag.gronwall_T_envelope(0.0, 3.0, 0.5, p) == 3.0 + 16.0 * 0.5
+        assert diag.gronwall_T_envelope(0.0, 3.0, 0.5, diag.kappa(p)) == 3.0 + 16.0 * 0.5
 
     def test_pure_decay_limit(self):
         p = PhysParams(rt2=1.0, h=1.0, alpha=1.0)
-        assert diag.gronwall_T_envelope(400.0, 1.0, 0.0, p) < 1e-40
+        assert diag.gronwall_T_envelope(400.0, 1.0, 0.0, diag.kappa(p)) < 1e-40
 
     def test_e_inverse(self):
         assert diag.gronwall_T_envelope(4.0, 1.0, 0.0, kap=4.0) == pytest.approx(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from peqlab import PhysParams, State, StepConfig, RunChecks, make_grid, cfl_dt, run, step, trajectory
+from peqlab.integrator import CFL_TARGET, DT_MAX
 from peqlab.grid import INTERIOR
 
 # moderately diffusive reference regime: the coupled energy bound holds with margin
@@ -26,8 +27,7 @@ class TestCfl:
     def test_zero_state_gives_dt_max(self):
         g = make_grid(P, 8, 8, 4)
         s = State.zeros(g).fill_all_ghosts(P, g)
-        cfg = StepConfig(dt=0.01, dt_max=0.25)
-        assert cfl_dt(s, g, cfg) == 0.25
+        assert cfl_dt(s, g) == DT_MAX
 
     def test_arithmetic(self):
         p = PhysParams(lx=0.4, l=10.0, h=10.0)  # dx=0.1 on an 8-cell axis
@@ -36,18 +36,18 @@ class TestCfl:
         s = State.zeros(g)
         s.v1[INTERIOR] = 1.0
         s.fill_all_ghosts(p, g)
-        cfg = StepConfig(dt=0.01, cfl_target=0.5, dt_max=10.0)
-        assert cfl_dt(s, g, cfg) == pytest.approx(0.05)
+        assert CFL_TARGET == 0.5 and DT_MAX > 0.05
+        assert cfl_dt(s, g) == pytest.approx(0.05)
 
     def test_homogeneity(self):
         g = make_grid(P, 8, 8, 4)
-        s = gaussian_state(g, P, amp_T=0.0, amp_v=0.3)
-        cfg = StepConfig(dt=0.01, dt_max=100.0)
-        one = cfl_dt(s, g, cfg)
+        s = gaussian_state(g, P, amp_T=0.0, amp_v=3.0)
+        one = cfl_dt(s, g)
+        assert one < DT_MAX  # the suggestion, not the cap
         s.v1 *= 2.0
         s.v2 *= 2.0
         s.w *= 2.0
-        assert cfl_dt(s, g, cfg) == pytest.approx(one / 2.0)
+        assert cfl_dt(s, g) == pytest.approx(one / 2.0)
 
 
 def test_n_steps_absorbs_float_quotients():

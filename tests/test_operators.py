@@ -4,7 +4,8 @@ import pytest
 from peqlab import PhysParams, make_grid
 from peqlab import operators as ops
 from peqlab.bc import SURFACE_PRESSURE_BC, VELOCITY_BC, fill_ghosts
-from peqlab.grid import INTERIOR
+from peqlab.grid import INTERIOR, INTERIOR2D
+from peqlab.projection import depth_mean
 
 
 def padded(g, values):
@@ -33,6 +34,12 @@ def test_linear_in_x_exact_gradient():
     # interior-only check: skip the stencil ring touching ghosts
     fx, _ = ops.grad_h(f, g)
     assert np.abs(fx[1:-1] - 1.0).max() < 1e-13
+
+
+def vertical_average(f, g):
+    """Depth mean (through projection.depth_mean) and fluctuation of an interior field."""
+    fbar = depth_mean(padded(g, f), PhysParams(), g)[INTERIOR2D]
+    return fbar, f - fbar[:, :, None]
 
 
 def _two_grid_order(op_error, sizes=(16, 32)):
@@ -82,7 +89,7 @@ def test_sin_product_order_two(which):
 def test_vertical_average_z_independent():
     g = make_grid(PhysParams(), 4, 4, 8)
     f = np.broadcast_to(np.arange(16.0).reshape(4, 4, 1), (4, 4, 8)).copy()
-    fbar, ftil = ops.vertical_average(f, g)
+    fbar, ftil = vertical_average(f, g)
     assert np.array_equal(fbar, f[:, :, 0])
     assert np.abs(ftil).max() == 0.0
 
@@ -92,7 +99,7 @@ def test_vertical_average_odd_linear_profile():
     g = make_grid(p, 4, 4, 16)
     _, _, z = g.coords()
     f = (z + p.h / 2) * np.ones((g.nx, g.ny, g.nz))
-    fbar, _ = ops.vertical_average(f, g)
+    fbar, _ = vertical_average(f, g)
     assert np.abs(fbar).max() < 1e-14
 
 
@@ -100,12 +107,12 @@ def test_vertical_average_projection_and_fluctuation():
     g = make_grid(PhysParams(), 6, 5, 12)
     rng = np.random.default_rng(3)
     f = rng.standard_normal((g.nx, g.ny, g.nz))
-    fbar, ftil = ops.vertical_average(f, g)
+    fbar, ftil = vertical_average(f, g)
     # fluctuation depth-averages to zero
     assert np.abs(ftil.mean(axis=2)).max() <= 1e-12 * np.abs(f).max()
     # averaging the constant-in-z extension of fbar returns fbar (machine precision)
     ext = np.repeat(fbar[:, :, None], g.nz, axis=2)
-    fbar2, _ = ops.vertical_average(ext, g)
+    fbar2, _ = vertical_average(ext, g)
     assert np.abs(fbar2 - fbar).max() <= 4 * np.finfo(float).eps * np.abs(fbar).max()
 
 
@@ -115,7 +122,7 @@ def test_vertical_average_projection_bitwise_power_of_two():
     rng = np.random.default_rng(4)
     fbar = rng.standard_normal((g.nx, g.ny))
     ext = np.repeat(fbar[:, :, None], g.nz, axis=2)
-    fbar2, ftil = ops.vertical_average(ext, g)
+    fbar2, ftil = vertical_average(ext, g)
     assert np.array_equal(fbar, fbar2)
     assert np.abs(ftil).max() == 0.0
 
@@ -191,3 +198,20 @@ def test_pairwise_sum_matches_math_fsum():
 def test_pairwise_sum_deterministic_shape_only():
     a = np.arange(1025, dtype=float) * 1e-3
     assert ops.pairwise_sum(a) == ops.pairwise_sum(a.copy())
+
+
+def test_lateral_stencils_one_path_for_both_ranks():
+    """A 3D field's lateral stencils equal the 2D ones on each z-layer, bitwise."""
+    p = PhysParams(lx=1.3, l=0.7)
+    g = make_grid(p, 7, 5, 4)
+    rng = np.random.default_rng(11)
+    f, u, v = (rng.standard_normal(g.zeros().shape) for _ in range(3))
+    fx, fy = ops.grad_h(f, g)
+    div = ops.div_h(u, v, g)
+    lap = ops.lap_h(f, g)
+    for k in range(1, g.nz + 1):
+        fx2, fy2 = ops.grad_h(f[:, :, k], g)
+        assert np.array_equal(fx[:, :, k - 1], fx2)
+        assert np.array_equal(fy[:, :, k - 1], fy2)
+        assert np.array_equal(div[:, :, k - 1], ops.div_h(u[:, :, k], v[:, :, k], g))
+        assert np.array_equal(lap[:, :, k - 1], ops.lap_h(f[:, :, k], g))

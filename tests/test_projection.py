@@ -8,6 +8,7 @@ from peqlab.grid import INTERIOR, INTERIOR2D
 from peqlab.projection import (
     centered_gradient_matrix,
     constraint_residual,
+    depth_mean,
     depth_mean_divergence,
     project,
     solve_surface_pressure,
@@ -72,9 +73,9 @@ def test_projection_idempotent_and_preserves_fluctuation():
     s.v1[INTERIOR] = rng.standard_normal((g.nx, g.ny, g.nz))
     s.v2[INTERIOR] = rng.standard_normal((g.nx, g.ny, g.nz))
     s.fill_all_ghosts(P, g)
-    _, tilde1_before = ops.vertical_average(s.v1[INTERIOR], g)
+    tilde1_before = s.v1[INTERIOR] - depth_mean(s.v1, P, g)[INTERIOR2D][:, :, None]
     project(s, DT, P, g)
-    _, tilde1_after = ops.vertical_average(s.v1[INTERIOR], g)
+    tilde1_after = s.v1[INTERIOR] - depth_mean(s.v1, P, g)[INTERIOR2D][:, :, None]
     scale = np.abs(s.v1).max()
     assert np.abs(tilde1_after - tilde1_before).max() <= 1e-12 * scale
 
@@ -82,6 +83,19 @@ def test_projection_idempotent_and_preserves_fluctuation():
     v1_once = s.v1.copy()
     project(s, DT, P, g)
     assert np.abs(s.v1 - v1_once).max() <= 1e-12 * scale
+
+
+def test_depth_mean_reads_the_interior_only():
+    # inside a step the velocity ghosts are stale when the projection runs
+    g = make_grid(P, 7, 5, 4)
+    rng = np.random.default_rng(5)
+    v = fill_ghosts(rng.standard_normal(g.zeros().shape), VELOCITY_BC, P, g)
+    stale = rng.standard_normal(v.shape)
+    stale[INTERIOR] = v[INTERIOR]
+    bar = depth_mean(v, P, g)
+    assert np.array_equal(depth_mean(stale, P, g), bar)
+    assert np.array_equal(bar[INTERIOR2D], v[INTERIOR].mean(axis=2))
+    assert np.array_equal(bar, fill_ghosts(bar.copy(), VELOCITY_BC, P, g))
 
 
 def test_depth_independent_gradient_projected_to_zero():
