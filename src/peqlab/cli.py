@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .config import RunConfig, parse_config_file
+from .config import parse_config_file
 from .errors import CheckError, ConfigError, NumericalError
-from .integrator import run
+from .integrator import trajectory
 from .io import CsvWriter, plot_svg, read_timeseries, write_snapshot
 from .mms import mms_convergence_study
 from .tail import tail_decay_experiment, truncation_convergence, two_trajectory_contraction
@@ -38,27 +38,32 @@ def _write_csv(path, header, rows):
             out(row)
 
 
+def _stream_csv(path, reports):
+    """Write the newest row of every report an experiment yields; returns the last.
+
+    The file opens on the first report, so an input the experiment rejects
+    leaves none; each row is flushed, so a failed run keeps its rows.
+    """
+    report = next(reports)
+    with CsvWriter(path, report.header) as out:
+        out(report.row)
+        for report in reports:
+            out(report.row)
+    return report
+
+
 def cmd_run(args) -> int:
     cfg = parse_config_file(args.config)
     p = cfg.params()
     g = cfg.grid()
-    step_cfg = cfg.step_config()
     out = _outdir(cfg, args.output_dir)
-    s = cfg.initial_state(p, g)
-
-    snapshots = cfg["output.snapshots"]
-
-    def snapshot_sink(state, t, n):
-        if snapshots:
-            write_snapshot(state, out / f"snapshot_{n:06d}.peq")
-
+    members = [(cfg.initial_state(p, g), p, g)]
     with CsvWriter(out / "timeseries.csv", diag.CSV_COLUMNS) as series:
-        final, records = run(
-            s, p, g, step_cfg, checks=cfg.checks(),
-            record_sink=lambda rec: series(rec.row()), snapshot_sink=snapshot_sink,
-        )
-    write_snapshot(final, out / "snapshot_final.peq")
-    last = records[-1]
+        for n, _, (state,), (last,) in trajectory(members, cfg.step_config(), cfg.checks()):
+            series(last.row())
+            if cfg["output.snapshots"]:
+                write_snapshot(state, out / f"snapshot_{n:06d}.peq")
+    write_snapshot(state, out / "snapshot_final.peq")
     print(f"run finished at t={last.t:.6g}: |T|^2={last.l2_T:.6g} |v|^2={last.l2_v:.6g} "
           f"constraint={last.constraint_residual:.3e}")
     print(f"wrote {out / 'timeseries.csv'}")
@@ -90,17 +95,12 @@ def cmd_tail(args) -> int:
     g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
     s = cfg.initial_state(p, g)
-    report = tail_decay_experiment(cfg.tail_config(), s, p, g, cfg.step_config(), cfg.checks())
-    header = ["t", "total"] + [f"w_{r:g}" for r in report.radii]
-    rows = [
-        (t, tot, *[report.windowed[i][k] for i in range(len(report.radii))])
-        for k, (t, tot) in enumerate(zip(report.times, report.totals))
-    ]
-    _write_csv(out / "tail.csv", header, rows)
-    for r, sup_rel in zip(report.radii, report.sup_rel):
-        print(f"r={r:g}: sup tail/total for t>={report.tau_probe:g} is {sup_rel:.3e}")
-    if not report.passed:
-        raise CheckError(f"no radius achieved tail ratio <= {report.epsilon:g}")
+    report = _stream_csv(out / "tail.csv", tail_decay_experiment(
+        cfg.tail_config(), s, p, g, cfg.step_config(), cfg.checks()))
+    for r, sup_rel in zip(report.tail.radii, report.sup_rel):
+        print(f"r={r:g}: sup tail/total for t>={report.tail.tau_probe:g} is {sup_rel:.3e}")
+    if report.r_star is None:
+        raise CheckError(f"no radius achieved tail ratio <= {report.tail.epsilon:g}")
     print(f"smallest radius within epsilon: r={report.r_star:g}")
     return 0
 
@@ -111,9 +111,9 @@ def cmd_truncate(args) -> int:
         raise ConfigError("truncate requires an analytic heat source (q.kind zero or gaussian)")
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
     out = _outdir(cfg, args.output_dir)
-    report = truncation_convergence(cfg.params(), counts, cfg.step_config(), cfg.q_field,
-                                    factor=cfg["truncate.factor"], checks=cfg.checks())
-    _write_csv(out / "truncate.csv", ("t", "rel_diff"), list(zip(report.times, report.rel_diff)))
+    report = _stream_csv(out / "truncate.csv", truncation_convergence(
+        cfg.params(), counts, cfg.step_config(), cfg.q_field,
+        factor=cfg["truncate.factor"], checks=cfg.checks()))
     print(f"max relative difference against {report.factor}x domain: {report.max_rel_diff:.3e}")
     limit = cfg["truncate.max_rel"]
     if limit > 0.0 and report.max_rel_diff > limit:
@@ -126,19 +126,9 @@ def cmd_contract(args) -> int:
     p = cfg.params()
     g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
-    s_a = cfg.initial_state(p, g)
-    perturbed = RunConfig(dict(cfg.values))
-    perturbed.values["init.center_x"] = cfg["init.center_x"] + cfg["contract.shift_x"]
-    perturbed.values["init.t_amplitude"] = cfg["init.t_amplitude"] * cfg["contract.t_scale"]
-    perturbed.values["init.v_amplitude"] = cfg["init.v_amplitude"] * cfg["contract.t_scale"]
-    s_b = perturbed.initial_state(p, g)
-    s_b.Q = s_a.Q.copy()
-    report = two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config(), cfg.checks())
-    _write_csv(
-        out / "contract.csv",
-        ("t", "dist_v", "dist_T", "dist_l2", "v_proxy"),
-        list(zip(report.times, report.dist_v, report.dist_T, report.dist_l2, report.v_proxy)),
-    )
+    s_a, s_b = cfg.contraction_pair(p, g)
+    report = _stream_csv(out / "contract.csv", two_trajectory_contraction(
+        s_a, s_b, p, g, cfg.step_config(), cfg.checks()))
     print(f"distance {report.dist_l2[0]:.6g} -> {report.dist_l2[-1]:.6g} over t={report.times[-1]:g}")
     if report.dist_l2[0] > 0.0 and not report.dist_l2[-1] < report.dist_l2[0]:
         raise CheckError("trajectories did not contract over the configured horizon")

@@ -86,8 +86,6 @@ KEY_SPEC = {
     "output.snapshots": (_parse_bool, False),
     "check.energy_slack": (float, 1e-8),
     "check.gronwall_factor": (float, 1.05),
-    "check.poincare": (_parse_bool, True),
-    "check.constraint": (_parse_bool, True),
     "check.energy": (str, "auto"),
     "check.gronwall": (_parse_bool, False),
     "tail.radii": (_parse_float_list, (1.2, 1.6, 1.9)),
@@ -163,7 +161,6 @@ class RunConfig:
         energy = {"auto": None, "on": True, "off": False}[v["check.energy"]]
         return RunChecks(
             energy_slack=v["check.energy_slack"], gronwall_factor=v["check.gronwall_factor"],
-            check_poincare=v["check.poincare"], check_constraint=v["check.constraint"],
             check_energy=energy, check_gronwall=v["check.gronwall"],
         )
 
@@ -220,6 +217,19 @@ class RunConfig:
         s.fill_all_ghosts(p, g)
         s.refresh_w(p, g)
         return s
+
+    def contraction_pair(self, p: PhysParams, g: Grid):
+        """The contraction probe's initial state and its twin, on one heat source.
+
+        The twin's blob moves by contract.shift_x; its amplitudes scale by contract.t_scale.
+        """
+        v = dict(self.values)
+        v["init.center_x"] += v["contract.shift_x"]
+        v["init.t_amplitude"] *= v["contract.t_scale"]
+        v["init.v_amplitude"] *= v["contract.t_scale"]
+        s_a, s_b = self.initial_state(p, g), RunConfig(v).initial_state(p, g)
+        s_b.Q = s_a.Q.copy()
+        return s_a, s_b
 
 
 def parse_config(text: str) -> RunConfig:

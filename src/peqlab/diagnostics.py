@@ -156,7 +156,7 @@ def compute_record(
         l2_vz=l2_vz, l2_gradv=l2_gradv,
         l2_L1v=l2_L1v, l2_L2T=l2_L2T,
         l2_vt=l2_vt, l2_Tt=l2_Tt,
-        constraint_residual=constraint_residual(v1, v2, g),
+        constraint_residual=constraint_residual(vbar1, vbar2, v1, v2, g),
     )
 
 

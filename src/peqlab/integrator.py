@@ -13,8 +13,8 @@ implicit solves are contractions, and the projection removes energy.
 
 :func:`trajectory` is the only loop over steps: it advances one or more
 states in lockstep under one prologue and one set of run monitors, and
-hands each output step to a caller's sampler.  :func:`run` and the
-experiments in :mod:`peqlab.tail` are samplers on it.
+yields each output step to its caller.  :func:`run`, the ``run`` command
+and the experiments in :mod:`peqlab.tail` are loops over it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,8 +79,6 @@ class RunChecks:
 
     energy_slack: float = 1e-8
     gronwall_factor: float = 1.05
-    check_poincare: bool = True
-    check_constraint: bool = True
     check_energy: Optional[bool] = None  # None: enabled when Q is identically zero
     check_gronwall: bool = False
 
@@ -165,21 +163,18 @@ class _Member:
     def record(self, t: float, s_prev: Optional[State]) -> diag.DiagRecord:
         """The DiagRecord of the current state, checked against the inequality monitors."""
         rec = diag.compute_record(self.s, s_prev, self.cfg.dt, self.p, self.g, t=t)
-        checks = self.checks
-        if checks.check_poincare:
-            for name, ratio in (("temperature", diag.check_poincare_T(rec, self.p)),
-                                ("velocity", diag.check_poincare_v(rec, self.p))):
-                if ratio > 1.0 + POINCARE_TOL:
-                    raise CheckError(f"{name} Poincare ratio {ratio:.6g} > 1 + {POINCARE_TOL}")
+        for name, ratio in (("temperature", diag.check_poincare_T(rec, self.p)),
+                            ("velocity", diag.check_poincare_v(rec, self.p))):
+            if ratio > 1.0 + POINCARE_TOL:
+                raise CheckError(f"{name} Poincare ratio {ratio:.6g} > 1 + {POINCARE_TOL} at t={t:.6g}")
         # a temperature-only step never projects the (frozen) velocity
-        if (checks.check_constraint and not self.cfg.temperature_only
-                and rec.constraint_residual > DIV_TOL):
+        if not self.cfg.temperature_only and rec.constraint_residual > DIV_TOL:
             raise CheckError(
                 f"constraint residual {rec.constraint_residual:.3e} > {DIV_TOL:.1e} at t={t:.6g}"
             )
-        if checks.check_gronwall:
+        if self.checks.check_gronwall:
             envelope = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, diag.kappa(self.p))
-            bound = envelope * checks.gronwall_factor
+            bound = envelope * self.checks.gronwall_factor
             if rec.l2_T > bound:
                 raise CheckError(
                     f"temperature energy {rec.l2_T:.6g} above decay envelope {bound:.6g} at t={t:.6g}"
@@ -188,25 +183,20 @@ class _Member:
 
 
 def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfig,
-               checks: Optional[RunChecks] = None, observe: Optional[Callable] = None) -> List[State]:
+               checks: Optional[RunChecks] = None) -> Iterator[tuple]:
     """Advance (initial, params, grid) members in lockstep to t_end.
 
     Every member gets the same prologue and run monitors.  At t = 0 and every
     output_every steps (and the last) each member's DiagRecord is evaluated
-    and checked, then observe(n, t, states, records) is called.  Returns the
-    final states.  An exception from a failed step keeps its type and carries
-    the last valid time as a note (PEP 678).
+    and checked, then (n, t, states, records) is yielded.  The states are the
+    live members, advanced in place by the next step.  An exception from a
+    failed step keeps its type and carries the last valid time as a note
+    (PEP 678).
     """
     checks = checks or RunChecks()
     group = [_Member(initial, p, g, cfg, checks) for initial, p, g in members]
     states = [m.s for m in group]
-
-    def emit(n, t, prev):
-        records = [m.record(t, sp) for m, sp in zip(group, prev)]
-        if observe is not None:
-            observe(n, t, states, records)
-
-    emit(0, 0.0, [None] * len(group))
+    yield 0, 0.0, states, [m.record(0.0, None) for m in group]
     n_steps = cfg.n_steps
     for n in range(1, n_steps + 1):
         emits = n % cfg.output_every == 0 or n == n_steps
@@ -222,31 +212,12 @@ def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfi
         for m in group:
             m.check_energy_step(t)
         if emits:
-            emit(n, t, prev)
-    return states
+            yield n, t, states, [m.record(t, sp) for m, sp in zip(group, prev)]
 
 
-def run(
-    initial: State,
-    p: PhysParams,
-    g: Grid,
-    cfg: StepConfig,
-    checks: Optional[RunChecks] = None,
-    record_sink: Optional[Callable] = None,
-    snapshot_sink: Optional[Callable] = None,
-):
-    """Advance one state to t_end, emitting a DiagRecord every output_every steps.
-
-    Returns (final_state, records); see :func:`trajectory`.
-    """
+def run(initial: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: Optional[RunChecks] = None):
+    """Advance one state to t_end; returns (final_state, records), one per output step."""
     records = []
-
-    def observe(n, t, states, recs):
-        records.append(recs[0])
-        if record_sink is not None:
-            record_sink(recs[0])
-        if snapshot_sink is not None:
-            snapshot_sink(states[0], t, n)
-
-    (final,) = trajectory([(initial, p, g)], cfg, checks, observe)
+    for _, _, (final,), (rec,) in trajectory([(initial, p, g)], cfg, checks):
+        records.append(rec)
     return final, records

@@ -33,9 +33,9 @@ def format_float(v: float) -> str:
 class CsvWriter:
     """CSV written one row of floats at a time, flushed after every row.
 
-    Cells carry 17 significant digits.  Wrapped as the record sink of a run
-    (one DiagRecord row per call), a run that fails part-way leaves every
-    record it emitted.  Use it as a context manager to close the file.
+    Cells carry 17 significant digits.  Fed one row per output step, a run
+    that fails part-way leaves every row it wrote.  Use it as a context
+    manager to close the file.
     """
 
     def __init__(self, path, header):

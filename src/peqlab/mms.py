@@ -28,7 +28,7 @@ import numpy as np
 
 from .diagnostics import l2sq
 from .grid import INTERIOR, Grid, make_grid
-from .integrator import RunChecks, StepConfig, run
+from .integrator import StepConfig, run
 from .model import State, coriolis_f
 from .params import PhysParams
 
@@ -241,8 +241,7 @@ def mms_convergence_study(
         s = spec.forced_state(g)
         cfg = StepConfig(dt=dt, t_end=horizon)
         cfg = replace(cfg, output_every=max(1, cfg.n_steps))
-        checks = RunChecks(check_poincare=False, check_constraint=False, check_energy=False)
-        final, _ = run(s, p, g, cfg, checks=checks)
+        final, _ = run(s, p, g, cfg)
         ref = spec.state(g)
         err_v1, err_v2, err_T = (math.sqrt(l2sq(a[INTERIOR] - b[INTERIOR], g))
                                  for a, b in ((final.v1, ref.v1), (final.v2, ref.v2), (final.T, ref.T)))

@@ -77,19 +77,15 @@ def depth_mean(vp: np.ndarray, p: PhysParams, g: Grid) -> np.ndarray:
     return fill_ghosts(bar, VELOCITY_BC, p, g)
 
 
-def depth_mean_divergence(v1p: np.ndarray, v2p: np.ndarray, g: Grid) -> np.ndarray:
-    """div_h of the depth-averaged velocity (interior 2D array).
+def constraint_residual(vbar1: np.ndarray, vbar2: np.ndarray, v1p: np.ndarray, v2p: np.ndarray,
+                        g: Grid) -> float:
+    """Peak div_h of the padded depth means relative to the advective velocity scale.
 
-    The depth mean runs over interior layers only; the lateral ghosts of the
-    padded input supply the wall closure of the divergence.
+    vbar1, vbar2 come from :func:`depth_mean`; of the padded velocity v1p,
+    v2p only the interior is read, for the scale.
     """
-    return ops.div_h(v1p[:, :, 1:-1].mean(axis=2), v2p[:, :, 1:-1].mean(axis=2), g)
-
-
-def constraint_residual(v1p: np.ndarray, v2p: np.ndarray, g: Grid) -> float:
-    """Depth-mean divergence residual relative to the advective velocity scale."""
-    div = depth_mean_divergence(v1p, v2p, g)
-    scale = np.abs(v1p).max() / g.dx + np.abs(v2p).max() / g.dy
+    div = ops.div_h(vbar1, vbar2, g)
+    scale = np.abs(v1p[INTERIOR]).max() / g.dx + np.abs(v2p[INTERIOR]).max() / g.dy
     peak = float(np.abs(div).max())
     if scale == 0.0:
         return 0.0 if peak == 0.0 else float("inf")

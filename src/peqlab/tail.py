@@ -7,16 +7,19 @@ a small fraction of the total once the window clears the heat source,
 doubling the truncation half-length barely changes the solution on the
 common subdomain, and paired trajectories contract.
 
-Each experiment is a sampler on :func:`peqlab.integrator.trajectory`, so it
+Each experiment is a loop over :func:`peqlab.integrator.trajectory`, so it
 advances under the same prologue and run monitors (``checks``) as a run and
-reads the norms it shares with a DiagRecord from the members' records.
+reads the norms it shares with a DiagRecord from the members' records.  It
+yields its report, one output time longer, at every output step; the
+report's ``header`` and ``row`` are the experiment's CSV table.  Inputs are
+checked on the first ``next``, before the first step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -44,7 +47,6 @@ class TailConfig:
             raise ConfigError(
                 f"largest tail radius {max(radii)} must stay below lx/2 = {g.lx / 2}"
             )
-        return self
 
 
 def cutoff_eta(s):
@@ -65,30 +67,32 @@ def windowed_T_energy(T: np.ndarray, r: float, g: Grid) -> float:
 
 @dataclass
 class TailReport:
-    radii: tuple
-    tau_probe: float
-    epsilon: float
+    tail: TailConfig
     times: List[float] = field(default_factory=list)
     totals: List[float] = field(default_factory=list)
     windowed: List[List[float]] = field(default_factory=list)  # [radius][time]
-    sup_rel: List[float] = field(default_factory=list)
-    r_star: Optional[float] = None
-    passed: bool = False
 
-    def finish(self):
-        mask = [t >= self.tau_probe for t in self.times]
-        self.sup_rel = []
-        for series in self.windowed:
-            vals = [w for w, m in zip(series, mask) if m]
-            tot = [max(T, 1e-300) for T, m in zip(self.totals, mask) if m]
-            self.sup_rel.append(max(w / T for w, T in zip(vals, tot)))
-        self.r_star = None
-        for i, r in enumerate(self.radii):
-            if all(s <= self.epsilon for s in self.sup_rel[i:]):
-                self.r_star = r
-                break
-        self.passed = self.r_star is not None
-        return self
+    @property
+    def header(self) -> tuple:
+        return ("t", "total", *(f"w_{r:g}" for r in self.tail.radii))
+
+    @property
+    def row(self) -> tuple:
+        return (self.times[-1], self.totals[-1], *(series[-1] for series in self.windowed))
+
+    @property
+    def sup_rel(self) -> List[float]:
+        """Per radius, the sup over t >= tau_probe of windowed over total energy."""
+        late = [k for k, t in enumerate(self.times) if t >= self.tail.tau_probe]
+        return [max(series[k] / max(self.totals[k], 1e-300) for k in late)
+                for series in self.windowed]
+
+    @property
+    def r_star(self) -> Optional[float]:
+        """The smallest radius from which on every sup ratio is within epsilon, if any."""
+        sup = self.sup_rel
+        return next((r for i, r in enumerate(self.tail.radii)
+                     if all(s <= self.tail.epsilon for s in sup[i:])), None)
 
 
 def _q_support_radius(Q: np.ndarray, g: Grid) -> float:
@@ -107,7 +111,7 @@ def tail_decay_experiment(
     g: Grid,
     cfg: StepConfig,
     checks: Optional[RunChecks] = None,
-) -> TailReport:
+) -> Iterator[TailReport]:
     """Run the simulation and track windowed tail energies per radius.
 
     The heat source must live well inside the smallest window radius, and
@@ -122,17 +126,13 @@ def tail_decay_experiment(
             f"heat source support |x| <= {support:.3g} is not well inside the "
             f"smallest window radius {min(tail.radii)}"
         )
-    report = TailReport(radii=tuple(tail.radii), tau_probe=tail.tau_probe, epsilon=tail.epsilon)
-    report.windowed = [[] for _ in tail.radii]
-
-    def observe(n, t, states, records):
+    report = TailReport(tail, windowed=[[] for _ in tail.radii])
+    for _, t, (state,), (rec,) in trajectory([(initial, p, g)], cfg, checks):
         report.times.append(t)
-        report.totals.append(records[0].l2_T)
-        for i, r in enumerate(tail.radii):
-            report.windowed[i].append(windowed_T_energy(states[0].T[INTERIOR], r, g))
-
-    trajectory([(initial, p, g)], cfg, checks, observe)
-    return report.finish()
+        report.totals.append(rec.l2_T)
+        for series, r in zip(report.windowed, tail.radii):
+            series.append(windowed_T_energy(state.T[INTERIOR], r, g))
+        yield report
 
 
 @dataclass
@@ -140,6 +140,11 @@ class TruncationReport:
     factor: int
     times: List[float] = field(default_factory=list)
     rel_diff: List[float] = field(default_factory=list)
+    header = ("t", "rel_diff")
+
+    @property
+    def row(self) -> tuple:
+        return (self.times[-1], self.rel_diff[-1])
 
     @property
     def max_rel_diff(self) -> float:
@@ -154,7 +159,7 @@ def truncation_convergence(
     factor: int = 2,
     factor_base: int = 1,
     checks: Optional[RunChecks] = None,
-) -> TruncationReport:
+) -> Iterator[TruncationReport]:
     """Compare runs of the same physics on channels widened by two factors.
 
     q_fn(grid) gives the heat source on either grid.  The default pairs the
@@ -187,17 +192,14 @@ def truncation_convergence(
     report = TruncationReport(factor=fb)
     sl = np.s_[1 + offset:1 + offset + na, 1:-1, 1:-1]
 
-    def observe(n, t, states, records):
-        base, wide = states
+    for _, t, (base, wide), (rec, _) in trajectory(members, cfg, checks):
         # the narrow domain is the whole interior of the base grid
         num = sum(l2sq(w[sl] - b[INTERIOR], g_a) for w, b in (
             (wide.v1, base.v1), (wide.v2, base.v2), (wide.T, base.T)))
-        den = records[0].l2_v + records[0].l2_T
+        den = rec.l2_v + rec.l2_T
         report.times.append(t)
         report.rel_diff.append(math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num))
-
-    trajectory(members, cfg, checks, observe)
-    return report
+        yield report
 
 
 @dataclass
@@ -207,6 +209,11 @@ class ContractionReport:
     dist_T: List[float] = field(default_factory=list)
     dist_l2: List[float] = field(default_factory=list)
     v_proxy: List[float] = field(default_factory=list)
+    header = ("t", "dist_v", "dist_T", "dist_l2", "v_proxy")
+
+    @property
+    def row(self) -> tuple:
+        return (self.times[-1], self.dist_v[-1], self.dist_T[-1], self.dist_l2[-1], self.v_proxy[-1])
 
 
 def two_trajectory_contraction(
@@ -216,10 +223,10 @@ def two_trajectory_contraction(
     g: Grid,
     cfg: StepConfig,
     checks: Optional[RunChecks] = None,
-) -> ContractionReport:
+) -> Iterator[ContractionReport]:
     """Integrate two states side by side and track their separation.
 
-    Emits the L2 distances and a V-level proxy sqrt(d_L2) * sqrt(H2_a + H2_b)
+    Yields the L2 distances and a V-level proxy sqrt(d_L2) * sqrt(H2_a + H2_b)
     from the interpolation form with constant one (reported, never asserted
     against an analytic value).  Both states must share the heat source.
     """
@@ -227,8 +234,7 @@ def two_trajectory_contraction(
         raise ConfigError("contraction probe requires identical heat sources")
     report = ContractionReport()
 
-    def observe(n, t, states, records):
-        a, b = states
+    for _, t, (a, b), records in trajectory([(s_a, p, g), (s_b, p, g)], cfg, checks):
         dv1, dv2, dT2 = (l2sq(x[INTERIOR] - y[INTERIOR], g)
                          for x, y in ((a.v1, b.v1), (a.v2, b.v2), (a.T, b.T)))
         dv, dT = math.sqrt(dv1 + dv2), math.sqrt(dT2)
@@ -239,6 +245,4 @@ def two_trajectory_contraction(
         report.dist_T.append(dT)
         report.dist_l2.append(dist)
         report.v_proxy.append(math.sqrt(dist) * math.sqrt(h2))
-
-    trajectory([(s_a, p, g), (s_b, p, g)], cfg, checks, observe)
-    return report
+        yield report

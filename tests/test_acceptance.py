@@ -23,6 +23,7 @@ from peqlab.oracle import dense_operator_oracle, flatten, unflatten
 from peqlab.projection import project
 from peqlab.tail import tail_decay_experiment, truncation_convergence, two_trajectory_contraction
 from tests.test_model import random_smooth_state
+from tests.test_tail import final
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -211,15 +212,15 @@ def test_criterion_7_tail_energy():
     p = cfg.params()
     g = cfg.grid()
     s = cfg.initial_state(p, g)
-    rep = tail_decay_experiment(cfg.tail_config(), s, p, g, cfg.step_config())
+    rep = final(tail_decay_experiment(cfg.tail_config(), s, p, g, cfg.step_config()))
     w = np.array(rep.windowed)
     monotone = bool(np.all(np.diff(w, axis=0) <= 1e-18))
     largest_ok = rep.sup_rel[-1] <= cfg["tail.epsilon"]
     report(
         7,
-        largest_ok and monotone and rep.passed,
+        largest_ok and monotone and rep.r_star is not None,
         f"tail/total for largest r stays <= {rep.sup_rel[-1]:.2e} (limit {cfg['tail.epsilon']:g}) "
-        f"for t >= {rep.tau_probe:g}; windowed energy non-increasing in r",
+        f"for t >= {rep.tail.tau_probe:g}; windowed energy non-increasing in r",
     )
 
 
@@ -228,8 +229,9 @@ def test_criterion_8_truncation_convergence():
     p = cfg.params()
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
     step_cfg = cfg.step_config()
-    d12 = truncation_convergence(p, counts, step_cfg, cfg.q_field, factor=2).max_rel_diff
-    d23 = truncation_convergence(p, counts, step_cfg, cfg.q_field, factor=3, factor_base=2).max_rel_diff
+    d12 = final(truncation_convergence(p, counts, step_cfg, cfg.q_field, factor=2)).max_rel_diff
+    d23 = final(truncation_convergence(p, counts, step_cfg, cfg.q_field,
+                                       factor=3, factor_base=2)).max_rel_diff
     report(
         8,
         d12 <= 1e-3 and d23 < d12,
@@ -244,14 +246,8 @@ def test_criterion_9_contraction():
         cfg = load(name)
         p = cfg.params()
         g = cfg.grid()
-        s_a = cfg.initial_state(p, g)
-        perturbed = RunConfig(dict(cfg.values))
-        perturbed.values["init.center_x"] += cfg["contract.shift_x"]
-        perturbed.values["init.t_amplitude"] *= cfg["contract.t_scale"]
-        perturbed.values["init.v_amplitude"] *= cfg["contract.t_scale"]
-        s_b = perturbed.initial_state(p, g)
-        s_b.Q = s_a.Q.copy()
-        rep = two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config())
+        s_a, s_b = cfg.contraction_pair(p, g)
+        rep = final(two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config()))
         d = rep.dist_l2
         if want_monotone:
             outcomes.append(all(b <= a for a, b in zip(d, d[1:])))

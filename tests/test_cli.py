@@ -377,6 +377,21 @@ def test_failed_check_keeps_records(tmp_path, capsys):
     assert np.allclose(data["t"], [0.0, 0.04])
 
 
+@pytest.mark.parametrize("command,config,table,header", [
+    ("tail", "tail.cfg", "tail.csv", "t,total,w_1.2,w_1.6,w_1.9"),
+    ("truncate", "truncation.cfg", "truncate.csv", "t,rel_diff"),
+    # tail.cfg heats zero data, so both contraction members gain energy
+    ("contract", "tail.cfg", "contract.csv", "t,dist_v,dist_T,dist_l2,v_proxy"),
+])
+def test_failed_experiment_keeps_rows(tmp_path, capsys, command, config, table, header):
+    cfg = write_cfg(tmp_path, (CONFIG_DIR / config).read_text() + "check.energy = on\n")
+    out = tmp_path / "o"
+    assert main([command, cfg, "--output-dir", str(out)]) == 3
+    assert "check failed: energy increased at t=0.02" in capsys.readouterr().err
+    assert (out / table).read_text().splitlines()[0] == header
+    assert read_timeseries(out / table)["t"].tolist() == [0.0]
+
+
 def test_two_runs_identical_bytes(tmp_path):
     cfg = write_cfg(tmp_path, TINY_RUN)
     a, b = tmp_path / "a", tmp_path / "b"

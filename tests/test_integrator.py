@@ -147,12 +147,9 @@ def test_lockstep_members_match_separate_runs():
     grids = [make_grid(P, 16, 6, 4), make_grid(P, 32, 6, 4)]
     cfg = StepConfig(dt=0.02, t_end=0.2, output_every=3)
     records = [[], []]
-
-    def observe(n, t, states, recs):
+    for _, _, finals, recs in trajectory([(gaussian_state(g, P, amp_v=0.2), P, g) for g in grids], cfg):
         for series, rec in zip(records, recs):
             series.append(rec.row())
-
-    finals = trajectory([(gaussian_state(g, P, amp_v=0.2), P, g) for g in grids], cfg, observe=observe)
     for g, final, rows in zip(grids, finals, records):
         alone, alone_records = run(gaussian_state(g, P, amp_v=0.2), P, g, cfg)
         assert [round(r[0] / cfg.dt) for r in rows] == [0, 3, 6, 9, 10]
@@ -239,3 +236,14 @@ def test_energy_check_violation_raises():
     cfg = StepConfig(dt=0.05, t_end=2.0, output_every=5)
     with pytest.raises(CheckError, match="energy increased"):
         run(s, P, g, cfg, checks=checks)
+
+
+def test_poincare_violation_names_its_time(monkeypatch):
+    from peqlab import diagnostics
+    from peqlab.errors import CheckError
+
+    g = make_grid(P, 8, 6, 4)
+    monkeypatch.setattr(diagnostics, "check_poincare_T", lambda rec, p: 1.5 if rec.t > 0.0 else 0.0)
+    cfg = StepConfig(dt=0.02, t_end=0.2, output_every=2)
+    with pytest.raises(CheckError, match=r"^temperature Poincare ratio 1.5 > 1 \+ 0.01 at t=0.04$"):
+        run(gaussian_state(g, P), P, g, cfg)

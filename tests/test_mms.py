@@ -5,7 +5,7 @@ import pytest
 
 from peqlab import PhysParams, make_grid
 from peqlab.grid import INTERIOR
-from peqlab.integrator import RunChecks, StepConfig, run
+from peqlab.integrator import StepConfig, run
 from peqlab.mms import (
     ConvergenceResult,
     MmsSpec,
@@ -19,7 +19,6 @@ from peqlab.oracle import full_rhs
 
 P = PhysParams(lx=1.0, l=1.0, h=1.0, re1=1.0, re2=1.0, rt1=1.0, rt2=1.3, alpha=0.8,
                f0=1.0, beta=0.3, ro=1.0)
-NO_CHECKS = RunChecks(check_poincare=False, check_constraint=False, check_energy=False)
 
 
 def test_robin_wavenumber_solves_transcendental():
@@ -116,7 +115,7 @@ def test_steady_state_held_for_100_steps():
     def drift(steps):
         s = spec.forced_state(g)
         cfg = StepConfig(dt=2e-3, t_end=2e-3 * steps, output_every=10**6)
-        final, _ = run(s, P, g, cfg, checks=NO_CHECKS)
+        final, _ = run(s, P, g, cfg)
         ref = spec.state(g)
         return max(
             np.abs(final.v1[INTERIOR] - ref.v1[INTERIOR]).max(),

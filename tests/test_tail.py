@@ -13,6 +13,12 @@ from peqlab.tail import (
     windowed_T_energy,
 )
 
+def final(steps):
+    """Run an experiment to its end; its last report."""
+    *_, report = steps
+    return report
+
+
 TAIL_P = PhysParams(lx=4.0, l=1.0, h=0.5, re1=0.5, re2=0.5, rt1=4.0, rt2=1.0,
                     alpha=4.0, f0=1.0, beta=0.1, ro=1.0)
 
@@ -106,8 +112,8 @@ def test_tail_decay_experiment(tail_setup):
     p, g, s = tail_setup
     tail = TailConfig(radii=(1.2, 1.6, 1.9), epsilon=1e-3, tau_probe=2.0)
     cfg = StepConfig(dt=0.02, t_end=6.0, output_every=20)
-    rep = tail_decay_experiment(tail, s, p, g, cfg)
-    assert rep.passed and rep.r_star == 1.2
+    rep = final(tail_decay_experiment(tail, s, p, g, cfg))
+    assert rep.r_star == 1.2
     assert rep.sup_rel[-1] <= 1e-3
     # windowed energy non-increasing in the radius at every sampled time
     w = np.array(rep.windowed)
@@ -125,7 +131,7 @@ def test_tail_short_unforced_bounded_by_initial(tail_setup):
     s.fill_all_ghosts(p, g)
     tail = TailConfig(radii=(1.2, 1.6), epsilon=1e-3, tau_probe=0.0)
     cfg = StepConfig(dt=0.02, t_end=0.2, output_every=5)
-    rep = tail_decay_experiment(tail, s, p, g, cfg)
+    rep = final(tail_decay_experiment(tail, s, p, g, cfg))
     total0 = rep.totals[0]
     assert all(w <= total0 for series in rep.windowed for w in series)
 
@@ -133,7 +139,7 @@ def test_tail_short_unforced_bounded_by_initial(tail_setup):
 def test_tail_totals_are_run_records(tail_setup):
     p, g, s = tail_setup
     cfg = StepConfig(dt=0.02, t_end=0.4, output_every=5)
-    rep = tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.0), s, p, g, cfg)
+    rep = final(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.0), s, p, g, cfg))
     _, records = run(s, p, g, cfg)
     assert rep.times == [rec.t for rec in records]
     assert np.array(rep.totals).tobytes() == np.array([rec.l2_T for rec in records]).tobytes()
@@ -147,7 +153,7 @@ def test_tail_rejects_wide_source(tail_setup):
     s.fill_all_ghosts(p, g)
     tail = TailConfig(radii=(1.2, 1.6), epsilon=1e-3, tau_probe=1.0)
     with pytest.raises(ConfigError, match="not well inside"):
-        tail_decay_experiment(tail, s, p, g, StepConfig(dt=0.02, t_end=1.0))
+        next(tail_decay_experiment(tail, s, p, g, StepConfig(dt=0.02, t_end=1.0)))
 
 
 def test_tail_probe_beyond_horizon_rejected_before_stepping(tail_setup, monkeypatch):
@@ -159,9 +165,9 @@ def test_tail_probe_beyond_horizon_rejected_before_stepping(tail_setup, monkeypa
 
     monkeypatch.setattr(integrator, "step", no_step)
     with pytest.raises(ConfigError, match="beyond the simulated horizon"):
-        tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.2 + 1e-9), s, p, g, cfg)
+        next(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.2 + 1e-9), s, p, g, cfg))
     monkeypatch.undo()
-    rep = tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.2), s, p, g, cfg)
+    rep = final(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.2), s, p, g, cfg))
     assert rep.times[-1] == cfg.n_steps * cfg.dt
 
 
@@ -174,34 +180,36 @@ class TestTruncation:
 
     def test_zero_everything_zero_difference(self):
         cfg = StepConfig(dt=0.05, t_end=0.2, output_every=2)
-        rep = truncation_convergence(self.P, (16, 6, 4), cfg, lambda g: np.zeros((g.nx, g.ny, g.nz)))
+        rep = final(truncation_convergence(self.P, (16, 6, 4), cfg,
+                                           lambda g: np.zeros((g.nx, g.ny, g.nz))))
         assert rep.max_rel_diff == 0.0
 
     def test_compact_source_converged(self):
         cfg = StepConfig(dt=0.02, t_end=3.0, output_every=25)
-        rep = truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2)
+        rep = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2))
         assert rep.max_rel_diff <= 1e-3
 
     def test_widening_again_changes_less(self):
         cfg = StepConfig(dt=0.02, t_end=3.0, output_every=25)
-        d12 = truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2).max_rel_diff
-        d23 = truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=3, factor_base=2).max_rel_diff
+        d12 = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2)).max_rel_diff
+        d23 = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn,
+                                           factor=3, factor_base=2)).max_rel_diff
         assert d23 < d12
 
     def test_near_wall_source_negative_control(self):
         cfg = StepConfig(dt=0.02, t_end=3.0, output_every=25)
-        good = truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2).max_rel_diff
-        near = truncation_convergence(
+        good = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2)).max_rel_diff
+        near = final(truncation_convergence(
             self.P, (32, 8, 6), cfg,
             lambda g: compact_blob(self.P, *g.coords(), cx=1.6), factor=2,
-        ).max_rel_diff
+        )).max_rel_diff
         assert near > 10 * good
 
     def test_incompatible_factor_rejected(self):
         with pytest.raises(ConfigError):
-            truncation_convergence(self.P, (16, 6, 4), StepConfig(), self.q_fn, factor=1)
+            next(truncation_convergence(self.P, (16, 6, 4), StepConfig(), self.q_fn, factor=1))
         with pytest.raises(ConfigError):
-            truncation_convergence(self.P, (15, 6, 4), StepConfig(), self.q_fn, factor=2)
+            next(truncation_convergence(self.P, (15, 6, 4), StepConfig(), self.q_fn, factor=2))
 
 
 class TestContraction:
@@ -230,21 +238,22 @@ class TestContraction:
     def test_identical_states_zero_distance(self):
         g = make_grid(self.P, 12, 8, 6)
         sa, _ = self.states(g)
-        rep = two_trajectory_contraction(sa, sa.copy(), self.P, g, StepConfig(dt=0.02, t_end=0.2))
+        cfg = StepConfig(dt=0.02, t_end=0.2)
+        rep = final(two_trajectory_contraction(sa, sa.copy(), self.P, g, cfg))
         assert all(d == 0.0 for d in rep.dist_l2)
 
     def test_frozen_velocity_linear_contraction(self):
         g = make_grid(self.P, 12, 8, 6)
         sa, sb = self.states(g)
         cfg = StepConfig(dt=0.05, t_end=1.0, output_every=1, temperature_only=True)
-        rep = two_trajectory_contraction(sa, sb, self.P, g, cfg)
+        rep = final(two_trajectory_contraction(sa, sb, self.P, g, cfg))
         assert all(b <= a for a, b in zip(rep.dist_T, rep.dist_T[1:]))
 
     def test_diffusion_dominated_monotone(self):
         g = make_grid(self.P, 16, 12, 8)
         sa, sb = self.states(g)
         cfg = StepConfig(dt=0.02, t_end=2.0, output_every=5)
-        rep = two_trajectory_contraction(sa, sb, self.P, g, cfg)
+        rep = final(two_trajectory_contraction(sa, sb, self.P, g, cfg))
         assert all(b <= a for a, b in zip(rep.dist_l2, rep.dist_l2[1:]))
         assert rep.dist_l2[-1] < rep.dist_l2[0]
         assert all(v >= 0.0 for v in rep.v_proxy)
@@ -254,4 +263,4 @@ class TestContraction:
         sa, sb = self.states(g)
         sb.Q[2, 2, 2] = 1.0
         with pytest.raises(ConfigError, match="identical heat sources"):
-            two_trajectory_contraction(sa, sb, self.P, g, StepConfig())
+            next(two_trajectory_contraction(sa, sb, self.P, g, StepConfig()))
