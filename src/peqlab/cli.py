@@ -109,10 +109,13 @@ def cmd_truncate(args) -> int:
     cfg = parse_config_file(args.config)
     if cfg["q.kind"] == "file":
         raise ConfigError("truncate requires an analytic heat source (q.kind zero or gaussian)")
+    if cfg["init.kind"] == "mms":
+        raise ConfigError("truncate cannot widen the channel under init.kind = mms: "
+                          "the manufactured fields depend on physics.lx")
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
     out = _outdir(cfg, args.output_dir)
     report = _stream_csv(out / "truncate.csv", truncation_convergence(
-        cfg.params(), counts, cfg.step_config(), cfg.q_field,
+        cfg.params(), counts, cfg.step_config(), cfg.initial_state,
         factor=cfg["truncate.factor"], checks=cfg.checks()))
     print(f"max relative difference against {report.factor}x domain: {report.max_rel_diff:.3e}")
     limit = cfg["truncate.max_rel"]

@@ -5,6 +5,10 @@ comments, nothing nested.  Unknown keys, duplicates, and malformed lines are
 hard errors with line numbers; physical values are validated through the
 same invariants the library enforces.  Serialization writes every key with
 17 significant digits so parse -> serialize -> parse is the identity.
+
+Defaults live in one place per key.  The physics.*, step.*, check.* and
+tail.* keys, with their defaults and parsers, are the fields of PhysParams,
+StepConfig, RunChecks and TailConfig; KEY_SPEC lists the other keys.
 """
 
 from __future__ import annotations
@@ -48,26 +52,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+#: field annotation -> parser of its config value
+_PARSERS = {"float": float, "int": int, "bool": _parse_bool, "str": str,
+            "tuple[float, ...]": _parse_float_list}
+
+
+def _fields_spec(section: str, cls) -> dict:
+    """`section.<field>` -> (parser, default) for every field of dataclass cls."""
+    return {f"{section}.{f.name}": (_PARSERS[f.type], f.default) for f in fields(cls)}
+
+
 # key -> (parser, default); declaration order defines the serialized order
 KEY_SPEC = {
-    "physics.re1": (float, 1.0),
-    "physics.re2": (float, 1.0),
-    "physics.rt1": (float, 1.0),
-    "physics.rt2": (float, 1.0),
-    "physics.ro": (float, 1.0),
-    "physics.f0": (float, 1.0),
-    "physics.beta": (float, 0.5),
-    "physics.alpha": (float, 2.0),
-    "physics.h": (float, 0.5),
-    "physics.l": (float, 1.0),
-    "physics.lx": (float, 2.0),
+    **_fields_spec("physics", PhysParams),
     "grid.nx": (int, 32),
     "grid.ny": (int, 16),
     "grid.nz": (int, 8),
-    "step.dt": (float, 0.01),
-    "step.t_end": (float, 2.0),
-    "step.output_every": (int, 10),
-    "step.temperature_only": (_parse_bool, False),
+    **_fields_spec("step", StepConfig),
     "init.kind": (str, "zero"),
     "init.center_x": (float, 0.0),
     "init.center_y": (float, 0.25),
@@ -84,13 +85,8 @@ KEY_SPEC = {
     "q.path": (str, ""),
     "output.dir": (str, "out"),
     "output.snapshots": (_parse_bool, False),
-    "check.energy_slack": (float, 1e-8),
-    "check.gronwall_factor": (float, 1.05),
-    "check.energy": (str, "auto"),
-    "check.gronwall": (_parse_bool, False),
-    "tail.radii": (_parse_float_list, (1.2, 1.6, 1.9)),
-    "tail.epsilon": (float, 1e-3),
-    "tail.tau_probe": (float, 2.0),
+    **_fields_spec("check", RunChecks),
+    **_fields_spec("tail", TailConfig),
     "truncate.factor": (int, 2),
     "truncate.max_rel": (float, 0.0),
     "contract.t_scale": (float, 1.5),
@@ -98,8 +94,6 @@ KEY_SPEC = {
     "mms.sizes": (_parse_int_list, (8, 16, 32)),
     "mms.dt": (float, 2e-3),
     "mms.horizon": (float, 0.1),
-    "accept.radius_sq": (float, 0.0),
-    "accept.entry_gap": (float, 0.0),
 }
 
 
@@ -127,13 +121,14 @@ class RunConfig:
             raise ConfigError(f"unknown q.kind {self['q.kind']!r}")
         if self["q.kind"] == "file" and not self["q.path"]:
             raise ConfigError("q.kind = file requires q.path")
-        if self["check.energy"] not in ("auto", "on", "off"):
-            raise ConfigError("check.energy must be auto, on, or off")
+        if self["init.kind"] == "mms" and self["q.kind"] != "zero":
+            raise ConfigError("init.kind = mms brings its own heat source; q.kind must be zero")
         sizes = self["mms.sizes"]
         if len(sizes) < 2 or min(sizes) < 4:
             raise ConfigError(f"mms.sizes must list at least two grid sizes, each >= 4, got {sizes!r}")
         try:
             self.step_config()
+            self.checks()
             StepConfig(dt=self["mms.dt"], t_end=self["mms.horizon"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -157,12 +152,7 @@ class RunConfig:
         return self._section(StepConfig, "step")
 
     def checks(self) -> RunChecks:
-        v = self.values
-        energy = {"auto": None, "on": True, "off": False}[v["check.energy"]]
-        return RunChecks(
-            energy_slack=v["check.energy_slack"], gronwall_factor=v["check.gronwall_factor"],
-            check_energy=energy, check_gronwall=v["check.gronwall"],
-        )
+        return self._section(RunChecks, "check")
 
     def tail_config(self) -> TailConfig:
         return self._section(TailConfig, "tail")
@@ -222,12 +212,17 @@ class RunConfig:
         """The contraction probe's initial state and its twin, on one heat source.
 
         The twin's blob moves by contract.shift_x; its amplitudes scale by contract.t_scale.
+        A twin equal to the base state has nothing to contract and is rejected.
         """
         v = dict(self.values)
         v["init.center_x"] += v["contract.shift_x"]
         v["init.t_amplitude"] *= v["contract.t_scale"]
         v["init.v_amplitude"] *= v["contract.t_scale"]
         s_a, s_b = self.initial_state(p, g), RunConfig(v).initial_state(p, g)
+        if all(np.array_equal(a[INTERIOR], b[INTERIOR])
+               for a, b in ((s_a.v1, s_b.v1), (s_a.v2, s_b.v2), (s_a.T, s_b.T))):
+            raise ConfigError(f"the contraction twin equals the base state (init.kind = "
+                              f"{self['init.kind']}); the probe needs two distinct states")
         s_b.Q = s_a.Q.copy()
         return s_a, s_b
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -53,13 +53,9 @@ class DiagRecord:
 CSV_COLUMNS = tuple(f.name for f in fields(DiagRecord))
 
 
-def kappa_scalar(rt2: float, h: float, alpha: float) -> float:
-    """Poincare/decay constant 2*rt2*h^2 + 2*h/alpha (plain arithmetic)."""
-    return 2.0 * rt2 * h * h + 2.0 * h / alpha
-
-
 def kappa(p: PhysParams) -> float:
-    return kappa_scalar(p.rt2, p.h, p.alpha)
+    """Poincare/decay constant 2*rt2*h^2 + 2*h/alpha."""
+    return 2.0 * p.rt2 * p.h * p.h + 2.0 * p.h / p.alpha
 
 
 def gronwall_T_envelope(t: float, l2_T0: float, l2_Q: float, kap: float) -> float:
@@ -173,15 +169,3 @@ def check_poincare_v(rec: DiagRecord, p: PhysParams) -> float:
         return 0.0 if rec.l2_v == 0.0 else float("inf")
     return math.sqrt(rec.l2_v) / (2.0 * p.l * math.sqrt(rec.l2_gradv))
 
-
-def absorbing_entry_time(records: Sequence[DiagRecord], radius_sq: float) -> Optional[float]:
-    """First time after which v1norm_v + v2norm_T stays within radius_sq."""
-    level = [rec.v1norm_v + rec.v2norm_T for rec in records]
-    entry = None
-    for rec, value in zip(records, level):
-        if value <= radius_sq:
-            if entry is None:
-                entry = rec.t
-        else:
-            entry = None
-    return entry

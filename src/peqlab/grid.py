@@ -62,11 +62,6 @@ class Grid:
         z = self.z(np.arange(self.nz))[None, None, :]
         return x, y, z
 
-    def coords2d(self):
-        x = self.x(np.arange(self.nx))[:, None]
-        y = self.y(np.arange(self.ny))[None, :]
-        return x, y
-
     def zeros(self):
         """Ghost-padded 3D scalar field initialized to zero."""
         return np.zeros((self.nx + 2, self.ny + 2, self.nz + 2))

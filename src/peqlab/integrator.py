@@ -51,7 +51,7 @@ DIV_TOL = 1e-8
 @dataclass(frozen=True)
 class StepConfig:
     dt: float = 0.01
-    t_end: float = 1.0
+    t_end: float = 2.0
     output_every: int = 10
     temperature_only: bool = False
 
@@ -79,8 +79,12 @@ class RunChecks:
 
     energy_slack: float = 1e-8
     gronwall_factor: float = 1.05
-    check_energy: Optional[bool] = None  # None: enabled when Q is identically zero
-    check_gronwall: bool = False
+    energy: str = "auto"  # on, off, or auto: on when Q is identically zero
+    gronwall: bool = False
+
+    def __post_init__(self):
+        if self.energy not in ("auto", "on", "off"):
+            raise ValueError(f"check.energy must be auto, on, or off, got {self.energy!r}")
 
 
 def cfl_dt(s: State, g: Grid) -> float:
@@ -144,8 +148,8 @@ class _Member:
         self.s, self.p, self.g, self.cfg, self.checks = s, p, g, cfg, checks
         self.l2_q = diag.l2sq(s.Q, g)
         self.l2_t0 = diag.l2sq(s.T[INTERIOR], g)
-        on = checks.check_energy
-        self.energy = self._energy() if on or (on is None and self.l2_q == 0.0) else None
+        on = checks.energy == "on" or (checks.energy == "auto" and self.l2_q == 0.0)
+        self.energy = self._energy() if on else None
 
     def _energy(self) -> float:
         return sum(diag.l2sq(f[INTERIOR], self.g) for f in (self.s.v1, self.s.v2, self.s.T))
@@ -172,7 +176,7 @@ class _Member:
             raise CheckError(
                 f"constraint residual {rec.constraint_residual:.3e} > {DIV_TOL:.1e} at t={t:.6g}"
             )
-        if self.checks.check_gronwall:
+        if self.checks.gronwall:
             envelope = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, diag.kappa(self.p))
             bound = envelope * self.checks.gronwall_factor
             if rec.l2_T > bound:

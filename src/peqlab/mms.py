@@ -226,12 +226,7 @@ class MmsReport:
         return out
 
 
-def mms_convergence_study(
-    p: PhysParams,
-    sizes=((8, 8, 8), (16, 16, 16), (32, 32, 32)),
-    dt: float = 2e-3,
-    horizon: float = 0.1,
-) -> MmsReport:
+def mms_convergence_study(p: PhysParams, sizes, dt: float, horizon: float) -> MmsReport:
     """Integrate the forced system on refined grids; measure held-state error."""
     report = MmsReport()
     errs_v, errs_T = [], []

@@ -21,8 +21,8 @@ class PhysParams:
     ro: float = 1.0
     f0: float = 1.0
     beta: float = 0.5
-    alpha: float = 1.0
-    h: float = 1.0
+    alpha: float = 2.0
+    h: float = 0.5
     l: float = 1.0
     lx: float = 2.0
 

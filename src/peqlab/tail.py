@@ -33,9 +33,9 @@ from .params import PhysParams
 
 @dataclass(frozen=True)
 class TailConfig:
-    radii: tuple = (0.6, 0.8, 1.0)
+    radii: tuple[float, ...] = (1.2, 1.6, 1.9)
     epsilon: float = 1e-3
-    tau_probe: float = 1.0
+    tau_probe: float = 2.0
 
     def validate(self, g: Grid):
         radii = tuple(self.radii)
@@ -155,18 +155,19 @@ def truncation_convergence(
     p: PhysParams,
     counts: tuple,
     cfg: StepConfig,
-    q_fn: Callable,
+    initial: Callable[[PhysParams, Grid], State],
     factor: int = 2,
     factor_base: int = 1,
     checks: Optional[RunChecks] = None,
 ) -> Iterator[TruncationReport]:
     """Compare runs of the same physics on channels widened by two factors.
 
-    q_fn(grid) gives the heat source on either grid.  The default pairs the
-    base half-length with factor times it.  Both grids keep the spacing (nx
-    scales with the factor), so the narrow domain's cells are a subset of the
-    wide one's; the report holds the relative L2 difference of (v1, v2, T) on
-    the narrow domain at every output time.
+    initial(params, grid) gives the initial state, heat source included, on
+    either channel.  The default pairs the base half-length with factor
+    times it.  Both grids keep the spacing (nx scales with the factor), so
+    the narrow domain's cells are a subset of the wide one's; the report
+    holds the relative L2 difference of (v1, v2, T) on the narrow domain at
+    every output time.
     """
     nx, ny, nz = counts
     fa, fb = int(factor_base), int(factor)
@@ -179,9 +180,7 @@ def truncation_convergence(
     def member(f):
         pp = replace(p, lx=f * p.lx)
         gg = make_grid(pp, f * nx, ny, nz)
-        s = State.zeros(gg)
-        s.Q[...] = q_fn(gg)
-        return s, pp, gg
+        return initial(pp, gg), pp, gg
 
     members = [member(fa), member(fb)]
     g_a, g_b = members[0][2], members[1][2]

@@ -22,10 +22,16 @@ from peqlab.model import apply_L1, apply_L2
 from peqlab.oracle import dense_operator_oracle, flatten, unflatten
 from peqlab.projection import project
 from peqlab.tail import tail_decay_experiment, truncation_convergence, two_trajectory_contraction
+from tests.test_diagnostics import absorbing_entry_time
 from tests.test_model import random_smooth_state
 from tests.test_tail import final
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+#: criterion 6: the calibrated absorbing radius (squared V-level) and the
+#: largest gap between the entry times of the base and the 10x-data runs
+ABSORBING_RADIUS_SQ = 0.05
+ABSORBING_ENTRY_GAP = 1.0
 
 
 def report(criterion: int, ok: bool, detail: str):
@@ -187,22 +193,19 @@ def test_criterion_5_mms_convergence():
 
 def test_criterion_6_absorbing_set(absorbing_runs):
     small, big = absorbing_runs
-    cfg = small["cfg"]
-    radius_sq = cfg["accept.radius_sq"]
-    gap = cfg["accept.entry_gap"]
     kap = diag.kappa(small["p"])
-    t_small = diag.absorbing_entry_time(small["records"], radius_sq)
-    t_big = diag.absorbing_entry_time(big["records"], radius_sq)
+    t_small = absorbing_entry_time(small["records"], ABSORBING_RADIUS_SQ)
+    t_big = absorbing_entry_time(big["records"], ABSORBING_RADIUS_SQ)
     ok = (
         t_small is not None
         and t_big is not None
-        and abs(t_big - t_small) <= gap
+        and abs(t_big - t_small) <= ABSORBING_ENTRY_GAP
         and small["records"][-1].t - max(t_small, t_big) >= 5.0 * kap
     )
     report(
         6,
         ok,
-        f"entries at t={t_small} (base) and t={t_big} (10x data) within gap {gap}; "
+        f"entries at t={t_small} (base) and t={t_big} (10x data) within gap {ABSORBING_ENTRY_GAP}; "
         f"both inside for >= 5 kappa afterwards",
     )
 
@@ -229,8 +232,8 @@ def test_criterion_8_truncation_convergence():
     p = cfg.params()
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
     step_cfg = cfg.step_config()
-    d12 = final(truncation_convergence(p, counts, step_cfg, cfg.q_field, factor=2)).max_rel_diff
-    d23 = final(truncation_convergence(p, counts, step_cfg, cfg.q_field,
+    d12 = final(truncation_convergence(p, counts, step_cfg, cfg.initial_state, factor=2)).max_rel_diff
+    d23 = final(truncation_convergence(p, counts, step_cfg, cfg.initial_state,
                                        factor=3, factor_base=2)).max_rel_diff
     report(
         8,

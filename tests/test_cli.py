@@ -210,10 +210,26 @@ def test_bad_mms_sizes_rejected(tmp_path, capsys, monkeypatch, sizes):
     assert not out.exists()
 
 
-def test_truncate_subcommand(tmp_path):
-    cfg = write_cfg(
-        tmp_path,
-        """
+MMS_INIT = TINY_RUN.replace("init.kind = gaussian", "init.kind = mms")
+
+
+@pytest.mark.parametrize("command,body,message", [
+    ("run", TINY_RUN + "check.energy = maybe\n", "check.energy must be auto, on, or off"),
+    ("run", MMS_INIT.replace("q.kind = zero", "q.kind = gaussian"), "q.kind must be zero"),
+    ("truncate", MMS_INIT, "under init.kind = mms"),
+    ("contract", TINY_RUN.replace("init.kind = gaussian", "init.kind = zero"),
+     "twin equals the base state"),
+], ids=["energy_check_value", "mms_init_with_q", "truncate_mms_init", "contract_identical_twin"])
+def test_unusable_input_exits_before_stepping(tmp_path, capsys, monkeypatch, command, body, message):
+    _forbid_steps(monkeypatch)
+    out = tmp_path / "o"
+    assert main([command, write_cfg(tmp_path, body), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+TINY_TRUNCATE = """
 physics.re1 = 0.5
 physics.re2 = 0.5
 physics.rt1 = 4.0
@@ -236,11 +252,27 @@ q.width = 0.12
 q.amplitude = 0.5
 truncate.factor = 2
 truncate.max_rel = 0.01
-""",
-    )
+"""
+
+
+def test_truncate_subcommand(tmp_path):
+    cfg = write_cfg(tmp_path, TINY_TRUNCATE)
     out = tmp_path / "trunc"
     assert main(["truncate", cfg, "--output-dir", str(out)]) == 0
     assert (out / "truncate.csv").exists()
+
+
+def test_truncate_starts_from_init(tmp_path):
+    tables = []
+    for kind in ("zero", "gaussian"):
+        body = TINY_TRUNCATE.replace(
+            "init.kind = zero", f"init.kind = {kind}\ninit.t_amplitude = 0.5\ninit.v_amplitude = 0.05")
+        out = tmp_path / kind
+        assert main(["truncate", write_cfg(tmp_path, body, f"{kind}.cfg"), "--output-dir", str(out)]) == 0
+        tables.append(read_timeseries(out / "truncate.csv"))
+    zero, blob = tables
+    assert zero["t"].tolist() == blob["t"].tolist()
+    assert zero["rel_diff"][-1] != blob["rel_diff"][-1]
 
 
 def test_contract_subcommand(tmp_path):
@@ -380,11 +412,15 @@ def test_failed_check_keeps_records(tmp_path, capsys):
 @pytest.mark.parametrize("command,config,table,header", [
     ("tail", "tail.cfg", "tail.csv", "t,total,w_1.2,w_1.6,w_1.9"),
     ("truncate", "truncation.cfg", "truncate.csv", "t,rel_diff"),
-    # tail.cfg heats zero data, so both contraction members gain energy
+    # tail.cfg heats small data, so both contraction members gain energy
     ("contract", "tail.cfg", "contract.csv", "t,dist_v,dist_T,dist_l2,v_proxy"),
 ])
 def test_failed_experiment_keeps_rows(tmp_path, capsys, command, config, table, header):
-    cfg = write_cfg(tmp_path, (CONFIG_DIR / config).read_text() + "check.energy = on\n")
+    # a small blob in place of zero data keeps the contraction twin distinct
+    body = (CONFIG_DIR / config).read_text()
+    assert "init.kind = zero\n" in body
+    body = body.replace("init.kind = zero\n", "init.kind = gaussian\ninit.t_amplitude = 0.01\n")
+    cfg = write_cfg(tmp_path, body + "check.energy = on\n")
     out = tmp_path / "o"
     assert main([command, cfg, "--output-dir", str(out)]) == 3
     assert "check failed: energy increased at t=0.02" in capsys.readouterr().err

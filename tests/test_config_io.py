@@ -1,13 +1,15 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from peqlab import PhysParams, State, make_grid
+from peqlab import PhysParams, State, StepConfig, make_grid
 from peqlab.config import KEY_SPEC, RunConfig, parse_config, serialize_config
 from peqlab.diagnostics import CSV_COLUMNS, DiagRecord
 from peqlab.errors import ConfigError
 from peqlab.grid import INTERIOR
+from peqlab.integrator import RunChecks
 from peqlab.io import (
     plot_svg,
     read_snapshot,
@@ -15,8 +17,13 @@ from peqlab.io import (
     write_snapshot,
     write_timeseries,
 )
+from peqlab.tail import TailConfig
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+#: config sections whose keys are the fields of the dataclass they build
+DATACLASS_SECTIONS = {"physics": PhysParams, "step": StepConfig, "check": RunChecks,
+                      "tail": TailConfig}
 
 GOLDEN_HEADER = (
     "t,l2_T,l2_v,l6_T,l6_vtilde,l6_vz,l6_Tz,v1norm_v,v2norm_T,grad_vbar_2d,"
@@ -36,6 +43,26 @@ class TestConfig:
         c1 = parse_config("physics.alpha = 3.5\ntail.radii = 0.7,0.9\nstep.dt = 0.0125")
         c2 = parse_config(serialize_config(c1))
         assert c2.values == c1.values
+
+    def test_defaults_build_the_dataclass_defaults(self):
+        cfg = RunConfig({})
+        assert cfg.params() == PhysParams()
+        assert cfg.step_config() == StepConfig()
+        assert cfg.checks() == RunChecks()
+        assert cfg.tail_config() == TailConfig()
+
+    def test_every_key_is_read(self):
+        # a key outside the dataclass sections must be read by subscript, either
+        # literally or through the section-generic blob reader
+        source = "".join(p.read_text() for p in (ROOT / "src" / "peqlab").glob("*.py"))
+
+        def read(key):
+            section, _, name = key.partition(".")
+            if section in DATACLASS_SECTIONS:
+                return name in {f.name for f in fields(DATACLASS_SECTIONS[section])}
+            return f'["{key}"]' in source or f'[f"{{section}}.{name}"]' in source
+
+        assert [key for key in KEY_SPEC if not read(key)] == []
 
     def test_minimal_file_gets_defaults(self):
         cfg = parse_config("# nothing but a comment\n")

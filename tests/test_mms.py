@@ -129,7 +129,8 @@ def test_steady_state_held_for_100_steps():
 
 
 def test_convergence_study_orders():
-    report = mms_convergence_study(P)
+    report = mms_convergence_study(P, sizes=((8, 8, 8), (16, 16, 16), (32, 32, 32)),
+                                   dt=2e-3, horizon=0.1)
     assert 1.8 <= report.order_v <= 2.2
     assert 1.8 <= report.order_T <= 2.2
     assert report.monotone

@@ -22,6 +22,11 @@ def mean_divergence(s, g):
     return ops.div_h(depth_mean(s.v1, P, g), depth_mean(s.v2, P, g), g)
 
 
+def coords2d(g):
+    """Interior cell-center (x, y) coordinates as broadcastable 2D arrays."""
+    return g.x(np.arange(g.nx))[:, None], g.y(np.arange(g.ny))[None, :]
+
+
 def padded2d(g, interior, bcs, p=P):
     f = g.zeros2d()
     f[INTERIOR2D] = interior
@@ -30,7 +35,6 @@ def padded2d(g, interior, bcs, p=P):
 
 def test_divergence_free_input_gives_zero():
     g = make_grid(P, 16, 16, 4)
-    x, y = g.coords2d()
     # stream-function velocity: (psi_y, -psi_x) is exactly div-free for the
     # centered stencils only up to commutation, so use zero velocity instead
     v1 = padded2d(g, np.zeros((g.nx, g.ny)), VELOCITY_BC)
@@ -42,7 +46,7 @@ def test_divergence_free_input_gives_zero():
 def test_manufactured_gradient_recovered():
     """vbar* built as grad of a known psi: the solve returns psi/dt (zero mean)."""
     g = make_grid(P, 24, 20, 4)
-    x, y = g.coords2d()
+    x, y = coords2d(g)
     psi = np.cos(np.pi * x / P.lx) * np.cos(np.pi * y / P.l)
     psi_pad = padded2d(g, psi, SURFACE_PRESSURE_BC)
     gx, gy = ops.grad_h(psi_pad, g)
@@ -104,7 +108,7 @@ def test_depth_mean_reads_the_interior_only():
 
 def test_depth_independent_gradient_projected_to_zero():
     g = make_grid(P, 16, 16, 4)
-    x, y = g.coords2d()
+    x, y = coords2d(g)
     psi = np.cos(np.pi * x / P.lx) * np.cos(np.pi * y / P.l)
     psi_pad = padded2d(g, psi, SURFACE_PRESSURE_BC)
     gx, gy = ops.grad_h(psi_pad, g)

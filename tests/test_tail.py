@@ -175,41 +175,43 @@ class TestTruncation:
     P = PhysParams(lx=2.0, l=1.0, h=0.5, re1=0.5, re2=0.5, rt1=4.0, rt2=1.0,
                    alpha=4.0, f0=1.0, beta=0.1, ro=1.0)
 
-    def q_fn(self, g):
-        return compact_blob(self.P, *g.coords())
+    @staticmethod
+    def heated(p, g, cx=0.0):
+        s = State.zeros(g)
+        s.Q[...] = compact_blob(p, *g.coords(), cx=cx)
+        return s
 
     def test_zero_everything_zero_difference(self):
         cfg = StepConfig(dt=0.05, t_end=0.2, output_every=2)
-        rep = final(truncation_convergence(self.P, (16, 6, 4), cfg,
-                                           lambda g: np.zeros((g.nx, g.ny, g.nz))))
+        rep = final(truncation_convergence(self.P, (16, 6, 4), cfg, lambda p, g: State.zeros(g)))
         assert rep.max_rel_diff == 0.0
 
     def test_compact_source_converged(self):
         cfg = StepConfig(dt=0.02, t_end=3.0, output_every=25)
-        rep = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2))
+        rep = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated, factor=2))
         assert rep.max_rel_diff <= 1e-3
 
     def test_widening_again_changes_less(self):
         cfg = StepConfig(dt=0.02, t_end=3.0, output_every=25)
-        d12 = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2)).max_rel_diff
-        d23 = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn,
+        d12 = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated, factor=2)).max_rel_diff
+        d23 = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated,
                                            factor=3, factor_base=2)).max_rel_diff
         assert d23 < d12
 
     def test_near_wall_source_negative_control(self):
         cfg = StepConfig(dt=0.02, t_end=3.0, output_every=25)
-        good = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.q_fn, factor=2)).max_rel_diff
+        good = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated, factor=2)).max_rel_diff
         near = final(truncation_convergence(
             self.P, (32, 8, 6), cfg,
-            lambda g: compact_blob(self.P, *g.coords(), cx=1.6), factor=2,
+            lambda p, g: self.heated(p, g, cx=1.6), factor=2,
         )).max_rel_diff
         assert near > 10 * good
 
     def test_incompatible_factor_rejected(self):
         with pytest.raises(ConfigError):
-            next(truncation_convergence(self.P, (16, 6, 4), StepConfig(), self.q_fn, factor=1))
+            next(truncation_convergence(self.P, (16, 6, 4), StepConfig(), self.heated, factor=1))
         with pytest.raises(ConfigError):
-            next(truncation_convergence(self.P, (15, 6, 4), StepConfig(), self.q_fn, factor=2))
+            next(truncation_convergence(self.P, (15, 6, 4), StepConfig(), self.heated, factor=2))
 
 
 class TestContraction:
