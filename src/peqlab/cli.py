@@ -152,9 +152,10 @@ def cmd_plot(args) -> int:
         if not args.config:
             raise ConfigError("--envelope needs --config to supply kappa and the heat source")
         cfg = parse_config_file(args.config)
-        g = cfg.grid()
-        kap = diag.kappa(cfg.params())
-        l2_q = diag.l2sq(cfg.q_field(g), g)
+        p, g = cfg.params(), cfg.grid()
+        kap = diag.kappa(p)
+        # the run's own heat source, which init.kind = mms manufactures
+        l2_q = diag.l2sq(cfg.initial_state(p, g).Q, g)
         if "l2_T" not in data:
             raise ConfigError("envelope overlay needs an l2_T column")
         l2_t0 = float(data["l2_T"][0])

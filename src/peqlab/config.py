@@ -123,6 +123,9 @@ class RunConfig:
             raise ConfigError("q.kind = file requires q.path")
         if self["init.kind"] == "mms" and self["q.kind"] != "zero":
             raise ConfigError("init.kind = mms brings its own heat source; q.kind must be zero")
+        if not self["truncate.max_rel"] >= 0.0:
+            raise ConfigError(f"truncate.max_rel must be >= 0 (0 turns the check off), "
+                              f"got {self['truncate.max_rel']!r}")
         sizes = self["mms.sizes"]
         if len(sizes) < 2 or min(sizes) < 4:
             raise ConfigError(f"mms.sizes must list at least two grid sizes, each >= 4, got {sizes!r}")

@@ -68,6 +68,11 @@ def l2sq(f: np.ndarray, g: Grid) -> float:
     return g.cell_volume * ops.pairwise_sum(np.asarray(f) ** 2)
 
 
+def distance_sq(a: State, b: State, g: Grid, region=INTERIOR) -> tuple:
+    """Squared L2 distances of (v1, v2, T) between a, read over region, and b's interior."""
+    return tuple(l2sq(fa[region] - fb[INTERIOR], g) for fa, fb in ((a.v1, b.v1), (a.v2, b.v2), (a.T, b.T)))
+
+
 def norm6(g: Grid, *components: np.ndarray) -> float:
     """L6 norm of the pointwise magnitude of interior component fields."""
     mag2 = sum(np.asarray(c) ** 2 for c in components)

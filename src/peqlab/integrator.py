@@ -46,6 +46,10 @@ DT_MAX = 0.1
 #: DIV_TOL aborts a run
 POINCARE_TOL = 1e-2
 DIV_TOL = 1e-8
+#: relative slack of the per-step energy inequality (coupled steps only) and
+#: the factor on the decay envelope the Gronwall monitor allows
+ENERGY_SLACK = 1e-8
+GRONWALL_FACTOR = 1.05
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,6 @@ class StepConfig:
 class RunChecks:
     """Inequality monitors evaluated during a run; violations abort it."""
 
-    energy_slack: float = 1e-8
-    gronwall_factor: float = 1.05
     energy: str = "auto"  # on, off, or auto: on when Q is identically zero
     gronwall: bool = False
 
@@ -159,7 +161,7 @@ class _Member:
         if self.energy is None:
             return
         energy = self._energy()
-        slack = 0.0 if self.cfg.temperature_only else self.checks.energy_slack
+        slack = 0.0 if self.cfg.temperature_only else ENERGY_SLACK
         if energy > self.energy * (1.0 + slack):
             raise CheckError(f"energy increased at t={t:.6g}: {self.energy:.17g} -> {energy:.17g}")
         self.energy = energy
@@ -178,7 +180,7 @@ class _Member:
             )
         if self.checks.gronwall:
             envelope = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, diag.kappa(self.p))
-            bound = envelope * self.checks.gronwall_factor
+            bound = envelope * GRONWALL_FACTOR
             if rec.l2_T > bound:
                 raise CheckError(
                     f"temperature energy {rec.l2_T:.6g} above decay envelope {bound:.6g} at t={t:.6g}"

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
-from .diagnostics import l2sq
+from .diagnostics import distance_sq, l2sq
 from .errors import ConfigError
 from .grid import INTERIOR, Grid, make_grid
 from .integrator import RunChecks, StepConfig, trajectory
@@ -43,6 +43,8 @@ class TailConfig:
             raise ConfigError("tail radii must be positive")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("tail radii must be strictly increasing")
+        if not self.epsilon >= 0.0:
+            raise ConfigError(f"tail.epsilon must be >= 0, got {self.epsilon!r}")
         if max(radii) >= g.lx / 2:
             raise ConfigError(
                 f"largest tail radius {max(radii)} must stay below lx/2 = {g.lx / 2}"
@@ -193,8 +195,7 @@ def truncation_convergence(
 
     for _, t, (base, wide), (rec, _) in trajectory(members, cfg, checks):
         # the narrow domain is the whole interior of the base grid
-        num = sum(l2sq(w[sl] - b[INTERIOR], g_a) for w, b in (
-            (wide.v1, base.v1), (wide.v2, base.v2), (wide.T, base.T)))
+        num = sum(distance_sq(wide, base, g_a, sl))
         den = rec.l2_v + rec.l2_T
         report.times.append(t)
         report.rel_diff.append(math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num))
@@ -234,8 +235,7 @@ def two_trajectory_contraction(
     report = ContractionReport()
 
     for _, t, (a, b), records in trajectory([(s_a, p, g), (s_b, p, g)], cfg, checks):
-        dv1, dv2, dT2 = (l2sq(x[INTERIOR] - y[INTERIOR], g)
-                         for x, y in ((a.v1, b.v1), (a.v2, b.v2), (a.T, b.T)))
+        dv1, dv2, dT2 = distance_sq(a, b, g)
         dv, dT = math.sqrt(dv1 + dv2), math.sqrt(dT2)
         dist = math.hypot(dv, dT)
         h2 = sum(math.sqrt(rec.l2_L1v + rec.l2_L2T) for rec in records)

@@ -100,9 +100,16 @@ def test_horizon_off_step_lattice_rejected(tmp_path, capsys, dt, t_end):
     assert not out.exists()  # rejected at parse, before the output directory or a step
 
 
-def test_injected_check_violation_exits_3(tmp_path):
+def _shrink_envelope(monkeypatch):
+    import peqlab.integrator as integrator
+
+    monkeypatch.setattr(integrator, "GRONWALL_FACTOR", 1e-12)
+
+
+def test_injected_check_violation_exits_3(tmp_path, monkeypatch):
     # zero envelope slack makes any heated state fail the decay check
-    cfg = write_cfg(tmp_path, TINY_RUN + "check.gronwall = true\ncheck.gronwall_factor = 1e-12\n")
+    _shrink_envelope(monkeypatch)
+    cfg = write_cfg(tmp_path, TINY_RUN + "check.gronwall = true\n")
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
 
 
@@ -124,9 +131,10 @@ def test_frozen_velocity_temperature_only_run(tmp_path):
     ("truncate", "truncation.cfg"),
     ("contract", "contraction_diffusive.cfg"),
 ])
-def test_experiments_enforce_run_checks(tmp_path, capsys, command, config):
+def test_experiments_enforce_run_checks(tmp_path, capsys, monkeypatch, command, config):
     # zero envelope slack: the decay check configured for a run must trip here too
-    body = (CONFIG_DIR / config).read_text() + "check.gronwall = true\ncheck.gronwall_factor = 1e-12\n"
+    _shrink_envelope(monkeypatch)
+    body = (CONFIG_DIR / config).read_text() + "check.gronwall = true\n"
     cfg = write_cfg(tmp_path, body)
     assert main([command, cfg, "--output-dir", str(tmp_path / "o")]) == 3
     assert "check failed: temperature energy" in capsys.readouterr().err
@@ -210,25 +218,6 @@ def test_bad_mms_sizes_rejected(tmp_path, capsys, monkeypatch, sizes):
     assert not out.exists()
 
 
-MMS_INIT = TINY_RUN.replace("init.kind = gaussian", "init.kind = mms")
-
-
-@pytest.mark.parametrize("command,body,message", [
-    ("run", TINY_RUN + "check.energy = maybe\n", "check.energy must be auto, on, or off"),
-    ("run", MMS_INIT.replace("q.kind = zero", "q.kind = gaussian"), "q.kind must be zero"),
-    ("truncate", MMS_INIT, "under init.kind = mms"),
-    ("contract", TINY_RUN.replace("init.kind = gaussian", "init.kind = zero"),
-     "twin equals the base state"),
-], ids=["energy_check_value", "mms_init_with_q", "truncate_mms_init", "contract_identical_twin"])
-def test_unusable_input_exits_before_stepping(tmp_path, capsys, monkeypatch, command, body, message):
-    _forbid_steps(monkeypatch)
-    out = tmp_path / "o"
-    assert main([command, write_cfg(tmp_path, body), "--output-dir", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
-    assert not out.exists() or not any(out.iterdir())
-
-
 TINY_TRUNCATE = """
 physics.re1 = 0.5
 physics.re2 = 0.5
@@ -253,6 +242,29 @@ q.amplitude = 0.5
 truncate.factor = 2
 truncate.max_rel = 0.01
 """
+
+
+MMS_INIT = TINY_RUN.replace("init.kind = gaussian", "init.kind = mms")
+
+
+@pytest.mark.parametrize("command,body,message", [
+    ("run", TINY_RUN + "check.energy = maybe\n", "check.energy must be auto, on, or off"),
+    ("run", MMS_INIT.replace("q.kind = zero", "q.kind = gaussian"), "q.kind must be zero"),
+    ("truncate", MMS_INIT, "under init.kind = mms"),
+    ("contract", TINY_RUN.replace("init.kind = gaussian", "init.kind = zero"),
+     "twin equals the base state"),
+    ("tail", TINY_TAIL.replace("tail.epsilon = 0.001", "tail.epsilon = -1"), "tail.epsilon must be >= 0"),
+    ("truncate", TINY_TRUNCATE.replace("truncate.max_rel = 0.01", "truncate.max_rel = -1"),
+     "truncate.max_rel must be >= 0"),
+], ids=["energy_check_value", "mms_init_with_q", "truncate_mms_init", "contract_identical_twin",
+        "negative_tail_epsilon", "negative_truncate_max_rel"])
+def test_unusable_input_exits_before_stepping(tmp_path, capsys, monkeypatch, command, body, message):
+    _forbid_steps(monkeypatch)
+    out = tmp_path / "o"
+    assert main([command, write_cfg(tmp_path, body), "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_truncate_subcommand(tmp_path):
@@ -301,6 +313,30 @@ def test_plot_with_envelope(tmp_path):
     assert code == 0
     text = svg.read_text()
     assert "gronwall_envelope" in text and "<polyline" in text
+
+
+def test_plot_envelope_uses_the_runs_heat_source(tmp_path, monkeypatch):
+    from peqlab import cli
+    from peqlab.config import parse_config_file
+    from peqlab.diagnostics import gronwall_T_envelope, kappa, l2sq
+    from peqlab.mms import MmsSpec
+
+    # init.kind = mms brings its own heat source; the q.* keys leave q_field zero
+    body = MMS_INIT.replace("grid.nz = 4", "grid.nz = 8").replace("step.t_end = 0.2", "step.t_end = 1.0")
+    cfg = write_cfg(tmp_path, body + "check.gronwall = true\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--output-dir", str(out)]) == 0
+    plotted = {}
+    monkeypatch.setattr(cli, "plot_svg", lambda series, *args, **kwargs: plotted.update(series))
+    assert main(["plot", str(out / "timeseries.csv"), "l2_T", "--config", cfg, "--envelope"]) == 0
+    t, envelope = plotted["gronwall_envelope"]
+    _, l2_T = plotted["l2_T"]
+    run_cfg = parse_config_file(cfg)
+    p, g = run_cfg.params(), run_cfg.grid()
+    l2_q = l2sq(MmsSpec(p).forced_state(g).Q, g)
+    # the envelope the run's Gronwall monitor checked, which bounds the run's energy
+    assert envelope.tolist() == [gronwall_T_envelope(s, l2_T[0], l2_q, kappa(p)) for s in t]
+    assert np.all(l2_T <= envelope)
 
 
 def test_successive_main_calls_behave_like_fresh_calls(tmp_path):
@@ -396,12 +432,15 @@ def test_failed_run_keeps_records_and_reports_time(tmp_path, capsys, monkeypatch
     assert np.allclose(data["t"], [0.0, 0.04, 0.08, 0.12])
 
 
-def test_failed_check_keeps_records(tmp_path, capsys):
+def test_failed_check_keeps_records(tmp_path, capsys, monkeypatch):
+    import peqlab.integrator as integrator
+
     # a weak initial blob decays until the heat source wins, which trips the
     # monotone-energy check forced on at t = 0.06
+    monkeypatch.setattr(integrator, "ENERGY_SLACK", 0.0)
     body = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian\nq.amplitude = 5.0")
     body = body.replace("init.t_amplitude = 0.5", "init.t_amplitude = 0.05")
-    cfg = write_cfg(tmp_path, body + "check.energy = on\ncheck.energy_slack = 0\n")
+    cfg = write_cfg(tmp_path, body + "check.energy = on\n")
     out = tmp_path / "o"
     assert main(["run", cfg, "--output-dir", str(out)]) == 3
     assert "energy increased at t=0.06" in capsys.readouterr().err

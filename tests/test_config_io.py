@@ -84,7 +84,8 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["step.engine", "step.diffusion_tol", "poisson.kind",
                                      "poisson.tolerance", "poisson.max_iter", "tail.pair_seed",
                                      "step.cfl_target", "step.dt_max", "check.poincare_tol",
-                                     "check.div_tol", "check.poincare", "check.constraint"])
+                                     "check.div_tol", "check.poincare", "check.constraint",
+                                     "check.energy_slack", "check.gronwall_factor"])
     def test_removed_solver_keys_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"{key} = 1")

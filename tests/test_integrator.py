@@ -223,7 +223,8 @@ def test_failed_step_reports_last_valid_time():
         run(s, P, g, cfg)
 
 
-def test_energy_check_violation_raises():
+def test_energy_check_violation_raises(monkeypatch):
+    from peqlab import integrator
     from peqlab.errors import CheckError
 
     g = make_grid(P, 10, 8, 6)
@@ -232,7 +233,8 @@ def test_energy_check_violation_raises():
     s.Q[...] = np.exp(-(x**2) - (y - P.l / 2) ** 2 - (z + P.h / 2) ** 2)
     s.fill_all_ghosts(P, g)
     # forcing the monotone-energy check on a heated run must trip it
-    checks = RunChecks(energy_slack=0.0, energy="on")
+    monkeypatch.setattr(integrator, "ENERGY_SLACK", 0.0)
+    checks = RunChecks(energy="on")
     cfg = StepConfig(dt=0.05, t_end=2.0, output_every=5)
     with pytest.raises(CheckError, match="energy increased"):
         run(s, P, g, cfg, checks=checks)

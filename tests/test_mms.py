@@ -73,16 +73,19 @@ def test_manufactured_fields_meet_boundary_conditions():
     def at(factor, value):
         return factor(np.array(value))
 
+    residuals = []
     # velocity: stress-free top and bottom, no-slip at y = 0, l and x = +-lx
-    dz_v = [at(spec._zv, z)[1] for z in (0.0, -P.h)]
-    walls_v = [at(spec._yv, y)[0] for y in (0.0, P.l)] + [at(f, P.lx)[0] for f in (spec._xv1, spec._xv2)]
+    for name in ("v1", "v2"):
+        _, fx, fy, fz = spec.factors[name]
+        residuals += [at(fz, z)[1] for z in (0.0, -P.h)]
+        residuals += [at(fy, y)[0] for y in (0.0, P.l)] + [at(fx, x)[0] for x in (-P.lx, P.lx)]
     # temperature: insulating bottom and walls
-    dz_t = at(spec._zt, -P.h)[1]
-    walls_t = [at(spec._yt, y)[1] for y in (0.0, P.l)] + [at(spec._xt, P.lx)[1]]
-    assert max(abs(float(r)) for r in (*dz_v, *walls_v, dz_t, *walls_t)) <= 1e-9
+    _, fx, fy, fz = spec.factors["T"]
+    residuals += [at(fz, -P.h)[1]] + [at(fy, y)[1] for y in (0.0, P.l)] + [at(fx, x)[1] for x in (-P.lx, P.lx)]
+    assert max(abs(float(r)) for r in residuals) <= 1e-9
 
     # Robin top (1/rt2) dT/dz + alpha T = 0; a profile cos(k (z + h)) off the root misses it
-    zt0, dzt0, _ = at(spec._zt, 0.0)
+    zt0, dzt0, _ = at(fz, 0.0)
     assert abs(float(dzt0) / P.rt2 + P.alpha * float(zt0)) <= 1e-9
     k = 1.7 * spec.kz
     assert abs(-k * math.sin(k * P.h) / P.rt2 + P.alpha * math.cos(k * P.h)) > 1e-2
