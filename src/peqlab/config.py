@@ -42,16 +42,6 @@ def _parse_int_list(text: str):
     return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
-    return str(value)
-
-
 #: field annotation -> parser of its config value
 _PARSERS = {"float": float, "int": int, "bool": _parse_bool, "str": str,
             "tuple[float, ...]": _parse_float_list}
@@ -264,8 +254,3 @@ def parse_config_file(path) -> RunConfig:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = [f"{key} = {_fmt(cfg.values[key])}" for key in KEY_SPEC]
-    return "\n".join(lines) + "\n"

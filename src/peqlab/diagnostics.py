@@ -1,11 +1,16 @@
 """Norm and energy monitors for state snapshots.
 
 Every functional tracked by the energy method is evaluated here with the
-same deterministic quadrature (uniform cell weights, i.e. the trapezoid rule
-with mirrored boundary faces; single-threaded float64 sums).  A DiagRecord is one
-time-stamped bundle of all of them plus the constraint residual; the two
-Poincare-type inequality checks and the exponential decay envelope for the
-temperature energy are evaluated against records.
+same deterministic quadrature: uniform cell weights, i.e. the trapezoid rule
+with mirrored boundary faces.  A DiagRecord is one time-stamped bundle of
+all of them plus the constraint residual.  compute_record evaluates its 3D
+integrands over slabs of whole x-planes holding at most SLAB_CELLS interior
+cells, building each field's stencils once per slab; each slab is reduced
+by the single-threaded float64 pairwise sum, and the slab sums are combined
+exactly by math.fsum.  A grid of up to SLAB_CELLS cells is one slab, so its
+record equals the whole-array formulas bit for bit (oracle.record_reference).
+The two Poincare-type inequality checks and the exponential decay envelope
+for the temperature energy are evaluated against records.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from typing import Optional
 import numpy as np
 
 from . import operators as ops
-from .grid import INTERIOR, INTERIOR2D, Grid
-from .model import State, apply_L1, apply_L2
+from .grid import INTERIOR, Grid
+from .model import State
 from .params import PhysParams
 from .projection import constraint_residual, depth_mean
 
@@ -52,6 +57,10 @@ class DiagRecord:
 #: CSV schema: column order is frozen (golden-header tested)
 CSV_COLUMNS = tuple(f.name for f in fields(DiagRecord))
 
+#: interior cells a record slab of whole x-planes may hold (one plane at least);
+#: a grid of up to this many cells is one slab, its sums those of whole arrays
+SLAB_CELLS = 32768
+
 
 def kappa(p: PhysParams) -> float:
     """Poincare/decay constant 2*rt2*h^2 + 2*h/alpha."""
@@ -68,26 +77,87 @@ def l2sq(f: np.ndarray, g: Grid) -> float:
     return g.cell_volume * ops.pairwise_sum(np.asarray(f) ** 2)
 
 
-def distance_sq(a: State, b: State, g: Grid, region=INTERIOR) -> tuple:
-    """Squared L2 distances of (v1, v2, T) between a, read over region, and b's interior."""
-    return tuple(l2sq(fa[region] - fb[INTERIOR], g) for fa, fb in ((a.v1, b.v1), (a.v2, b.v2), (a.T, b.T)))
+def distance_sq(a: State, b, g: Grid, region=INTERIOR) -> tuple:
+    """Squared L2 distances of a's (v1, v2, T), read over region, from the interior fields b."""
+    return tuple(l2sq(fa[region] - fb, g) for fa, fb in zip((a.v1, a.v2, a.T), b))
 
 
-def norm6(g: Grid, *components: np.ndarray) -> float:
-    """L6 norm of the pointwise magnitude of interior component fields."""
-    mag2 = sum(np.asarray(c) ** 2 for c in components)
-    return (g.cell_volume * ops.pairwise_sum(mag2**3)) ** (1.0 / 6.0)
+def _squares(fp: np.ndarray, g: Grid, r_h: float, r_z: float):
+    """Squared stencils of one padded field over a slab of whole x-planes, one at a time.
+
+    Yields the squares of the interior value, of d/dz, d/dx and d/dy, and of
+    L = -lap_h/r_h - d2/dz2/r_z, the viscosity (L1) or diffusion (L2)
+    operator, whose three second differences share one 2.0*centre.  Each
+    element is computed in the order of :mod:`operators` and
+    :func:`model.apply_L1`; only the buffers are reused.
+    """
+    c = fp[1:-1, 1:-1, 1:-1]
+    xp, xm = fp[2:, 1:-1, 1:-1], fp[:-2, 1:-1, 1:-1]
+    yp, ym = fp[1:-1, 2:, 1:-1], fp[1:-1, :-2, 1:-1]
+    zp, zm = fp[1:-1, 1:-1, 2:], fp[1:-1, 1:-1, :-2]
+    yield np.square(c)
+    for plus, minus, d in ((zp, zm, g.dz), (xp, xm, g.dx), (yp, ym, g.dy)):
+        a = np.subtract(plus, minus)
+        a /= 2.0 * d
+        yield np.square(a, out=a)
+    two_c = 2.0 * c
+    lap = np.subtract(xp, two_c)
+    lap += xm
+    lap /= g.dx**2
+    a = np.subtract(yp, two_c)
+    a += ym
+    a /= g.dy**2
+    lap += a
+    d2z = np.subtract(zp, two_c, out=two_c)
+    d2z += zm
+    d2z /= g.dz**2
+    np.negative(lap, out=lap)
+    lap /= r_h
+    d2z /= r_z
+    lap -= d2z
+    yield np.square(lap, out=lap)
 
 
-def surface_integral_sq(Tp: np.ndarray, g: Grid) -> float:
-    """Integral of T^2 over the surface z=0, sampled from the top cell layer."""
-    top = Tp[1:-1, 1:-1, -2]
-    return g.dx * g.dy * ops.pairwise_sum(top**2)
+#: squares _slab_sums keeps past their own sums: the pointwise magnitudes of the L6 norms
+_L6_SQUARES = ("v1z", "v2z", "T", "Tz")
+
+
+def _slab_sums(s: State, prev, vbar1, vbar2, dt: float, p: PhysParams, g: Grid, lo: int, hi: int):
+    """Pairwise sums of every record integrand over the interior x-planes lo..hi-1."""
+    S = ops.pairwise_sum
+    x = slice(lo + 1, hi + 1)
+    I = (x, slice(1, -1), slice(1, -1))
+    out, kept = {}, {}
+    for name, f, r_h, r_z in (("v1", s.v1, p.re1, p.re2), ("v2", s.v2, p.re1, p.re2),
+                              ("T", s.T, p.rt1, p.rt2)):
+        keys = (name, name + "z", name + "x", name + "y", name + "L")
+        for key, sq in zip(keys, _squares(f[lo:hi + 2], g, r_h, r_z)):
+            out[key] = S(sq)
+            if key in _L6_SQUARES:
+                kept[key] = sq
+    v1z = kept["v1z"]
+    v1z += kept["v2z"]
+    for key, mag2 in (("vz6", v1z), ("T6", kept["T"]), ("Tz6", kept["Tz"])):
+        mag2 **= 3
+        out[key] = S(mag2)
+    vt1 = np.subtract(s.v1[I], vbar1[x, 1:-1, None], out=v1z)
+    vt2 = np.subtract(s.v2[I], vbar2[x, 1:-1, None], out=kept["v2z"])
+    np.square(vt1, out=vt1)
+    vt1 += np.square(vt2, out=vt2)
+    vt1 **= 3
+    out["vt6"] = S(vt1)
+    out["top"] = S(s.T[x, 1:-1, -2] ** 2)
+    if prev is not None:
+        for key, f, f_prev in (("v1t", s.v1, prev[0]), ("v2t", s.v2, prev[1]), ("Tt", s.T, prev[2])):
+            ft = np.subtract(f[I], f_prev[lo:hi], out=vt1)
+            ft /= dt
+            out[key] = S(np.square(ft, out=ft))
+    return out
 
 
 def compute_record(
     s: State,
-    s_prev: Optional[State],
+    prev: Optional[tuple],
     dt: float,
     p: PhysParams,
     g: Grid,
@@ -95,37 +165,25 @@ def compute_record(
 ) -> DiagRecord:
     """Evaluate every monitored norm on a snapshot with valid ghosts.
 
-    Time-derivative norms use backward differences against s_prev and are
-    NaN (missing) on the first record.
+    prev holds the interior (v1, v2, T) one step back; the time-derivative
+    norms are its backward differences, and NaN (missing) when prev is None.
     """
-    I = INTERIOR
+    planes = max(1, SLAB_CELLS // (g.ny * g.nz))
+    vbar1, vbar2 = depth_mean(s.v1, p, g), depth_mean(s.v2, p, g)
+    slabs = [_slab_sums(s, prev, vbar1, vbar2, dt, p, g, lo, min(lo + planes, g.nx))
+             for lo in range(0, g.nx, planes)]
+    total = {key: math.fsum(sums[key] for sums in slabs) for key in slabs[0]}
+    cv = g.cell_volume
 
-    v1, v2, T = s.v1, s.v2, s.T
-    l2_T = l2sq(T[I], g)
-    l2_v = l2sq(v1[I], g) + l2sq(v2[I], g)
-    l6_T = norm6(g, T[I])
+    def l2(*keys):
+        """Sum of the squared L2 norms of the named integrands, added left to right."""
+        return sum(cv * total[key] for key in keys)
 
-    vbar1, vbar2 = depth_mean(v1, p, g), depth_mean(v2, p, g)
-    vt1 = v1[I] - vbar1[INTERIOR2D][:, :, None]
-    vt2 = v2[I] - vbar2[INTERIOR2D][:, :, None]
-    l6_vtilde = norm6(g, vt1, vt2)
+    def l6(key):
+        return (cv * total[key]) ** (1.0 / 6.0)
 
-    v1z = ops.d_dz(v1, g)
-    v2z = ops.d_dz(v2, g)
-    Tz = ops.d_dz(T, g)
-    l6_vz = norm6(g, v1z, v2z)
-    l6_Tz = norm6(g, Tz)
-    l2_vz = l2sq(v1z, g) + l2sq(v2z, g)
-
-    g1x, g1y = ops.grad_h(v1, g)
-    g2x, g2y = ops.grad_h(v2, g)
-    l2_gradv = l2sq(g1x, g) + l2sq(g1y, g) + l2sq(g2x, g) + l2sq(g2y, g)
-    tx, ty = ops.grad_h(T, g)
-    l2_gradT = l2sq(tx, g) + l2sq(ty, g)
-    l2_Tz = l2sq(Tz, g)
-
-    v1norm_v = l2_gradv / p.re1 + l2_vz / p.re2
-    v2norm_T = l2_gradT / p.rt1 + l2_Tz / p.rt2 + p.alpha * surface_integral_sq(T, g)
+    l2_vz, l2_gradv = l2("v1z", "v2z"), l2("v1x", "v1y", "v2x", "v2y")
+    surface = g.dx * g.dy * total["top"]
 
     # depth-mean shear: 2D integral of |grad vbar|^2
     b1x, b1y = ops.grad_h(vbar1, g)
@@ -136,28 +194,19 @@ def compute_record(
         + ops.pairwise_sum(b2x**2) + ops.pairwise_sum(b2y**2)
     )
 
-    l2_L1v = l2sq(apply_L1(v1, p, g), g) + l2sq(apply_L1(v2, p, g), g)
-    l2_L2T = l2sq(apply_L2(T, p, g), g)
-
-    if s_prev is not None:
-        l2_vt = (
-            l2sq((v1[I] - s_prev.v1[I]) / dt, g)
-            + l2sq((v2[I] - s_prev.v2[I]) / dt, g)
-        )
-        l2_Tt = l2sq((T[I] - s_prev.T[I]) / dt, g)
-    else:
-        l2_vt = float("nan")
-        l2_Tt = float("nan")
-
+    nan = float("nan")
     return DiagRecord(
         t=t,
-        l2_T=l2_T, l2_v=l2_v,
-        l6_T=l6_T, l6_vtilde=l6_vtilde, l6_vz=l6_vz, l6_Tz=l6_Tz,
-        v1norm_v=v1norm_v, v2norm_T=v2norm_T, grad_vbar_2d=grad_vbar_2d,
+        l2_T=l2("T"), l2_v=l2("v1", "v2"),
+        l6_T=l6("T6"), l6_vtilde=l6("vt6"), l6_vz=l6("vz6"), l6_Tz=l6("Tz6"),
+        v1norm_v=l2_gradv / p.re1 + l2_vz / p.re2,
+        v2norm_T=l2("Tx", "Ty") / p.rt1 + l2("Tz") / p.rt2 + p.alpha * surface,
+        grad_vbar_2d=grad_vbar_2d,
         l2_vz=l2_vz, l2_gradv=l2_gradv,
-        l2_L1v=l2_L1v, l2_L2T=l2_L2T,
-        l2_vt=l2_vt, l2_Tt=l2_Tt,
-        constraint_residual=constraint_residual(vbar1, vbar2, v1, v2, g),
+        l2_L1v=l2("v1L", "v2L"), l2_L2T=l2("TL"),
+        l2_vt=nan if prev is None else l2("v1t", "v2t"),
+        l2_Tt=nan if prev is None else l2("Tt"),
+        constraint_residual=constraint_residual(vbar1, vbar2, s.v1, s.v2, g),
     )
 
 

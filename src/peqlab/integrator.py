@@ -154,7 +154,7 @@ class _Member:
         self.energy = self._energy() if on else None
 
     def _energy(self) -> float:
-        return sum(diag.l2sq(f[INTERIOR], self.g) for f in (self.s.v1, self.s.v2, self.s.T))
+        return sum(diag.l2sq(f, self.g) for f in self.s.interiors())
 
     def check_energy_step(self, t: float):
         """The energy inequality after a step, when enabled (Q == 0 by default)."""
@@ -166,9 +166,9 @@ class _Member:
             raise CheckError(f"energy increased at t={t:.6g}: {self.energy:.17g} -> {energy:.17g}")
         self.energy = energy
 
-    def record(self, t: float, s_prev: Optional[State]) -> diag.DiagRecord:
+    def record(self, t: float, prev: Optional[tuple]) -> diag.DiagRecord:
         """The DiagRecord of the current state, checked against the inequality monitors."""
-        rec = diag.compute_record(self.s, s_prev, self.cfg.dt, self.p, self.g, t=t)
+        rec = diag.compute_record(self.s, prev, self.cfg.dt, self.p, self.g, t=t)
         for name, ratio in (("temperature", diag.check_poincare_T(rec, self.p)),
                             ("velocity", diag.check_poincare_v(rec, self.p))):
             if ratio > 1.0 + POINCARE_TOL:
@@ -201,13 +201,15 @@ def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfi
     """
     checks = checks or RunChecks()
     group = [_Member(initial, p, g, cfg, checks) for initial, p, g in members]
+    # each member works on its own copy: let a caller's temporary initial state go
+    del members
     states = [m.s for m in group]
     yield 0, 0.0, states, [m.record(0.0, None) for m in group]
     n_steps = cfg.n_steps
     for n in range(1, n_steps + 1):
         emits = n % cfg.output_every == 0 or n == n_steps
-        # the time-derivative norms of a record need the state one step back
-        prev = [s.copy() for s in states] if emits else None
+        # the time-derivative norms of a record need v1, v2 and T one step back
+        prev = [tuple(f.copy() for f in s.interiors()) for s in states] if emits else None
         try:
             for m in group:
                 step(m.s, cfg.dt, m.p, m.g, cfg)
@@ -223,7 +225,9 @@ def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfi
 
 def run(initial: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: Optional[RunChecks] = None):
     """Advance one state to t_end; returns (final_state, records), one per output step."""
+    steps = trajectory([(initial, p, g)], cfg, checks)
+    del initial  # the member's copy is the only state the run needs
     records = []
-    for _, _, (final,), (rec,) in trajectory([(initial, p, g)], cfg, checks):
+    for _, _, (final,), (rec,) in steps:
         records.append(rec)
     return final, records

@@ -59,6 +59,10 @@ class State:
             body_force=self.body_force,
         )
 
+    def interiors(self) -> tuple:
+        """Interior views of the prognostic fields (v1, v2, T)."""
+        return self.v1[INTERIOR], self.v2[INTERIOR], self.T[INTERIOR]
+
     def fill_all_ghosts(self, p: PhysParams, g: Grid):
         fill_ghosts(self.v1, VELOCITY_BC, p, g)
         fill_ghosts(self.v2, VELOCITY_BC, p, g)

@@ -108,7 +108,7 @@ def pairwise_sum(a: np.ndarray) -> float:
     only on the shape and memory layout, so the result is bit-identical
     across runs, BLAS backends, and thread counts.
     """
-    return float(np.sum(a, dtype=np.float64))
+    return float(np.add.reduce(a, axis=None, dtype=np.float64))
 
 
 def pairwise_dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -9,17 +9,23 @@ fills, which the tests compare with the dense matrix.  `advect_reference` is
 the textbook split form of the skew-symmetric advection, against which the
 tests check the production face-sum form.  `full_rhs` is the full tendency,
 the step's explicit tendency minus L1 v and L2 T, which the tests take to
-the manufactured solution's discrete residual.
+the manufactured solution's discrete residual.  `record_reference`, with
+`norm6` and `surface_integral_sq`, is the diagnostic record from whole-array
+formulas, one reduction per integrand, against which the tests check the
+slab-blocked `diagnostics.compute_record`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import operators as ops
 from .bc import BcKind, FieldBcs, TEMPERATURE_BC, VELOCITY_BC, fill_ghosts, robin_ghost_factor
-from .grid import INTERIOR, Grid
+from .diagnostics import DiagRecord, l2sq
+from .grid import INTERIOR, INTERIOR2D, Grid
 from .model import State, Tendency, apply_L1, apply_L2, momentum_rhs, temperature_rhs
 from .params import PhysParams
+from .projection import constraint_residual, depth_mean
 
 MAX_UNKNOWNS = 4096
 
@@ -153,3 +159,81 @@ def flatten(field: np.ndarray) -> np.ndarray:
 
 def unflatten(vec: np.ndarray, g: Grid) -> np.ndarray:
     return np.asarray(vec).reshape(g.nx, g.ny, g.nz)
+
+
+def norm6(g: Grid, *components: np.ndarray) -> float:
+    """L6 norm of the pointwise magnitude of interior component fields."""
+    mag2 = sum(np.asarray(c) ** 2 for c in components)
+    return (g.cell_volume * ops.pairwise_sum(mag2**3)) ** (1.0 / 6.0)
+
+
+def surface_integral_sq(Tp: np.ndarray, g: Grid) -> float:
+    """Integral of T^2 over the surface z=0, sampled from the top cell layer."""
+    top = Tp[1:-1, 1:-1, -2]
+    return g.dx * g.dy * ops.pairwise_sum(top**2)
+
+
+def record_reference(s: State, prev, dt: float, p: PhysParams, g: Grid, t: float = 0.0) -> DiagRecord:
+    """The DiagRecord of a snapshot with valid ghosts, each integrand a whole array.
+
+    prev holds the interior (v1, v2, T) one step back, or is None for a
+    first record; the time-derivative norms are then NaN.
+    """
+    I = INTERIOR
+
+    v1, v2, T = s.v1, s.v2, s.T
+    l2_T = l2sq(T[I], g)
+    l2_v = l2sq(v1[I], g) + l2sq(v2[I], g)
+    l6_T = norm6(g, T[I])
+
+    vbar1, vbar2 = depth_mean(v1, p, g), depth_mean(v2, p, g)
+    vt1 = v1[I] - vbar1[INTERIOR2D][:, :, None]
+    vt2 = v2[I] - vbar2[INTERIOR2D][:, :, None]
+    l6_vtilde = norm6(g, vt1, vt2)
+
+    v1z = ops.d_dz(v1, g)
+    v2z = ops.d_dz(v2, g)
+    Tz = ops.d_dz(T, g)
+    l6_vz = norm6(g, v1z, v2z)
+    l6_Tz = norm6(g, Tz)
+    l2_vz = l2sq(v1z, g) + l2sq(v2z, g)
+
+    g1x, g1y = ops.grad_h(v1, g)
+    g2x, g2y = ops.grad_h(v2, g)
+    l2_gradv = l2sq(g1x, g) + l2sq(g1y, g) + l2sq(g2x, g) + l2sq(g2y, g)
+    tx, ty = ops.grad_h(T, g)
+    l2_gradT = l2sq(tx, g) + l2sq(ty, g)
+    l2_Tz = l2sq(Tz, g)
+
+    v1norm_v = l2_gradv / p.re1 + l2_vz / p.re2
+    v2norm_T = l2_gradT / p.rt1 + l2_Tz / p.rt2 + p.alpha * surface_integral_sq(T, g)
+
+    b1x, b1y = ops.grad_h(vbar1, g)
+    b2x, b2y = ops.grad_h(vbar2, g)
+    area = g.dx * g.dy
+    grad_vbar_2d = area * (
+        ops.pairwise_sum(b1x**2) + ops.pairwise_sum(b1y**2)
+        + ops.pairwise_sum(b2x**2) + ops.pairwise_sum(b2y**2)
+    )
+
+    l2_L1v = l2sq(apply_L1(v1, p, g), g) + l2sq(apply_L1(v2, p, g), g)
+    l2_L2T = l2sq(apply_L2(T, p, g), g)
+
+    if prev is not None:
+        p1, p2, pT = prev
+        l2_vt = l2sq((v1[I] - p1) / dt, g) + l2sq((v2[I] - p2) / dt, g)
+        l2_Tt = l2sq((T[I] - pT) / dt, g)
+    else:
+        l2_vt = float("nan")
+        l2_Tt = float("nan")
+
+    return DiagRecord(
+        t=t,
+        l2_T=l2_T, l2_v=l2_v,
+        l6_T=l6_T, l6_vtilde=l6_vtilde, l6_vz=l6_vz, l6_Tz=l6_Tz,
+        v1norm_v=v1norm_v, v2norm_T=v2norm_T, grad_vbar_2d=grad_vbar_2d,
+        l2_vz=l2_vz, l2_gradv=l2_gradv,
+        l2_L1v=l2_L1v, l2_L2T=l2_L2T,
+        l2_vt=l2_vt, l2_Tt=l2_Tt,
+        constraint_residual=constraint_residual(vbar1, vbar2, v1, v2, g),
+    )

@@ -195,7 +195,7 @@ def truncation_convergence(
 
     for _, t, (base, wide), (rec, _) in trajectory(members, cfg, checks):
         # the narrow domain is the whole interior of the base grid
-        num = sum(distance_sq(wide, base, g_a, sl))
+        num = sum(distance_sq(wide, base.interiors(), g_a, sl))
         den = rec.l2_v + rec.l2_T
         report.times.append(t)
         report.rel_diff.append(math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num))
@@ -235,7 +235,7 @@ def two_trajectory_contraction(
     report = ContractionReport()
 
     for _, t, (a, b), records in trajectory([(s_a, p, g), (s_b, p, g)], cfg, checks):
-        dv1, dv2, dT2 = distance_sq(a, b, g)
+        dv1, dv2, dT2 = distance_sq(a, b.interiors(), g)
         dv, dT = math.sqrt(dv1 + dv2), math.sqrt(dT2)
         dist = math.hypot(dv, dT)
         h2 = sum(math.sqrt(rec.l2_L1v + rec.l2_L2T) for rec in records)

@@ -93,6 +93,19 @@ def test_ghost_factor_table(setup):
     assert ghost_factors(W_BC, p, g) == (1.0, 1.0, 1.0, 1.0, -1.0, -1.0)
 
 
+def test_fill_reads_each_grids_own_robin_factor():
+    """Fills on many short-lived grids, interleaved and past any cache bound, each use
+    the Robin factor of their own grid and params."""
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        for nz in range(4, 84):
+            p = PhysParams(alpha=0.5 + 0.01 * nz, rt2=1.3)
+            g = make_grid(p, 4, 4, nz)
+            f = rng.standard_normal(g.zeros().shape)
+            fill_ghosts(f, TEMPERATURE_BC, p, g)
+            assert np.array_equal(f[:, :, -1], robin_ghost_factor(p, g) * f[:, :, -2])
+
+
 @pytest.mark.parametrize("bcs", [VELOCITY_BC, TEMPERATURE_BC, W_BC, SURFACE_PRESSURE_BC])
 def test_3d_fill_matches_2d_fill_per_layer(setup, bcs):
     """One fill path for both ranks: each z-layer's x/y faces get the 2D fill."""

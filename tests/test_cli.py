@@ -391,6 +391,31 @@ def test_nonfinite_q_file_rejected(tmp_path, capsys, bad):
     assert not (out / "timeseries.csv").exists()  # rejected before the first step
 
 
+def test_run_holds_no_initial_state(tmp_path, monkeypatch):
+    """Once the prologue has copied it, run's initial state is freed, before the first record."""
+    import weakref
+
+    from peqlab import diagnostics as diag
+    from peqlab.config import RunConfig
+
+    refs, alive = [], []
+    build, record = RunConfig.initial_state, diag.compute_record
+
+    def initial_state(self, p, g):
+        s = build(self, p, g)
+        refs.append(weakref.ref(s))
+        return s
+
+    def spy(*args, **kwargs):
+        alive.append(refs[0]() is not None)
+        return record(*args, **kwargs)
+
+    monkeypatch.setattr(RunConfig, "initial_state", initial_state)
+    monkeypatch.setattr(diag, "compute_record", spy)
+    assert main(["run", write_cfg(tmp_path, TINY_RUN), "--output-dir", str(tmp_path / "o")]) == 0
+    assert len(refs) == 1 and len(alive) == 6 and not any(alive)
+
+
 def test_unreadable_q_file_rejected(tmp_path, capsys):
     body = TINY_RUN.replace("q.kind = zero", f"q.kind = file\nq.path = {tmp_path / 'none.npy'}")
     assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from peqlab import PhysParams, State, StepConfig, make_grid
-from peqlab.config import KEY_SPEC, RunConfig, parse_config, serialize_config
+from peqlab.config import KEY_SPEC, RunConfig, parse_config
 from peqlab.diagnostics import CSV_COLUMNS, DiagRecord
 from peqlab.errors import ConfigError
 from peqlab.grid import INTERIOR
@@ -24,6 +24,23 @@ CONFIG_DIR = ROOT / "configs"
 #: config sections whose keys are the fields of the dataclass they build
 DATACLASS_SECTIONS = {"physics": PhysParams, "step": StepConfig, "check": RunChecks,
                       "tail": TailConfig}
+
+def _fmt(value) -> str:
+    """A parsed config value written back in the form the parser reads, floats exactly."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return str(value)
+
+
+def serialize_config(cfg: RunConfig) -> str:
+    """Every key of a config, in KEY_SPEC order, one `key = value` line each."""
+    lines = [f"{key} = {_fmt(cfg.values[key])}" for key in KEY_SPEC]
+    return "\n".join(lines) + "\n"
+
 
 GOLDEN_HEADER = (
     "t,l2_T,l2_v,l6_T,l6_vtilde,l6_vz,l6_Tz,v1norm_v,v2norm_T,grad_vbar_2d,"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from peqlab import PhysParams, State, StepConfig, make_grid, run
 from peqlab import diagnostics as diag
 from peqlab.grid import INTERIOR
+from peqlab.oracle import norm6, record_reference, surface_integral_sq
 from tests.test_model import random_smooth_state
 
 P = PhysParams(lx=1.0, l=1.0, h=1.0, alpha=1.0)
@@ -30,7 +32,7 @@ def test_constant_temperature_quadrature():
     rec = diag.compute_record(s, None, 0.1, p, g)
     box = 2 * p.lx * p.l * p.h
     assert rec.l2_T == pytest.approx(box, rel=1e-13)
-    assert diag.surface_integral_sq(s.T, g) == pytest.approx(2 * p.lx * p.l, rel=1e-13)
+    assert surface_integral_sq(s.T, g) == pytest.approx(2 * p.lx * p.l, rel=1e-13)
     assert rec.v2norm_T == pytest.approx(p.alpha * 2 * p.lx * p.l, rel=1e-13)
 
 
@@ -50,6 +52,62 @@ def test_l2_matches_naive_loop_oracle():
 
     assert rec.l2_T == pytest.approx(naive_l2(s.T), rel=1e-13)
     assert rec.l2_v == pytest.approx(naive_l2(s.v1) + naive_l2(s.v2), rel=1e-13)
+
+
+def record_case(p, dims, seed=3):
+    """A smooth state on a dims grid and the interior (v1, v2, T) of a nearby earlier one."""
+    g = make_grid(p, *dims)
+    s = random_smooth_state(p, g, seed)
+    other = random_smooth_state(p, g, seed + 1)
+    prev = tuple(0.9 * f + 0.01 * h for f, h in zip(s.interiors(), other.interiors()))
+    return g, s, prev
+
+
+def slab_planes(g):
+    return max(1, diag.SLAB_CELLS // (g.ny * g.nz))
+
+
+@pytest.mark.parametrize("dims", [(8, 8, 8), (32, 16, 8), (12, 10, 6), (64, 32, 16)])
+@pytest.mark.parametrize("with_prev", [False, True])
+def test_one_slab_record_bit_equal_to_whole_array_oracle(dims, with_prev):
+    p = PhysParams(lx=1.0, l=0.9, h=0.7)
+    g, s, prev = record_case(p, dims)
+    assert slab_planes(g) >= g.nx
+    prev = prev if with_prev else None
+    got = diag.compute_record(s, prev, 0.01, p, g, t=0.5).row()
+    want = record_reference(s, prev, 0.01, p, g, t=0.5).row()
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("with_prev", [False, True])
+def test_multi_slab_record_matches_oracle_to_rounding(with_prev):
+    p = PhysParams(lx=1.0, l=0.9, h=0.7)
+    g, s, prev = record_case(p, (72, 24, 20))
+    planes = slab_planes(g)
+    assert g.nx > planes and g.nx % planes  # two slabs, the last one partial
+    prev = prev if with_prev else None
+    got = diag.compute_record(s, prev, 0.01, p, g)
+    want = record_reference(s, prev, 0.01, p, g)
+    for name in diag.CSV_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        if math.isnan(b):
+            assert math.isnan(a), name
+        else:
+            assert a == pytest.approx(b, rel=1e-14, abs=0.0), name
+
+
+def test_record_temporaries_bounded_by_slab():
+    """At 128x64x32 the whole-array formulas allocate about 30 MB per record."""
+    p = PhysParams(lx=1.0, l=0.9, h=0.7)
+    g, s, prev = record_case(p, (128, 64, 32))
+    diag.compute_record(s, prev, 0.01, p, g)
+    tracemalloc.start()
+    try:
+        diag.compute_record(s, prev, 0.01, p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 class TestKappa:
@@ -192,7 +250,7 @@ def v6_split_ratio(s, p, g):
     The decomposition constant is generic, so the ratio is reported, never
     bounded.
     """
-    l6_v = diag.norm6(g, s.v1[INTERIOR], s.v2[INTERIOR])
+    l6_v = norm6(g, s.v1[INTERIOR], s.v2[INTERIOR])
     if l6_v == 0.0:
         return 0.0
     rec = diag.compute_record(s, None, 1.0, p, g)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,19 @@ def test_lockstep_members_match_separate_runs():
         assert np.array(rows).tobytes() == np.array([r.row() for r in alone_records]).tobytes()
         for name in ("v1", "v2", "T", "w", "p_s"):
             assert getattr(final, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+def test_trajectory_lets_the_initial_state_go():
+    """After the prologue only the member's copy is alive: the caller's temporary is freed."""
+    g = make_grid(P, 8, 8, 4)
+    initial = gaussian_state(g, P)
+    ref = weakref.ref(initial)
+    steps = trajectory([(initial, P, g)], StepConfig(dt=0.02, t_end=0.04, output_every=1))
+    del initial
+    assert ref() is not None  # the generator has not started
+    next(steps)
+    assert ref() is None
+    assert len(list(steps)) == 2
 
 
 def test_first_order_in_dt():
