@@ -88,8 +88,9 @@ def _squares(fp: np.ndarray, g: Grid, r_h: float, r_z: float):
     Yields the squares of the interior value, of d/dz, d/dx and d/dy, and of
     L = -lap_h/r_h - d2/dz2/r_z, the viscosity (L1) or diffusion (L2)
     operator, whose three second differences share one 2.0*centre.  Each
-    element is computed in the order of :mod:`operators` and
-    :func:`model.apply_L1`; only the buffers are reused.
+    element is computed in the order of the whole-array stencils,
+    :func:`oracle.d_dz`, :func:`operators.grad_h` and
+    :func:`oracle.apply_L1`; only the buffers are reused.
     """
     c = fp[1:-1, 1:-1, 1:-1]
     xp, xm = fp[2:, 1:-1, 1:-1], fp[:-2, 1:-1, 1:-1]

@@ -28,11 +28,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import diagnostics as diag
+from . import operators as ops
 from .bc import TEMPERATURE_BC, fill_ghosts
 from .diffusion import ImplicitDiffusion
-from .errors import CheckError
+from .errors import CheckError, NumericalError
 from .grid import INTERIOR, Grid
-from .model import State, momentum_rhs, temperature_rhs
+from .model import State, face_velocities, momentum_rhs, temperature_rhs
 from .params import PhysParams
 from .projection import project
 
@@ -92,14 +93,15 @@ class RunChecks:
 def cfl_dt(s: State, g: Grid) -> float:
     """Advisory advective time step, capped at DT_MAX."""
     suggestion = DT_MAX
-    for vmax, d in (
-        (float(np.abs(s.v1[INTERIOR]).max()), g.dx),
-        (float(np.abs(s.v2[INTERIOR]).max()), g.dy),
-        (float(np.abs(s.w[INTERIOR]).max()), g.dz),
-    ):
+    for fp, d in ((s.v1, g.dx), (s.v2, g.dy), (s.w, g.dz)):
+        vmax = ops.max_abs(fp[INTERIOR])
         if vmax > 0.0:
             suggestion = min(suggestion, CFL_TARGET * d / vmax)
     return suggestion
+
+
+#: the implicit diffusion operator of each prognostic field
+_DIFFUSION = {"v1": "velocity", "v2": "velocity", "T": "temperature"}
 
 
 @lru_cache(maxsize=32)
@@ -108,25 +110,31 @@ def _cached_diffusion(p: PhysParams, g: Grid, dt: float, kind: str) -> ImplicitD
 
 
 def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig) -> State:
-    """Advance a state (valid ghosts, diagnosed w) by one IMEX step in place."""
-    I = INTERIOR
-    tem = temperature_rhs(s, p, g)
+    """Advance a state (valid ghosts, diagnosed w) by one IMEX step in place.
+
+    The face velocities are built once and shared by every advected field,
+    and every rate is checked finite before the first field is written.
+    """
+    # faces stays referenced to the end of the step: freed before the solves,
+    # its memory lets glibc trim the heap top on every step
+    faces = face_velocities(s.v1, s.v2, s.w, g)
+    dT = temperature_rhs(s, faces)
     if cfg.temperature_only:
-        tem.validate()
-        t_star = s.T[I] + dt * tem.dT
-        s.T[I] = _cached_diffusion(p, g, dt, "temperature").solve(t_star)
+        rates = (("T", dT),)
     else:
-        mom = momentum_rhs(s, p, g)
-        # single non-finite sweep for the whole step
-        mom.dT = tem.dT
-        mom.validate()
-        v1_star = s.v1[I] + dt * mom.dv1
-        v2_star = s.v2[I] + dt * mom.dv2
-        t_star = s.T[I] + dt * tem.dT
-        velocity = _cached_diffusion(p, g, dt, "velocity")
-        s.v1[I] = velocity.solve(v1_star)
-        s.v2[I] = velocity.solve(v2_star)
-        s.T[I] = _cached_diffusion(p, g, dt, "temperature").solve(t_star)
+        dv1, dv2 = momentum_rhs(s, p, g, faces)
+        rates = (("v1", dv1), ("v2", dv2), ("T", dT))
+    for name, rate in rates:
+        finite = np.isfinite(rate)
+        if not finite.all():
+            idx = tuple(int(v) for v in np.argwhere(~finite)[0])
+            raise NumericalError(f"non-finite tendency d{name} at interior index {idx}")
+    for name, rate in rates:
+        f = getattr(s, name)
+        # the predictor f + dt * rate, formed in the rate's own buffer
+        rate *= dt
+        rate += f[INTERIOR]
+        f[INTERIOR] = _cached_diffusion(p, g, dt, _DIFFUSION[name]).solve(rate)
     # project refills the v1, v2 and p_s ghosts, refresh_w those of w
     fill_ghosts(s.T, TEMPERATURE_BC, p, g)
     if not cfg.temperature_only:

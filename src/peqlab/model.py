@@ -11,7 +11,8 @@ hydrostatic integral of T, and the equations read
 with the advection in skew-symmetric split form, evaluated as face sums, so
 that its discrete energy contribution cancels exactly.  `momentum_rhs` and
 `temperature_rhs` give the explicit part of the step, everything but the
-diffusion terms -L1 v and -L2 T, which the step solves implicitly.
+diffusion terms -L1 v and -L2 T, which the step solves implicitly; both
+advect by the face velocities the step builds once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import operators as ops
 from .bc import SURFACE_PRESSURE_BC, TEMPERATURE_BC, VELOCITY_BC, W_BC, fill_ghosts
-from .errors import NumericalError
 from .grid import INTERIOR, Grid
 from .params import PhysParams
 
@@ -78,27 +78,6 @@ class State:
         return self
 
 
-@dataclass
-class Tendency:
-    """Right-hand sides for the prognostic fields (interior arrays)."""
-
-    dv1: Optional[np.ndarray] = None
-    dv2: Optional[np.ndarray] = None
-    dT: Optional[np.ndarray] = None
-
-    def validate(self):
-        """Raise NumericalError at the first non-finite entry."""
-        for name in ("dv1", "dv2", "dT"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                idx = tuple(int(v) for v in np.argwhere(bad)[0])
-                raise NumericalError(f"non-finite tendency {name} at interior index {idx}")
-        return self
-
-
 def diagnose_w(v1p: np.ndarray, v2p: np.ndarray, g: Grid) -> np.ndarray:
     """Vertical velocity from the continuity equation, zero at the bottom face.
 
@@ -126,16 +105,6 @@ def baroclinic_pressure_gradient(Tp: np.ndarray, g: Grid):
     return bx, by
 
 
-def apply_L1(vp: np.ndarray, p: PhysParams, g: Grid) -> np.ndarray:
-    """Momentum viscosity operator -(1/re1) lap_h - (1/re2) d2/dz2."""
-    return -ops.lap_h(vp, g) / p.re1 - ops.d2_dz2(vp, g) / p.re2
-
-
-def apply_L2(Tp: np.ndarray, p: PhysParams, g: Grid) -> np.ndarray:
-    """Heat diffusion operator -(1/rt1) lap_h - (1/rt2) d2/dz2."""
-    return -ops.lap_h(Tp, g) / p.rt1 - ops.d2_dz2(Tp, g) / p.rt2
-
-
 def face_velocities(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, g: Grid):
     """Pre-scaled face velocities U_{i+1/2} = (u_i + u_{i+1}) / (4 d), one array per axis.
 
@@ -152,7 +121,17 @@ def face_velocities(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, g: Grid):
 
 
 def advect_faces(faces, fp: np.ndarray) -> np.ndarray:
-    """Skew-symmetric advection of the padded field fp by precomputed face velocities."""
+    """Skew-symmetric advection 0.5 [ u.grad f + div(u f) ] of the padded field fp (interior out).
+
+    Per axis the centred split form 0.5 [u_i (f_{i+1} - f_{i-1})
+    + u_{i+1} f_{i+1} - u_{i-1} f_{i-1}] / (2d) regroups into the face-sum
+    form U_{i+1/2} f_{i+1} - U_{i-1/2} f_{i-1} with the faces of
+    :func:`face_velocities` (Morinishi et al., J. Comput. Phys. 143, 1998).
+    Summed against f, the term U_{i+1/2} f_i f_{i+1} appears once with each
+    sign, so <advect_faces(faces, f), f> telescopes to the two wall faces,
+    where U vanishes exactly because the advecting normal component is odd
+    across the wall (u_ghost = -u).
+    """
     ux, uy, uz = faces
     out = ux[1:] * fp[2:, 1:-1, 1:-1]
     buf = np.multiply(ux[:-1], fp[:-2, 1:-1, 1:-1])
@@ -168,24 +147,9 @@ def advect_faces(faces, fp: np.ndarray) -> np.ndarray:
     return out
 
 
-def advect(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, fp: np.ndarray, g: Grid) -> np.ndarray:
-    """Skew-symmetric advection 0.5 [ u.grad f + div(u f) ] (interior out).
-
-    Per axis the centred split form 0.5 [u_i (f_{i+1} - f_{i-1})
-    + u_{i+1} f_{i+1} - u_{i-1} f_{i-1}] / (2d) regroups into the face-sum
-    form U_{i+1/2} f_{i+1} - U_{i-1/2} f_{i-1} with U_{i+1/2} = (u_i + u_{i+1})
-    / (4d) (Morinishi et al., J. Comput. Phys. 143, 1998).  Summed against f,
-    the term U_{i+1/2} f_i f_{i+1} appears once with each sign, so <advect(f),
-    f> telescopes to the two wall faces, where U vanishes exactly because the
-    advecting normal component is odd across the wall (u_ghost = -u).
-    """
-    return advect_faces(face_velocities(u1p, u2p, wp, g), fp)
-
-
-def momentum_rhs(s: State, p: PhysParams, g: Grid) -> Tendency:
-    """Explicit momentum tendency (no L1 v); requires current ghosts, diagnosed w, and p_s."""
+def momentum_rhs(s: State, p: PhysParams, g: Grid, faces) -> tuple:
+    """Explicit momentum tendency (dv1, dv2), no L1 v; needs current ghosts, p_s and the step's faces."""
     f = coriolis_f(g.y(np.arange(g.ny)), p)[None, :, None] / p.ro
-    faces = face_velocities(s.v1, s.v2, s.w, g)
     px, py = ops.grad_h(s.p_s, g)
     dv1, dv2 = baroclinic_pressure_gradient(s.T, g)
     dv1 -= advect_faces(faces, s.v1)
@@ -195,13 +159,12 @@ def momentum_rhs(s: State, p: PhysParams, g: Grid) -> Tendency:
     dv2 -= f * s.v1[INTERIOR]
     dv2 -= py[:, :, None]
     if s.body_force is not None:
-        dv1 = dv1 + s.body_force[0]
-        dv2 = dv2 + s.body_force[1]
-    return Tendency(dv1=dv1, dv2=dv2)
+        dv1 += s.body_force[0]
+        dv2 += s.body_force[1]
+    return dv1, dv2
 
 
-def temperature_rhs(s: State, p: PhysParams, g: Grid) -> Tendency:
-    """Explicit temperature tendency (no L2 T); requires current ghosts and diagnosed w."""
-    dT = advect(s.v1, s.v2, s.w, s.T, g)
-    np.subtract(s.Q, dT, out=dT)
-    return Tendency(dT=dT)
+def temperature_rhs(s: State, faces) -> np.ndarray:
+    """Explicit temperature tendency dT, no L2 T; needs current ghosts and the step's faces."""
+    dT = advect_faces(faces, s.T)
+    return np.subtract(s.Q, dT, out=dT)

@@ -42,24 +42,6 @@ def div_h(up: np.ndarray, vp: np.ndarray, g: Grid):
     ) / (2.0 * g.dy)
 
 
-def lap_h(fp: np.ndarray, g: Grid):
-    """Horizontal five-point Laplacian of a padded 2D or 3D field."""
-    centre = _shifted(fp, 0, 0)
-    return (_shifted(fp, 1, 0) - 2.0 * centre + _shifted(fp, -1, 0)) / g.dx**2 + (
-        _shifted(fp, 0, 1) - 2.0 * centre + _shifted(fp, 0, -1)
-    ) / g.dy**2
-
-
-def d_dz(fp: np.ndarray, g: Grid):
-    """Centered vertical derivative of a padded 3D field."""
-    return (fp[1:-1, 1:-1, 2:] - fp[1:-1, 1:-1, :-2]) / (2.0 * g.dz)
-
-
-def d2_dz2(fp: np.ndarray, g: Grid):
-    """Centered second vertical derivative of a padded 3D field."""
-    return (fp[1:-1, 1:-1, 2:] - 2.0 * fp[1:-1, 1:-1, 1:-1] + fp[1:-1, 1:-1, :-2]) / g.dz**2
-
-
 @lru_cache(maxsize=16)
 def _quadrature_matrices(nz: int, dz: float):
     """(from_bottom, from_top) trapezoid weight matrices; column k yields cell k."""
@@ -99,6 +81,11 @@ def integrate_from_top(f: np.ndarray, g: Grid):
     :func:`integrate_from_bottom`.
     """
     return _vertical_quadrature(f, _quadrature_matrices(f.shape[-1], g.dz)[1])
+
+
+def max_abs(a: np.ndarray) -> float:
+    """Largest |a|, as max(a.max(), -a.min()): no full-size |a| temporary."""
+    return float(max(a.max(), -a.min()))
 
 
 def pairwise_sum(a: np.ndarray) -> float:

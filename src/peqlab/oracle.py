@@ -5,14 +5,17 @@ per-face ghost elimination written out long-hand), deliberately independent
 of the vectorized stencil code they cross-check.  Sizes are capped at 4096
 unknowns; these exist for verification only.  `helmholtz_apply` is the
 stencil side of one such cross-check: (I + dt*L) applied through the ghost
-fills, which the tests compare with the dense matrix.  `advect_reference` is
-the textbook split form of the skew-symmetric advection, against which the
-tests check the production face-sum form.  `full_rhs` is the full tendency,
-the step's explicit tendency minus L1 v and L2 T, which the tests take to
-the manufactured solution's discrete residual.  `record_reference`, with
-`norm6` and `surface_integral_sq`, is the diagnostic record from whole-array
-formulas, one reduction per integrand, against which the tests check the
-slab-blocked `diagnostics.compute_record`.
+fills and `apply_L1`/`apply_L2`, which the tests compare with the dense
+matrix.  Those two, with `lap_h`, `d_dz` and `d2_dz2`, are the whole-array
+stencils of the diffusion operators; the production path applies them only
+through the implicit solves and, slab by slab, in the diagnostic record.
+`advect_reference` is the textbook split form of the skew-symmetric
+advection, against which the tests check the production face-sum form.
+`full_rhs` is the full tendency, the step's explicit tendency minus L1 v and
+L2 T, which the tests take to the manufactured solution's discrete residual.
+`record_reference`, with `norm6` and `surface_integral_sq`, is the
+diagnostic record from whole-array formulas, one reduction per integrand,
+against which the tests check the slab-blocked `diagnostics.compute_record`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import operators as ops
 from .bc import BcKind, FieldBcs, TEMPERATURE_BC, VELOCITY_BC, fill_ghosts, robin_ghost_factor
 from .diagnostics import DiagRecord, l2sq
 from .grid import INTERIOR, INTERIOR2D, Grid
-from .model import State, Tendency, apply_L1, apply_L2, momentum_rhs, temperature_rhs
+from .model import State, face_velocities, momentum_rhs, temperature_rhs
 from .params import PhysParams
 from .projection import constraint_residual, depth_mean
 
@@ -91,6 +94,34 @@ def dense_operator_oracle(g: Grid, op: str, p: PhysParams, dt: float | None = No
     raise ValueError(f"unknown operator id {op!r}")
 
 
+def lap_h(fp: np.ndarray, g: Grid):
+    """Horizontal five-point Laplacian of a padded 2D or 3D field."""
+    centre = ops._shifted(fp, 0, 0)
+    return (ops._shifted(fp, 1, 0) - 2.0 * centre + ops._shifted(fp, -1, 0)) / g.dx**2 + (
+        ops._shifted(fp, 0, 1) - 2.0 * centre + ops._shifted(fp, 0, -1)
+    ) / g.dy**2
+
+
+def d_dz(fp: np.ndarray, g: Grid):
+    """Centered vertical derivative of a padded 3D field."""
+    return (fp[1:-1, 1:-1, 2:] - fp[1:-1, 1:-1, :-2]) / (2.0 * g.dz)
+
+
+def d2_dz2(fp: np.ndarray, g: Grid):
+    """Centered second vertical derivative of a padded 3D field."""
+    return (fp[1:-1, 1:-1, 2:] - 2.0 * fp[1:-1, 1:-1, 1:-1] + fp[1:-1, 1:-1, :-2]) / g.dz**2
+
+
+def apply_L1(vp: np.ndarray, p: PhysParams, g: Grid) -> np.ndarray:
+    """Momentum viscosity operator -(1/re1) lap_h - (1/re2) d2/dz2."""
+    return -lap_h(vp, g) / p.re1 - d2_dz2(vp, g) / p.re2
+
+
+def apply_L2(Tp: np.ndarray, p: PhysParams, g: Grid) -> np.ndarray:
+    """Heat diffusion operator -(1/rt1) lap_h - (1/rt2) d2/dz2."""
+    return -lap_h(Tp, g) / p.rt1 - d2_dz2(Tp, g) / p.rt2
+
+
 def helmholtz_apply(x: np.ndarray, p: PhysParams, g: Grid, dt: float, kind: str) -> np.ndarray:
     """(I + dt*L) x through the ghost-based stencils (interior in/out)."""
     pad = g.zeros()
@@ -102,11 +133,12 @@ def helmholtz_apply(x: np.ndarray, p: PhysParams, g: Grid, dt: float, kind: str)
     return x + dt * apply_L2(pad, p, g)
 
 
-def full_rhs(s: State, p: PhysParams, g: Grid) -> Tendency:
+def full_rhs(s: State, p: PhysParams, g: Grid) -> tuple:
     """(dv1, dv2, dT) of the full equations: the explicit tendency with diffusion added."""
-    mom = momentum_rhs(s, p, g)
-    dT = temperature_rhs(s, p, g).dT - apply_L2(s.T, p, g)
-    return Tendency(dv1=mom.dv1 - apply_L1(s.v1, p, g), dv2=mom.dv2 - apply_L1(s.v2, p, g), dT=dT)
+    faces = face_velocities(s.v1, s.v2, s.w, g)
+    dv1, dv2 = momentum_rhs(s, p, g, faces)
+    dT = temperature_rhs(s, faces) - apply_L2(s.T, p, g)
+    return dv1 - apply_L1(s.v1, p, g), dv2 - apply_L1(s.v2, p, g), dT
 
 
 def advect_reference(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, fp: np.ndarray, g: Grid) -> np.ndarray:
@@ -191,9 +223,9 @@ def record_reference(s: State, prev, dt: float, p: PhysParams, g: Grid, t: float
     vt2 = v2[I] - vbar2[INTERIOR2D][:, :, None]
     l6_vtilde = norm6(g, vt1, vt2)
 
-    v1z = ops.d_dz(v1, g)
-    v2z = ops.d_dz(v2, g)
-    Tz = ops.d_dz(T, g)
+    v1z = d_dz(v1, g)
+    v2z = d_dz(v2, g)
+    Tz = d_dz(T, g)
     l6_vz = norm6(g, v1z, v2z)
     l6_Tz = norm6(g, Tz)
     l2_vz = l2sq(v1z, g) + l2sq(v2z, g)

@@ -85,8 +85,8 @@ def constraint_residual(vbar1: np.ndarray, vbar2: np.ndarray, v1p: np.ndarray, v
     v2p only the interior is read, for the scale.
     """
     div = ops.div_h(vbar1, vbar2, g)
-    scale = np.abs(v1p[INTERIOR]).max() / g.dx + np.abs(v2p[INTERIOR]).max() / g.dy
-    peak = float(np.abs(div).max())
+    scale = ops.max_abs(v1p[INTERIOR]) / g.dx + ops.max_abs(v2p[INTERIOR]) / g.dy
+    peak = ops.max_abs(div)
     if scale == 0.0:
         return 0.0 if peak == 0.0 else float("inf")
     return peak / float(scale)

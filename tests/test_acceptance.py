@@ -18,8 +18,7 @@ from peqlab import diagnostics as diag
 from peqlab.config import RunConfig, parse_config_file
 from peqlab.grid import INTERIOR
 from peqlab.mms import mms_convergence_study
-from peqlab.model import apply_L1, apply_L2
-from peqlab.oracle import dense_operator_oracle, flatten, unflatten
+from peqlab.oracle import apply_L1, apply_L2, dense_operator_oracle, flatten, unflatten
 from peqlab.projection import project
 from peqlab.tail import tail_decay_experiment, truncation_convergence, two_trajectory_contraction
 from tests.test_diagnostics import absorbing_entry_time

@@ -5,7 +5,9 @@ import pytest
 
 from peqlab import PhysParams, State, StepConfig, RunChecks, make_grid, cfl_dt, run, step, trajectory
 from peqlab.integrator import CFL_TARGET, DT_MAX
+from peqlab import operators as ops
 from peqlab.grid import INTERIOR
+from peqlab.projection import constraint_residual, depth_mean
 
 # moderately diffusive reference regime: the coupled energy bound holds with margin
 P = PhysParams(lx=2.0, l=1.0, h=0.5, re1=1.0, re2=1.0, rt1=1.0, rt2=1.0, alpha=2.0,
@@ -50,6 +52,27 @@ class TestCfl:
         s.v2 *= 2.0
         s.w *= 2.0
         assert cfl_dt(s, g) == pytest.approx(one / 2.0)
+
+    def test_velocity_scales_when_the_largest_speed_is_negative(self):
+        """cfl_dt and constraint_residual read max |v| exactly from a negative peak."""
+        g = make_grid(P, 8, 6, 4)
+        rng = np.random.default_rng(5)
+        s = State.zeros(g)
+        for f in (s.v1, s.v2, s.w):
+            f[INTERIOR] = rng.uniform(-2.0, 1.0, (g.nx, g.ny, g.nz))
+            f[2, 3, 2] = -9.0
+        s.fill_all_ghosts(P, g)
+        # the scales as |v| temporaries give them
+        suggestion = DT_MAX
+        for f, d in ((s.v1, g.dx), (s.v2, g.dy), (s.w, g.dz)):
+            suggestion = min(suggestion, CFL_TARGET * d / float(np.abs(f[INTERIOR]).max()))
+        assert suggestion < DT_MAX
+        assert cfl_dt(s, g) == suggestion
+        vbar1, vbar2 = depth_mean(s.v1, P, g), depth_mean(s.v2, P, g)
+        scale = np.abs(s.v1[INTERIOR]).max() / g.dx + np.abs(s.v2[INTERIOR]).max() / g.dy
+        residual = float(np.abs(ops.div_h(vbar1, vbar2, g)).max()) / float(scale)
+        assert residual > 0.0
+        assert constraint_residual(vbar1, vbar2, s.v1, s.v2, g) == residual
 
 
 def test_n_steps_absorbs_float_quotients():

@@ -4,8 +4,9 @@ import pytest
 from peqlab import PhysParams, make_grid
 from peqlab.bc import BcKind, TEMPERATURE_BC, VELOCITY_BC, fill_ghosts
 from peqlab.grid import INTERIOR
-from peqlab.model import apply_L1, apply_L2
 from peqlab.oracle import (
+    apply_L1,
+    apply_L2,
     dense_lap_h_2d,
     dense_operator_oracle,
     flatten,
