@@ -93,12 +93,6 @@ def ghost_factors(bcs: FieldBcs, p: PhysParams, g: Grid) -> tuple:
     return tuple(gamma[kind] for kind in kinds)
 
 
-#: (id(bcs), id(p), id(g)) -> (ghost factors, bcs, p, g), so a fill pays one dict hit
-#: where ghost_factors' cache would hash every field of its three arguments; an entry
-#: holds its own key objects, so none of its ids can be reused while it lives
-_FACTORS_BY_ID: dict = {}
-_FACTORS_BY_ID_MAX = 64
-
 #: (ghost, adjacent interior) planes of a padded field per face, in FieldBcs
 #: order; a 2D (x, y) field takes the first four
 _FACES = tuple(((slice(None),) * axis + (ghost,), (slice(None),) * axis + (inner,))
@@ -114,12 +108,6 @@ def fill_ghosts(field: np.ndarray, bcs: FieldBcs, p: PhysParams, g: Grid) -> np.
     """
     if field.ndim not in (2, 3):
         raise ValueError("fill_ghosts expects a 2D or 3D padded field")
-    key = (id(bcs), id(p), id(g))
-    hit = _FACTORS_BY_ID.get(key)
-    if hit is None:
-        if len(_FACTORS_BY_ID) >= _FACTORS_BY_ID_MAX:
-            _FACTORS_BY_ID.clear()
-        hit = _FACTORS_BY_ID[key] = (ghost_factors(bcs, p, g), bcs, p, g)
-    for (ghost, inner), gamma in zip(_FACES[:2 * field.ndim], hit[0]):
+    for (ghost, inner), gamma in zip(_FACES[:2 * field.ndim], ghost_factors(bcs, p, g)):
         field[ghost] = gamma * field[inner]
     return field

@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .config import parse_config_file
+from .config import RunConfig, parse_config_file
 from .errors import CheckError, ConfigError, NumericalError
 from .integrator import trajectory
 from .io import CsvWriter, plot_svg, read_timeseries, write_snapshot
 from .mms import mms_convergence_study
-from .tail import tail_decay_experiment, truncation_convergence, two_trajectory_contraction
+from .tail import (ContractionRow, TruncationRow, tail_decay_experiment, truncation_convergence,
+                   two_trajectory_contraction)
 
 
 def _outdir(cfg: RunConfig, override):
@@ -38,18 +39,19 @@ def _write_csv(path, header, rows):
             out(row)
 
 
-def _stream_csv(path, reports):
-    """Write the newest row of every report an experiment yields; returns the last.
+def _stream_csv(path, header, rows):
+    """Write each row an experiment yields as it comes; returns the rows as a list.
 
-    The file opens on the first report, so an input the experiment rejects
+    The file opens on the first row, so an input the experiment rejects
     leaves none; each row is flushed, so a failed run keeps its rows.
     """
-    report = next(reports)
-    with CsvWriter(path, report.header) as out:
-        out(report.row)
-        for report in reports:
-            out(report.row)
-    return report
+    table = [next(rows)]
+    with CsvWriter(path, header) as out:
+        out(table[0])
+        for row in rows:
+            out(row)
+            table.append(row)
+    return table
 
 
 def cmd_run(args) -> int:
@@ -78,9 +80,7 @@ def cmd_mms(args) -> int:
     sizes = tuple((n, n, n) for n in cfg["mms.sizes"])
     out = _outdir(cfg, args.output_dir)
     report = mms_convergence_study(p, sizes=sizes, dt=cfg["mms.dt"], horizon=cfg["mms.horizon"])
-    _write_csv(out / "mms.csv",
-               ("delta", "err_v1", "err_v2", "err_T", "order_v", "order_T"),
-               report.rows())
+    _write_csv(out / "mms.csv", report.header, report.rows())
     print(f"observed orders: velocity {report.order_v:.3f}, temperature {report.order_T:.3f}")
     if not (1.8 <= report.order_v <= 2.2 and 1.8 <= report.order_T <= 2.2):
         raise CheckError(
@@ -96,14 +96,15 @@ def cmd_tail(args) -> int:
     p = cfg.params()
     g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
-    s = cfg.initial_state(p, g)
-    report = _stream_csv(out / "tail.csv", tail_decay_experiment(
-        cfg.tail_config(), s, p, g, cfg.step_config(), cfg.checks()))
-    for r, sup_rel in zip(report.tail.radii, report.sup_rel):
-        print(f"r={r:g}: sup tail/total for t>={report.tail.tau_probe:g} is {sup_rel:.3e}")
-    if report.r_star is None:
-        raise CheckError(f"no radius achieved tail ratio <= {report.tail.epsilon:g}")
-    print(f"smallest radius within epsilon: r={report.r_star:g}")
+    tail = cfg.tail_config()
+    rows = _stream_csv(out / "tail.csv", tail.header, tail_decay_experiment(
+        tail, cfg.initial_state(p, g), p, g, cfg.step_config(), cfg.checks()))
+    for r, sup_rel in zip(tail.radii, tail.sup_rel(rows)):
+        print(f"r={r:g}: sup tail/total for t>={tail.tau_probe:g} is {sup_rel:.3e}")
+    r_star = tail.r_star(rows)
+    if r_star is None:
+        raise CheckError(f"no radius achieved tail ratio <= {tail.epsilon:g}")
+    print(f"smallest radius within epsilon: r={r_star:g}")
     return 0
 
 
@@ -116,13 +117,15 @@ def cmd_truncate(args) -> int:
                           "the manufactured fields depend on physics.lx")
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
     out = _outdir(cfg, args.output_dir)
-    report = _stream_csv(out / "truncate.csv", truncation_convergence(
+    factor = cfg["truncate.factor"]
+    rows = _stream_csv(out / "truncate.csv", TruncationRow._fields, truncation_convergence(
         cfg.params(), counts, cfg.step_config(), cfg.initial_state,
-        factor=cfg["truncate.factor"], checks=cfg.checks()))
-    print(f"max relative difference against {report.factor}x domain: {report.max_rel_diff:.3e}")
+        factor=factor, checks=cfg.checks()))
+    max_rel_diff = max(row.rel_diff for row in rows)
+    print(f"max relative difference against {factor}x domain: {max_rel_diff:.3e}")
     limit = cfg["truncate.max_rel"]
-    if limit > 0.0 and report.max_rel_diff > limit:
-        raise CheckError(f"truncation difference {report.max_rel_diff:.3e} exceeds {limit:g}")
+    if limit > 0.0 and max_rel_diff > limit:
+        raise CheckError(f"truncation difference {max_rel_diff:.3e} exceeds {limit:g}")
     return 0
 
 
@@ -132,10 +135,11 @@ def cmd_contract(args) -> int:
     g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
     s_a, s_b = cfg.contraction_pair(p, g)
-    report = _stream_csv(out / "contract.csv", two_trajectory_contraction(
+    rows = _stream_csv(out / "contract.csv", ContractionRow._fields, two_trajectory_contraction(
         s_a, s_b, p, g, cfg.step_config(), cfg.checks()))
-    print(f"distance {report.dist_l2[0]:.6g} -> {report.dist_l2[-1]:.6g} over t={report.times[-1]:g}")
-    if report.dist_l2[0] > 0.0 and not report.dist_l2[-1] < report.dist_l2[0]:
+    first, last = rows[0], rows[-1]
+    print(f"distance {first.dist_l2:.6g} -> {last.dist_l2:.6g} over t={last.t:g}")
+    if first.dist_l2 > 0.0 and not last.dist_l2 < first.dist_l2:
         raise CheckError("trajectories did not contract over the configured horizon")
     return 0
 

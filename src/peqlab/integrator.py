@@ -23,7 +23,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -181,6 +181,7 @@ class MmsReport:
     order_v: float
     order_T: float
     monotone: bool
+    header = ("delta", "err_v1", "err_v2", "err_T", "order_v", "order_T")
 
     def rows(self):
         return [(*level, self.order_v, self.order_T) for level in self.levels]

@@ -45,14 +45,6 @@ def _poisson_factors(g: Grid):
     return qx, qy, lam, null
 
 
-def _direct_solve(rhs: np.ndarray, g: Grid) -> np.ndarray:
-    qx, qy, lam, null = _poisson_factors(g)
-    r = qx.T @ (-rhs) @ qy
-    r = np.where(null, 0.0, r / np.where(null, 1.0, lam))
-    phi = qx @ r @ qy.T
-    return phi - phi.mean()
-
-
 def solve_surface_pressure(vbar_star, dt: float, g: Grid) -> np.ndarray:
     """Pressure increment phi from the padded depth-mean predictor velocity.
 
@@ -62,7 +54,11 @@ def solve_surface_pressure(vbar_star, dt: float, g: Grid) -> np.ndarray:
     """
     v1bar_p, v2bar_p = vbar_star
     rhs = ops.div_h(v1bar_p, v2bar_p, g) / dt
-    return _direct_solve(rhs, g)
+    qx, qy, lam, null = _poisson_factors(g)
+    r = qx.T @ (-rhs) @ qy
+    r = np.where(null, 0.0, r / np.where(null, 1.0, lam))
+    phi = qx @ r @ qy.T
+    return phi - phi.mean()
 
 
 def depth_mean(vp: np.ndarray, p: PhysParams, g: Grid) -> np.ndarray:

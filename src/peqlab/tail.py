@@ -10,16 +10,16 @@ common subdomain, and paired trajectories contract.
 Each experiment is a loop over :func:`peqlab.integrator.trajectory`, so it
 advances under the same prologue and run monitors (``checks``) as a run and
 reads the norms it shares with a DiagRecord from the members' records.  It
-yields its report, one output time longer, at every output step; the
-report's ``header`` and ``row`` are the experiment's CSV table.  Inputs are
-checked on the first ``next``, before the first step.
+yields one row of its CSV table at every output step, so ``list`` of an
+experiment is its table.  Inputs are checked on the first ``next``, before
+the first step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, List, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +50,23 @@ class TailConfig:
                 f"largest tail radius {max(radii)} must stay below lx/2 = {g.lx / 2}"
             )
 
+    @property
+    def header(self) -> tuple:
+        """The tail table's columns: time, total T energy, windowed energy per radius."""
+        return ("t", "total", *(f"w_{r:g}" for r in self.radii))
+
+    def sup_rel(self, rows) -> List[float]:
+        """Per radius, the sup over t >= tau_probe of windowed over total energy."""
+        late = [row for row in rows if row[0] >= self.tau_probe]
+        return [max(row[i] / max(row[1], 1e-300) for row in late)
+                for i in range(2, 2 + len(self.radii))]
+
+    def r_star(self, rows) -> Optional[float]:
+        """The smallest radius from which on every sup ratio is within epsilon, if any."""
+        sup = self.sup_rel(rows)
+        return next((r for i, r in enumerate(self.radii)
+                     if all(s <= self.epsilon for s in sup[i:])), None)
+
 
 def cutoff_eta(s):
     """Smooth window: 0 below 1, 1 above 2, quintic smoothstep between."""
@@ -65,36 +82,6 @@ def windowed_T_energy(T: np.ndarray, r: float, g: Grid) -> float:
         raise ValueError("window radius must be positive")
     x = g.x(np.arange(g.nx))[:, None, None]
     return l2sq(cutoff_eta(x**2 / r**2) * np.asarray(T), g)
-
-
-@dataclass
-class TailReport:
-    tail: TailConfig
-    times: List[float] = field(default_factory=list)
-    totals: List[float] = field(default_factory=list)
-    windowed: List[List[float]] = field(default_factory=list)  # [radius][time]
-
-    @property
-    def header(self) -> tuple:
-        return ("t", "total", *(f"w_{r:g}" for r in self.tail.radii))
-
-    @property
-    def row(self) -> tuple:
-        return (self.times[-1], self.totals[-1], *(series[-1] for series in self.windowed))
-
-    @property
-    def sup_rel(self) -> List[float]:
-        """Per radius, the sup over t >= tau_probe of windowed over total energy."""
-        late = [k for k, t in enumerate(self.times) if t >= self.tail.tau_probe]
-        return [max(series[k] / max(self.totals[k], 1e-300) for k in late)
-                for series in self.windowed]
-
-    @property
-    def r_star(self) -> Optional[float]:
-        """The smallest radius from which on every sup ratio is within epsilon, if any."""
-        sup = self.sup_rel
-        return next((r for i, r in enumerate(self.tail.radii)
-                     if all(s <= self.tail.epsilon for s in sup[i:])), None)
 
 
 def _q_support_radius(Q: np.ndarray, g: Grid) -> float:
@@ -113,8 +100,10 @@ def tail_decay_experiment(
     g: Grid,
     cfg: StepConfig,
     checks: Optional[RunChecks] = None,
-) -> Iterator[TailReport]:
+) -> Iterator[tuple]:
     """Run the simulation and track windowed tail energies per radius.
+
+    Yields one row ``(t, total, w_r, ...)`` of ``tail.header`` per output time.
 
     The heat source must live well inside the smallest window radius, and
     tau_probe no later than the last output time, n_steps * dt.
@@ -128,29 +117,13 @@ def tail_decay_experiment(
             f"heat source support |x| <= {support:.3g} is not well inside the "
             f"smallest window radius {min(tail.radii)}"
         )
-    report = TailReport(tail, windowed=[[] for _ in tail.radii])
     for _, t, (state,), (rec,) in trajectory([(initial, p, g)], cfg, checks):
-        report.times.append(t)
-        report.totals.append(rec.l2_T)
-        for series, r in zip(report.windowed, tail.radii):
-            series.append(windowed_T_energy(state.T[INTERIOR], r, g))
-        yield report
+        yield (t, rec.l2_T, *(windowed_T_energy(state.T[INTERIOR], r, g) for r in tail.radii))
 
 
-@dataclass
-class TruncationReport:
-    factor: int
-    times: List[float] = field(default_factory=list)
-    rel_diff: List[float] = field(default_factory=list)
-    header = ("t", "rel_diff")
-
-    @property
-    def row(self) -> tuple:
-        return (self.times[-1], self.rel_diff[-1])
-
-    @property
-    def max_rel_diff(self) -> float:
-        return max(self.rel_diff) if self.rel_diff else float("nan")
+class TruncationRow(NamedTuple):
+    t: float
+    rel_diff: float
 
 
 def truncation_convergence(
@@ -161,15 +134,14 @@ def truncation_convergence(
     factor: int = 2,
     factor_base: int = 1,
     checks: Optional[RunChecks] = None,
-) -> Iterator[TruncationReport]:
+) -> Iterator[TruncationRow]:
     """Compare runs of the same physics on channels widened by two factors.
 
     initial(params, grid) gives the initial state, heat source included, on
     either channel.  The default pairs the base half-length with factor
     times it.  Both grids keep the spacing (nx scales with the factor), so
-    the narrow domain's cells are a subset of the wide one's; the report
-    holds the relative L2 difference of (v1, v2, T) on the narrow domain at
-    every output time.
+    the narrow domain's cells are a subset of the wide one's; each row holds
+    the relative L2 difference of (v1, v2, T) on the narrow domain.
     """
     nx, ny, nz = counts
     fa, fb = int(factor_base), int(factor)
@@ -190,30 +162,21 @@ def truncation_convergence(
     if not np.allclose(g_a.x(np.arange(na)), g_b.x(np.arange(offset, offset + na))):
         raise ConfigError("incompatible grids: cell centers do not align")
 
-    report = TruncationReport(factor=fb)
     sl = np.s_[1 + offset:1 + offset + na, 1:-1, 1:-1]
 
     for _, t, (base, wide), (rec, _) in trajectory(members, cfg, checks):
         # the narrow domain is the whole interior of the base grid
         num = sum(distance_sq(wide, base.interiors(), g_a, sl))
         den = rec.l2_v + rec.l2_T
-        report.times.append(t)
-        report.rel_diff.append(math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num))
-        yield report
+        yield TruncationRow(t, math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num))
 
 
-@dataclass
-class ContractionReport:
-    times: List[float] = field(default_factory=list)
-    dist_v: List[float] = field(default_factory=list)
-    dist_T: List[float] = field(default_factory=list)
-    dist_l2: List[float] = field(default_factory=list)
-    v_proxy: List[float] = field(default_factory=list)
-    header = ("t", "dist_v", "dist_T", "dist_l2", "v_proxy")
-
-    @property
-    def row(self) -> tuple:
-        return (self.times[-1], self.dist_v[-1], self.dist_T[-1], self.dist_l2[-1], self.v_proxy[-1])
+class ContractionRow(NamedTuple):
+    t: float
+    dist_v: float
+    dist_T: float
+    dist_l2: float
+    v_proxy: float
 
 
 def two_trajectory_contraction(
@@ -223,7 +186,7 @@ def two_trajectory_contraction(
     g: Grid,
     cfg: StepConfig,
     checks: Optional[RunChecks] = None,
-) -> Iterator[ContractionReport]:
+) -> Iterator[ContractionRow]:
     """Integrate two states side by side and track their separation.
 
     Yields the L2 distances and a V-level proxy sqrt(d_L2) * sqrt(H2_a + H2_b)
@@ -232,16 +195,10 @@ def two_trajectory_contraction(
     """
     if not np.array_equal(s_a.Q, s_b.Q):
         raise ConfigError("contraction probe requires identical heat sources")
-    report = ContractionReport()
 
     for _, t, (a, b), records in trajectory([(s_a, p, g), (s_b, p, g)], cfg, checks):
         dv1, dv2, dT2 = distance_sq(a, b.interiors(), g)
         dv, dT = math.sqrt(dv1 + dv2), math.sqrt(dT2)
         dist = math.hypot(dv, dT)
         h2 = sum(math.sqrt(rec.l2_L1v + rec.l2_L2T) for rec in records)
-        report.times.append(t)
-        report.dist_v.append(dv)
-        report.dist_T.append(dT)
-        report.dist_l2.append(dist)
-        report.v_proxy.append(math.sqrt(dist) * math.sqrt(h2))
-        yield report
+        yield ContractionRow(t, dv, dT, dist, math.sqrt(dist) * math.sqrt(h2))

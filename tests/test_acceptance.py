@@ -23,7 +23,7 @@ from peqlab.projection import project
 from peqlab.tail import tail_decay_experiment, truncation_convergence, two_trajectory_contraction
 from tests.test_diagnostics import absorbing_entry_time
 from tests.test_model import random_smooth_state
-from tests.test_tail import final
+from tests.test_tail import max_rel_diff
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -214,15 +214,17 @@ def test_criterion_7_tail_energy():
     p = cfg.params()
     g = cfg.grid()
     s = cfg.initial_state(p, g)
-    rep = final(tail_decay_experiment(cfg.tail_config(), s, p, g, cfg.step_config()))
-    w = np.array(rep.windowed)
+    tail = cfg.tail_config()
+    rows = list(tail_decay_experiment(tail, s, p, g, cfg.step_config()))
+    w = np.array(rows)[:, 2:].T  # [radius][time]
     monotone = bool(np.all(np.diff(w, axis=0) <= 1e-18))
-    largest_ok = rep.sup_rel[-1] <= cfg["tail.epsilon"]
+    sup_rel = tail.sup_rel(rows)
+    largest_ok = sup_rel[-1] <= cfg["tail.epsilon"]
     report(
         7,
-        largest_ok and monotone and rep.r_star is not None,
-        f"tail/total for largest r stays <= {rep.sup_rel[-1]:.2e} (limit {cfg['tail.epsilon']:g}) "
-        f"for t >= {rep.tail.tau_probe:g}; windowed energy non-increasing in r",
+        largest_ok and monotone and tail.r_star(rows) is not None,
+        f"tail/total for largest r stays <= {sup_rel[-1]:.2e} (limit {cfg['tail.epsilon']:g}) "
+        f"for t >= {tail.tau_probe:g}; windowed energy non-increasing in r",
     )
 
 
@@ -231,9 +233,9 @@ def test_criterion_8_truncation_convergence():
     p = cfg.params()
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
     step_cfg = cfg.step_config()
-    d12 = final(truncation_convergence(p, counts, step_cfg, cfg.initial_state, factor=2)).max_rel_diff
-    d23 = final(truncation_convergence(p, counts, step_cfg, cfg.initial_state,
-                                       factor=3, factor_base=2)).max_rel_diff
+    d12 = max_rel_diff(truncation_convergence(p, counts, step_cfg, cfg.initial_state, factor=2))
+    d23 = max_rel_diff(truncation_convergence(p, counts, step_cfg, cfg.initial_state,
+                                              factor=3, factor_base=2))
     report(
         8,
         d12 <= 1e-3 and d23 < d12,
@@ -249,8 +251,7 @@ def test_criterion_9_contraction():
         p = cfg.params()
         g = cfg.grid()
         s_a, s_b = cfg.contraction_pair(p, g)
-        rep = final(two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config()))
-        d = rep.dist_l2
+        d = [row.dist_l2 for row in two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config())]
         if want_monotone:
             outcomes.append(all(b <= a for a, b in zip(d, d[1:])))
         outcomes.append(d[-1] < d[0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from peqlab.cli import main
+from peqlab.config import parse_config_file
 from peqlab.io import read_snapshot, read_timeseries
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -300,6 +301,38 @@ def test_contract_subcommand(tmp_path):
     assert data[-1, 3] < data[0, 3]
 
 
+def _tail_verdict(cfg, data):
+    tail = cfg.tail_config()
+    rows = list(zip(*data.values()))
+    lines = [f"r={r:g}: sup tail/total for t>={tail.tau_probe:g} is {sup:.3e}"
+             for r, sup in zip(tail.radii, tail.sup_rel(rows))]
+    return lines + [f"smallest radius within epsilon: r={tail.r_star(rows):g}"]
+
+
+def _truncate_verdict(cfg, data):
+    return [f"max relative difference against {cfg['truncate.factor']}x domain: "
+            f"{max(data['rel_diff']):.3e}"]
+
+
+def _contract_verdict(cfg, data):
+    dist = data["dist_l2"]
+    return [f"distance {dist[0]:.6g} -> {dist[-1]:.6g} over t={data['t'][-1]:g}"]
+
+
+@pytest.mark.parametrize("command,body,table,verdict", [
+    ("tail", TINY_TAIL, "tail.csv", _tail_verdict),
+    ("truncate", TINY_TRUNCATE, "truncate.csv", _truncate_verdict),
+    ("contract", TINY_RUN + "contract.t_scale = 1.5\ncontract.shift_x = 0.2\n", "contract.csv",
+     _contract_verdict),
+], ids=["tail", "truncate", "contract"])
+def test_printed_verdict_comes_from_the_written_table(tmp_path, capsys, command, body, table, verdict):
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "o"
+    assert main([command, cfg, "--output-dir", str(out)]) == 0
+    expected = verdict(parse_config_file(cfg), read_timeseries(out / table))
+    assert capsys.readouterr().out.splitlines() == expected
+
+
 def test_plot_with_envelope(tmp_path):
     cfg = write_cfg(tmp_path, TINY_RUN)
     out = tmp_path / "plotrun"
@@ -423,7 +456,6 @@ def test_unreadable_q_file_rejected(tmp_path, capsys):
 
 
 def test_streamed_series_matches_batch_writer(tmp_path):
-    from peqlab.config import parse_config_file
     from peqlab.integrator import run
     from peqlab.io import write_timeseries
 

@@ -13,10 +13,9 @@ from peqlab.tail import (
     windowed_T_energy,
 )
 
-def final(steps):
-    """Run an experiment to its end; its last report."""
-    *_, report = steps
-    return report
+def max_rel_diff(rows):
+    """Run a truncation study to its end; the largest relative difference in its table."""
+    return max(row.rel_diff for row in rows)
 
 
 TAIL_P = PhysParams(lx=4.0, l=1.0, h=0.5, re1=0.5, re2=0.5, rt1=4.0, rt2=1.0,
@@ -112,14 +111,15 @@ def test_tail_decay_experiment(tail_setup):
     p, g, s = tail_setup
     tail = TailConfig(radii=(1.2, 1.6, 1.9), epsilon=1e-3, tau_probe=2.0)
     cfg = StepConfig(dt=0.02, t_end=6.0, output_every=20)
-    rep = final(tail_decay_experiment(tail, s, p, g, cfg))
-    assert rep.r_star == 1.2
-    assert rep.sup_rel[-1] <= 1e-3
+    rows = list(tail_decay_experiment(tail, s, p, g, cfg))
+    assert tail.r_star(rows) == 1.2
+    assert tail.sup_rel(rows)[-1] <= 1e-3
     # windowed energy non-increasing in the radius at every sampled time
-    w = np.array(rep.windowed)
+    table = np.array(rows)
+    w = table[:, 2:].T  # [radius][time]
     assert np.all(np.diff(w, axis=0) <= 1e-18)
     # supremum over t >= tau_probe non-increasing in r
-    sup = w[:, np.array(rep.times) >= tail.tau_probe].max(axis=1)
+    sup = w[:, table[:, 0] >= tail.tau_probe].max(axis=1)
     assert np.all(np.diff(sup) <= 1e-18)
 
 
@@ -131,18 +131,19 @@ def test_tail_short_unforced_bounded_by_initial(tail_setup):
     s.fill_all_ghosts(p, g)
     tail = TailConfig(radii=(1.2, 1.6), epsilon=1e-3, tau_probe=0.0)
     cfg = StepConfig(dt=0.02, t_end=0.2, output_every=5)
-    rep = final(tail_decay_experiment(tail, s, p, g, cfg))
-    total0 = rep.totals[0]
-    assert all(w <= total0 for series in rep.windowed for w in series)
+    rows = list(tail_decay_experiment(tail, s, p, g, cfg))
+    total0 = rows[0][1]
+    assert all(w <= total0 for row in rows for w in row[2:])
 
 
 def test_tail_totals_are_run_records(tail_setup):
     p, g, s = tail_setup
     cfg = StepConfig(dt=0.02, t_end=0.4, output_every=5)
-    rep = final(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.0), s, p, g, cfg))
+    rows = list(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.0), s, p, g, cfg))
     _, records = run(s, p, g, cfg)
-    assert rep.times == [rec.t for rec in records]
-    assert np.array(rep.totals).tobytes() == np.array([rec.l2_T for rec in records]).tobytes()
+    assert [row[0] for row in rows] == [rec.t for rec in records]
+    totals = np.array([row[1] for row in rows])
+    assert totals.tobytes() == np.array([rec.l2_T for rec in records]).tobytes()
 
 
 def test_tail_rejects_wide_source(tail_setup):
@@ -167,8 +168,8 @@ def test_tail_probe_beyond_horizon_rejected_before_stepping(tail_setup, monkeypa
     with pytest.raises(ConfigError, match="beyond the simulated horizon"):
         next(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.2 + 1e-9), s, p, g, cfg))
     monkeypatch.undo()
-    rep = final(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.2), s, p, g, cfg))
-    assert rep.times[-1] == cfg.n_steps * cfg.dt
+    rows = list(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.2), s, p, g, cfg))
+    assert rows[-1][0] == cfg.n_steps * cfg.dt
 
 
 class TestTruncation:
@@ -183,28 +184,28 @@ class TestTruncation:
 
     def test_zero_everything_zero_difference(self):
         cfg = StepConfig(dt=0.05, t_end=0.2, output_every=2)
-        rep = final(truncation_convergence(self.P, (16, 6, 4), cfg, lambda p, g: State.zeros(g)))
-        assert rep.max_rel_diff == 0.0
+        rows = truncation_convergence(self.P, (16, 6, 4), cfg, lambda p, g: State.zeros(g))
+        assert max_rel_diff(rows) == 0.0
 
     def test_compact_source_converged(self):
         cfg = StepConfig(dt=0.02, t_end=3.0, output_every=25)
-        rep = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated, factor=2))
-        assert rep.max_rel_diff <= 1e-3
+        rows = truncation_convergence(self.P, (32, 8, 6), cfg, self.heated, factor=2)
+        assert max_rel_diff(rows) <= 1e-3
 
     def test_widening_again_changes_less(self):
         cfg = StepConfig(dt=0.02, t_end=3.0, output_every=25)
-        d12 = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated, factor=2)).max_rel_diff
-        d23 = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated,
-                                           factor=3, factor_base=2)).max_rel_diff
+        d12 = max_rel_diff(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated, factor=2))
+        d23 = max_rel_diff(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated,
+                                                  factor=3, factor_base=2))
         assert d23 < d12
 
     def test_near_wall_source_negative_control(self):
         cfg = StepConfig(dt=0.02, t_end=3.0, output_every=25)
-        good = final(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated, factor=2)).max_rel_diff
-        near = final(truncation_convergence(
+        good = max_rel_diff(truncation_convergence(self.P, (32, 8, 6), cfg, self.heated, factor=2))
+        near = max_rel_diff(truncation_convergence(
             self.P, (32, 8, 6), cfg,
             lambda p, g: self.heated(p, g, cx=1.6), factor=2,
-        )).max_rel_diff
+        ))
         assert near > 10 * good
 
     def test_incompatible_factor_rejected(self):
@@ -241,24 +242,25 @@ class TestContraction:
         g = make_grid(self.P, 12, 8, 6)
         sa, _ = self.states(g)
         cfg = StepConfig(dt=0.02, t_end=0.2)
-        rep = final(two_trajectory_contraction(sa, sa.copy(), self.P, g, cfg))
-        assert all(d == 0.0 for d in rep.dist_l2)
+        rows = list(two_trajectory_contraction(sa, sa.copy(), self.P, g, cfg))
+        assert all(row.dist_l2 == 0.0 for row in rows)
 
     def test_frozen_velocity_linear_contraction(self):
         g = make_grid(self.P, 12, 8, 6)
         sa, sb = self.states(g)
         cfg = StepConfig(dt=0.05, t_end=1.0, output_every=1, temperature_only=True)
-        rep = final(two_trajectory_contraction(sa, sb, self.P, g, cfg))
-        assert all(b <= a for a, b in zip(rep.dist_T, rep.dist_T[1:]))
+        d = [row.dist_T for row in two_trajectory_contraction(sa, sb, self.P, g, cfg)]
+        assert all(b <= a for a, b in zip(d, d[1:]))
 
     def test_diffusion_dominated_monotone(self):
         g = make_grid(self.P, 16, 12, 8)
         sa, sb = self.states(g)
         cfg = StepConfig(dt=0.02, t_end=2.0, output_every=5)
-        rep = final(two_trajectory_contraction(sa, sb, self.P, g, cfg))
-        assert all(b <= a for a, b in zip(rep.dist_l2, rep.dist_l2[1:]))
-        assert rep.dist_l2[-1] < rep.dist_l2[0]
-        assert all(v >= 0.0 for v in rep.v_proxy)
+        rows = list(two_trajectory_contraction(sa, sb, self.P, g, cfg))
+        d = [row.dist_l2 for row in rows]
+        assert all(b <= a for a, b in zip(d, d[1:]))
+        assert d[-1] < d[0]
+        assert all(row.v_proxy >= 0.0 for row in rows)
 
     def test_mismatched_sources_rejected(self):
         g = make_grid(self.P, 12, 8, 6)
