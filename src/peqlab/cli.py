@@ -60,11 +60,11 @@ def cmd_run(args) -> int:
     g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
     # the arguments are evaluated here, so a source the config cannot honour is rejected
-    # before the CSV exists, and only the trajectory's member holds the state
+    # before the CSV exists
     steps = trajectory([(cfg.initial_state(p, g), p, g)], cfg.step_config(), cfg.checks())
     with CsvWriter(out / "timeseries.csv", diag.CSV_COLUMNS) as series:
         for n, _, (state,), (last,) in steps:
-            series(last.row())
+            series(last)
             if cfg["output.snapshots"]:
                 write_snapshot(state, out / f"snapshot_{n:06d}.peq")
     write_snapshot(state, out / "snapshot_final.peq")

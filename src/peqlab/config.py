@@ -156,8 +156,7 @@ class RunConfig:
         if kind == "zero":
             return np.zeros((g.nx, g.ny, g.nz))
         if kind == "gaussian":
-            x, y, z = g.coords()
-            return self._blob(x, y, z, "q") * np.ones((g.nx, g.ny, g.nz))
+            return self._blob("q", g)
         path = self["q.path"]
         try:
             data = np.asarray(np.load(path), dtype=float)
@@ -175,48 +174,46 @@ class RunConfig:
             )
         return data
 
-    def _blob(self, x, y, z, section):
+    def _blob(self, section, g: Grid, shift=0.0):
         v = self.values
+        x, y, z = g.coords()
         w = v[f"{section}.width"]
         amp = v[f"{section}.amplitude"] if section == "q" else 1.0
         return amp * np.exp(
-            -((x - v[f"{section}.center_x"]) ** 2) / (2 * w * w)
+            -((x - (v[f"{section}.center_x"] + shift)) ** 2) / (2 * w * w)
             - ((y - v[f"{section}.center_y"]) ** 2) / (2 * w * w)
             - ((z - v[f"{section}.center_z"]) ** 2) / (2 * w * w)
         )
 
-    def initial_state(self, p: PhysParams, g: Grid) -> State:
-        s = State.zeros(g)
+    def initial_state(self, p: PhysParams, g: Grid, scale=1.0, shift=0.0) -> State:
+        """The initial interiors and heat source; the run's prologue fills the ghosts and w.
+
+        scale multiplies init.t_amplitude and init.v_amplitude, shift moves init.center_x.
+        """
         kind = self["init.kind"]
-        if kind == "gaussian":
-            x, y, z = g.coords()
-            blob = self._blob(x, y, z, "init") * np.ones((g.nx, g.ny, g.nz))
-            s.T[INTERIOR] = self["init.t_amplitude"] * blob
-            s.v1[INTERIOR] = self["init.v_amplitude"] * blob
-            s.v2[INTERIOR] = -self["init.v_amplitude"] * blob
-        elif kind == "mms":
+        if kind == "mms":
             return MmsSpec(p).forced_state(g)
+        s = State.zeros(g)
+        if kind == "gaussian":
+            blob = self._blob("init", g, shift)
+            s.T[INTERIOR] = self["init.t_amplitude"] * scale * blob
+            s.v1[INTERIOR] = self["init.v_amplitude"] * scale * blob
+            s.v2[INTERIOR] = -self["init.v_amplitude"] * scale * blob
         s.Q = self.q_field(g)
-        s.fill_all_ghosts(p, g)
-        s.refresh_w(p, g)
         return s
 
     def contraction_pair(self, p: PhysParams, g: Grid):
         """The contraction probe's initial state and its twin, on one heat source.
 
-        The twin's blob moves by contract.shift_x; its amplitudes scale by contract.t_scale.
+        The twin is built with scale contract.t_scale and shift contract.shift_x.
         A twin equal to the base state has nothing to contract and is rejected.
         """
-        v = dict(self.values)
-        v["init.center_x"] += v["contract.shift_x"]
-        v["init.t_amplitude"] *= v["contract.t_scale"]
-        v["init.v_amplitude"] *= v["contract.t_scale"]
-        s_a, s_b = self.initial_state(p, g), RunConfig(v).initial_state(p, g)
-        if all(np.array_equal(a[INTERIOR], b[INTERIOR])
-               for a, b in ((s_a.v1, s_b.v1), (s_a.v2, s_b.v2), (s_a.T, s_b.T))):
+        s_a = self.initial_state(p, g)
+        s_b = self.initial_state(p, g, self["contract.t_scale"], self["contract.shift_x"])
+        if all(map(np.array_equal, s_a.interiors(), s_b.interiors())):
             raise ConfigError(f"the contraction twin equals the base state (init.kind = "
                               f"{self['init.kind']}); the probe needs two distinct states")
-        s_b.Q = s_a.Q.copy()
+        s_b.Q = s_a.Q
         return s_a, s_b
 
 

@@ -16,8 +16,7 @@ for the temperature energy are evaluated against records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,8 +27,7 @@ from .params import PhysParams
 from .projection import constraint_residual, depth_mean
 
 
-@dataclass(frozen=True)
-class DiagRecord:
+class DiagRecord(NamedTuple):
     """One output record; its fields, in order, are the frozen CSV schema."""
 
     t: float
@@ -50,12 +48,9 @@ class DiagRecord:
     l2_Tt: float
     constraint_residual: float
 
-    def row(self):
-        return tuple(getattr(self, name) for name in CSV_COLUMNS)
-
 
 #: CSV schema: column order is frozen (golden-header tested)
-CSV_COLUMNS = tuple(f.name for f in fields(DiagRecord))
+CSV_COLUMNS = DiagRecord._fields
 
 #: interior cells a record slab of whole x-planes may hold (one plane at least);
 #: a grid of up to this many cells is one slab, its sums those of whole arrays

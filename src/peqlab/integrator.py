@@ -144,10 +144,9 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig) -> State:
 
 
 class _Member:
-    """One trajectory's state after the prologue, and its run monitors."""
+    """One trajectory's state, readied in place (ghosts, projection, w), and its run monitors."""
 
-    def __init__(self, initial: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: RunChecks):
-        s = initial.copy()
+    def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: RunChecks):
         s.fill_all_ghosts(p, g)
         if not cfg.temperature_only:
             project(s, cfg.dt, p, g)
@@ -198,19 +197,17 @@ class _Member:
 
 def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfig,
                checks: Optional[RunChecks] = None) -> Iterator[tuple]:
-    """Advance (initial, params, grid) members in lockstep to t_end.
+    """Advance (state, params, grid) members in lockstep to t_end, in place.
 
+    Each member is its own State; members may share only their read-only Q.
     Every member gets the same prologue and run monitors.  At t = 0 and every
     output_every steps (and the last) each member's DiagRecord is evaluated
-    and checked, then (n, t, states, records) is yielded.  The states are the
-    live members, advanced in place by the next step.  An exception from a
-    failed step keeps its type and carries the last valid time as a note
-    (PEP 678).
+    and checked, then (n, t, states, records) is yielded: the caller's states,
+    advanced in place by the next step.  An exception from a failed step keeps
+    its type and carries the last valid time as a note (PEP 678).
     """
     checks = checks or RunChecks()
-    group = [_Member(initial, p, g, cfg, checks) for initial, p, g in members]
-    # each member works on its own copy: let a caller's temporary initial state go
-    del members
+    group = [_Member(s, p, g, cfg, checks) for s, p, g in members]
     states = [m.s for m in group]
     yield 0, 0.0, states, [m.record(0.0, None) for m in group]
     n_steps = cfg.n_steps
@@ -231,11 +228,6 @@ def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfi
             yield n, t, states, [m.record(t, sp) for m, sp in zip(group, prev)]
 
 
-def run(initial: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: Optional[RunChecks] = None):
-    """Advance one state to t_end; returns (final_state, records), one per output step."""
-    steps = trajectory([(initial, p, g)], cfg, checks)
-    del initial  # the member's copy is the only state the run needs
-    records = []
-    for _, _, (final,), (rec,) in steps:
-        records.append(rec)
-    return final, records
+def run(s: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: Optional[RunChecks] = None):
+    """Advance a state to t_end in place; returns (s, records), one record per output step."""
+    return s, [rec for _, _, _, (rec,) in trajectory([(s, p, g)], cfg, checks)]

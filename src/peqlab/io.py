@@ -69,7 +69,7 @@ class CsvWriter:
 def write_timeseries(records: Sequence[DiagRecord], path) -> None:
     with CsvWriter(path, CSV_COLUMNS) as out:
         for rec in records:
-            out(rec.row())
+            out(rec)
 
 
 def read_timeseries(path) -> dict:

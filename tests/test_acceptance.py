@@ -43,10 +43,10 @@ def load(name: str) -> RunConfig:
     return parse_config_file(CONFIG_DIR / name)
 
 
-def execute(cfg: RunConfig):
+def execute(cfg: RunConfig, scale=1.0):
     p = cfg.params()
     g = cfg.grid()
-    s = cfg.initial_state(p, g)
+    s = cfg.initial_state(p, g, scale=scale)
     final, records = run(s, p, g, cfg.step_config(), checks=cfg.checks())
     return {"cfg": cfg, "p": p, "g": g, "final": final, "records": records, "initial": s}
 
@@ -68,12 +68,8 @@ def temponly_run():
 
 @pytest.fixture(scope="module")
 def absorbing_runs():
-    small = execute(load("absorbing.cfg"))
-    big_cfg = RunConfig(dict(load("absorbing.cfg").values))
-    big_cfg.values["init.t_amplitude"] *= 10.0
-    big_cfg.values["init.v_amplitude"] *= 10.0
-    big = execute(big_cfg)
-    return small, big
+    cfg = load("absorbing.cfg")
+    return execute(cfg), execute(cfg, scale=10.0)
 
 
 def all_records(*results):

@@ -333,6 +333,47 @@ def test_printed_verdict_comes_from_the_written_table(tmp_path, capsys, command,
     assert capsys.readouterr().out.splitlines() == expected
 
 
+TINY_MMS = """
+physics.h = 1.0
+physics.lx = 1.0
+mms.sizes = 8,8
+mms.dt = 0.002
+mms.horizon = 0.01
+"""
+
+
+@pytest.mark.parametrize("command,body,message", [
+    # two equal grids fit order 0
+    ("mms", TINY_MMS, "convergence orders out of range: v=0.000, T=0.000"),
+    ("tail", TINY_TAIL.replace("tail.epsilon = 0.001", "tail.epsilon = 0"),
+     "no radius achieved tail ratio <= 0"),
+    ("truncate", TINY_TRUNCATE.replace("truncate.max_rel = 0.01", "truncate.max_rel = 1e-300"),
+     "exceeds 1e-300"),
+    # a zero horizon makes the first row the last
+    ("contract", TINY_RUN.replace("step.t_end = 0.2", "step.t_end = 0"),
+     "trajectories did not contract over the configured horizon"),
+], ids=["mms", "tail", "truncate", "contract"])
+def test_failed_verdict_exits_3(tmp_path, capsys, command, body, message):
+    assert main([command, write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: ") and message in err
+
+
+def test_q_file_run_matches_gaussian_source(tmp_path):
+    """A heat source read from file runs byte for byte as the source it was saved from."""
+    gaussian = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian\nq.center_y = 0.5")
+    cfg = parse_config_file(write_cfg(tmp_path, gaussian, "gaussian.cfg"))
+    np.save(tmp_path / "q.npy", cfg.q_field(cfg.grid()))
+    from_file = gaussian.replace("q.kind = gaussian", f"q.kind = file\nq.path = {tmp_path / 'q.npy'}")
+    outs = []
+    for name, body in (("gaussian", gaussian), ("file", from_file)):
+        outs.append(tmp_path / name)
+        assert main(["run", write_cfg(tmp_path, body, f"{name}.cfg"), "--output-dir", str(outs[-1])]) == 0
+    for table in ("timeseries.csv", "snapshot_final.peq"):
+        assert (outs[0] / table).read_bytes() == (outs[1] / table).read_bytes(), table
+    assert read_timeseries(outs[0] / "timeseries.csv")["l2_T"][-1] > 0.0
+
+
 def test_plot_with_envelope(tmp_path):
     cfg = write_cfg(tmp_path, TINY_RUN)
     out = tmp_path / "plotrun"
@@ -424,29 +465,20 @@ def test_nonfinite_q_file_rejected(tmp_path, capsys, bad):
     assert not (out / "timeseries.csv").exists()  # rejected before the first step
 
 
-def test_run_holds_no_initial_state(tmp_path, monkeypatch):
-    """Once the prologue has copied it, run's initial state is freed, before the first record."""
-    import weakref
+@pytest.mark.parametrize("command,body", [
+    ("run", TINY_RUN),
+    ("truncate", TINY_TRUNCATE),
+    ("contract", TINY_RUN + "contract.t_scale = 1.5\ncontract.shift_x = 0.2\n"),
+], ids=["run", "truncate", "contract"])
+def test_commands_copy_no_state(tmp_path, monkeypatch, command, body):
+    """Each member advances the state its command built: no State is ever copied."""
+    from peqlab.model import State
 
-    from peqlab import diagnostics as diag
-    from peqlab.config import RunConfig
+    def no_copy(self):
+        raise AssertionError("a State was copied")
 
-    refs, alive = [], []
-    build, record = RunConfig.initial_state, diag.compute_record
-
-    def initial_state(self, p, g):
-        s = build(self, p, g)
-        refs.append(weakref.ref(s))
-        return s
-
-    def spy(*args, **kwargs):
-        alive.append(refs[0]() is not None)
-        return record(*args, **kwargs)
-
-    monkeypatch.setattr(RunConfig, "initial_state", initial_state)
-    monkeypatch.setattr(diag, "compute_record", spy)
-    assert main(["run", write_cfg(tmp_path, TINY_RUN), "--output-dir", str(tmp_path / "o")]) == 0
-    assert len(refs) == 1 and len(alive) == 6 and not any(alive)
+    monkeypatch.setattr(State, "copy", no_copy)
+    assert main([command, write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == 0
 
 
 def test_unreadable_q_file_rejected(tmp_path, capsys):

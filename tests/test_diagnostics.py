@@ -74,8 +74,8 @@ def test_one_slab_record_bit_equal_to_whole_array_oracle(dims, with_prev):
     g, s, prev = record_case(p, dims)
     assert slab_planes(g) >= g.nx
     prev = prev if with_prev else None
-    got = diag.compute_record(s, prev, 0.01, p, g, t=0.5).row()
-    want = record_reference(s, prev, 0.01, p, g, t=0.5).row()
+    got = diag.compute_record(s, prev, 0.01, p, g, t=0.5)
+    want = record_reference(s, prev, 0.01, p, g, t=0.5)
     assert np.array_equal(got, want, equal_nan=True)
 
 

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 
@@ -125,13 +123,14 @@ def test_constraint_residual_small_at_outputs():
 def test_zero_horizon_returns_projected_initial_state():
     g = make_grid(P, 12, 10, 6)
     s = gaussian_state(g, P, amp_T=0.5, amp_v=0.2)
+    T0 = s.T.copy()
     cfg = StepConfig(dt=0.01, t_end=0.0)
     final, records = run(s, P, g, cfg)
     assert len(records) == 1
     assert records[0].t == 0.0
     assert records[0].constraint_residual <= 1e-8
     # temperature untouched by the initial projection
-    assert np.array_equal(final.T, s.T)
+    assert np.array_equal(final.T, T0)
 
 
 def test_two_runs_bit_identical():
@@ -141,7 +140,7 @@ def test_two_runs_bit_identical():
     for _ in range(2):
         s = gaussian_state(g, P, amp_T=0.7, amp_v=0.15)
         _, records = run(s, P, g, cfg)
-        rows.append(np.array([rec.row() for rec in records]))
+        rows.append(np.array(records))
     assert np.array_equal(rows[0], rows[1], equal_nan=True)
 
 
@@ -161,7 +160,7 @@ def test_records_independent_of_output_cadence():
     for every in (1, 5):
         s = gaussian_state(g, P, amp_T=0.7, amp_v=0.15)
         _, records = run(s, P, g, StepConfig(dt=0.01, t_end=0.2, output_every=every))
-        rows[every] = {round(rec.t / 0.01): rec.row() for rec in records}
+        rows[every] = {round(rec.t / 0.01): rec for rec in records}
     assert sorted(rows[5]) == [0, 5, 10, 15, 20]
     for n, row in rows[5].items():
         assert np.array_equal(np.array(row), np.array(rows[1][n]), equal_nan=True)
@@ -174,26 +173,25 @@ def test_lockstep_members_match_separate_runs():
     records = [[], []]
     for _, _, finals, recs in trajectory([(gaussian_state(g, P, amp_v=0.2), P, g) for g in grids], cfg):
         for series, rec in zip(records, recs):
-            series.append(rec.row())
+            series.append(rec)
     for g, final, rows in zip(grids, finals, records):
         alone, alone_records = run(gaussian_state(g, P, amp_v=0.2), P, g, cfg)
         assert [round(r[0] / cfg.dt) for r in rows] == [0, 3, 6, 9, 10]
-        assert np.array(rows).tobytes() == np.array([r.row() for r in alone_records]).tobytes()
+        assert np.array(rows).tobytes() == np.array(alone_records).tobytes()
         for name in ("v1", "v2", "T", "w", "p_s"):
             assert getattr(final, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
-def test_trajectory_lets_the_initial_state_go():
-    """After the prologue only the member's copy is alive: the caller's temporary is freed."""
+def test_trajectory_advances_the_callers_states():
+    """Each member is the caller's own State, readied and advanced in place."""
     g = make_grid(P, 8, 8, 4)
-    initial = gaussian_state(g, P)
-    ref = weakref.ref(initial)
-    steps = trajectory([(initial, P, g)], StepConfig(dt=0.02, t_end=0.04, output_every=1))
-    del initial
-    assert ref() is not None  # the generator has not started
-    next(steps)
-    assert ref() is None
-    assert len(list(steps)) == 2
+    initial = [gaussian_state(g, P), gaussian_state(g, P, amp_v=0.2)]
+    steps = trajectory([(s, P, g) for s in initial], StepConfig(dt=0.02, t_end=0.04, output_every=1))
+    yielded = [states for _, _, states, _ in steps]
+    assert len(yielded) == 3
+    assert all(a is b for states in yielded for a, b in zip(states, initial, strict=True))
+    s = gaussian_state(g, P)
+    assert run(s, P, g, StepConfig(dt=0.02, t_end=0.04))[0] is s
 
 
 def test_first_order_in_dt():

@@ -96,7 +96,7 @@ class TestTailConfig:
         TailConfig(radii=(1.0, 1.5)).validate(g)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def tail_setup():
     p = TAIL_P
     g = make_grid(p, 64, 12, 8)
@@ -139,7 +139,7 @@ def test_tail_short_unforced_bounded_by_initial(tail_setup):
 def test_tail_totals_are_run_records(tail_setup):
     p, g, s = tail_setup
     cfg = StepConfig(dt=0.02, t_end=0.4, output_every=5)
-    rows = list(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.0), s, p, g, cfg))
+    rows = list(tail_decay_experiment(TailConfig(radii=(1.2, 1.6), tau_probe=0.0), s.copy(), p, g, cfg))
     _, records = run(s, p, g, cfg)
     assert [row[0] for row in rows] == [rec.t for rec in records]
     totals = np.array([row[1] for row in rows])
