@@ -68,12 +68,21 @@ class ImplicitDiffusion:
         )
         self.denominator = 1.0 + self.dt * lam
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, work=None) -> np.ndarray:
+        """(I + dt*L)^-1 b through six matrix products.
+
+        With `work` (b's shape, both C-contiguous) the products ping-pong
+        between the two buffers and the solution overwrites b; without it b
+        is left as it is and a new array is returned.
+        """
+        if work is None:
+            b, work = b.copy(), np.empty_like(b)
         nx, ny, nz = b.shape
-        t = (self.qx.T @ b.reshape(nx, ny * nz)).reshape(nx, ny, nz)
-        t = np.matmul(self.qy.T, t)
-        t = (t.reshape(nx * ny, nz) @ self.qz).reshape(nx, ny, nz)
-        t /= self.denominator
-        t = (self.qx @ t.reshape(nx, ny * nz)).reshape(nx, ny, nz)
-        t = np.matmul(self.qy, t)
-        return (t.reshape(nx * ny, nz) @ self.qz.T).reshape(nx, ny, nz)
+        np.matmul(self.qx.T, b.reshape(nx, ny * nz), out=work.reshape(nx, ny * nz))
+        np.matmul(self.qy.T, work, out=b)
+        np.matmul(b.reshape(nx * ny, nz), self.qz, out=work.reshape(nx * ny, nz))
+        work /= self.denominator
+        np.matmul(self.qx, work.reshape(nx, ny * nz), out=b.reshape(nx, ny * nz))
+        np.matmul(self.qy, b, out=work)
+        np.matmul(work.reshape(nx * ny, nz), self.qz.T, out=b.reshape(nx * ny, nz))
+        return b

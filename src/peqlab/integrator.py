@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
@@ -33,7 +36,7 @@ from .bc import TEMPERATURE_BC, fill_ghosts
 from .diffusion import ImplicitDiffusion
 from .errors import CheckError, NumericalError
 from .grid import INTERIOR, Grid
-from .model import State, face_velocities, momentum_rhs, temperature_rhs
+from .model import State, face_velocities, hydrostatic_integral, momentum_rhs, temperature_rhs
 from .params import PhysParams
 from .projection import project
 
@@ -51,6 +54,10 @@ DIV_TOL = 1e-8
 #: the factor on the decay envelope the Gronwall monitor allows
 ENERGY_SLACK = 1e-8
 GRONWALL_FACTOR = 1.05
+#: cells above which a coupled step runs its per-field tasks concurrently:
+#: above the measured crossover near 16,384 cells (README, Numerics), at the
+#: 64x32x16 reference grid, which stays serial with every smaller one
+CONCURRENT_CELLS = 32_768
 
 
 @dataclass(frozen=True)
@@ -109,42 +116,117 @@ def _cached_diffusion(p: PhysParams, g: Grid, dt: float, kind: str) -> ImplicitD
     return ImplicitDiffusion(p=p, g=g, dt=dt, kind=kind)
 
 
-def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig) -> State:
+class Workspace:
+    """One member's face arrays, kept between steps, and the helper threads its steps run on.
+
+    The faces are free once a step's rates are formed, so their leading
+    cells also hold the previous interiors an output step's record reads.
+    A step's other buffers (the hydrostatic integral, one rate per field
+    and one scratch array per worker) live only for the step, so no record
+    runs beside them.  Above CONCURRENT_CELLS cells a coupled step runs its
+    per-field tasks on the calling thread plus min(3, CPUs) - 1 helpers,
+    started on first use and joined by :meth:`close`.
+    """
+
+    def __init__(self, g: Grid, cfg: StepConfig):
+        fields = 1 if cfg.temperature_only else 3
+        self.workers = 1
+        if g.nx * g.ny * g.nz > CONCURRENT_CELLS:
+            self.workers = min(fields, 3, len(os.sched_getaffinity(0)))
+        self.faces = tuple(np.empty(n) for n in ((g.nx + 1, g.ny, g.nz), (g.nx, g.ny + 1, g.nz),
+                                                  (g.nx, g.ny, g.nz + 1)))
+        self.previous = tuple(f.reshape(-1)[:g.nx * g.ny * g.nz].reshape(g.nx, g.ny, g.nz)
+                              for f in self.faces)
+        #: set before a step whose record needs the previous interiors
+        self.keep_previous = False
+        self.pool = ThreadPoolExecutor(self.workers - 1, "peqlab-step") if self.workers > 1 else None
+
+    def run(self, task, count: int, scratch: Sequence[np.ndarray]):
+        """task(i, scratch[k]) for i < count, task i on worker k = i % workers.
+
+        The calling thread is worker 0.  Each worker stops at its first
+        failing task; once all are done, the failure of the lowest i is raised.
+        """
+        failures = [None] * count
+
+        def lane(k):
+            for i in range(k, count, self.workers):
+                try:
+                    task(i, scratch[k])
+                except Exception as exc:
+                    failures[i] = exc
+                    return
+
+        helpers = [self.pool.submit(lane, k) for k in range(1, min(self.workers, count))]
+        try:
+            lane(0)
+        finally:
+            for helper in helpers:
+                helper.result()
+        for exc in failures:
+            if exc is not None:
+                raise exc
+
+    def close(self):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+
+def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig,
+         ws: Optional[Workspace] = None) -> State:
     """Advance a state (valid ghosts, diagnosed w) by one IMEX step in place.
 
-    The face velocities are built once and shared by every advected field,
-    and every rate is checked finite before the first field is written.
+    The face velocities are built once and shared by every advected field.
+    Two phases then run one task per field (v1, v2, T) on the workspace's
+    workers, each with its own scratch array: the rate, checked finite, then
+    the predictor f + dt * rate, solved in the rate's buffer and written to
+    the field's interior.  So
+    every rate is checked before the first field is written.  Each task
+    keeps its field's operation order and every matrix product stays one
+    BLAS call, so the bytes do not depend on the workers.  Without `ws` the
+    step uses a fresh workspace of its own.
     """
-    # faces stays referenced to the end of the step: freed before the solves,
-    # its memory lets glibc trim the heap top on every step
-    faces = face_velocities(s.v1, s.v2, s.w, g)
-    dT = temperature_rhs(s, faces)
-    if cfg.temperature_only:
-        rates = (("T", dT),)
-    else:
-        dv1, dv2 = momentum_rhs(s, p, g, faces)
-        rates = (("v1", dv1), ("v2", dv2), ("T", dT))
-    for name, rate in rates:
-        finite = np.isfinite(rate)
-        if not finite.all():
-            idx = tuple(int(v) for v in np.argwhere(~finite)[0])
-            raise NumericalError(f"non-finite tendency d{name} at interior index {idx}")
-    for name, rate in rates:
-        f = getattr(s, name)
-        # the predictor f + dt * rate, formed in the rate's own buffer
-        rate *= dt
-        rate += f[INTERIOR]
-        f[INTERIOR] = _cached_diffusion(p, g, dt, _DIFFUSION[name]).solve(rate)
-    # project refills the v1, v2 and p_s ghosts, refresh_w those of w
-    fill_ghosts(s.T, TEMPERATURE_BC, p, g)
-    if not cfg.temperature_only:
-        project(s, dt, p, g)
-    s.refresh_w(p, g)
+    with closing(Workspace(g, cfg)) if ws is None else nullcontext(ws) as ws:
+        names = ("T",) if cfg.temperature_only else ("v1", "v2", "T")
+        rates = [np.empty((g.nx, g.ny, g.nz)) for _ in names]
+        scratch = [np.empty((g.nx, g.ny, g.nz)) for _ in range(ws.workers)]
+        faces = face_velocities(s.v1, s.v2, s.w, g, ws.faces)
+        integral = None if cfg.temperature_only else hydrostatic_integral(s.T, g)
+
+        def rate(i, buf):
+            r = rates[i]
+            if names[i] == "T":
+                temperature_rhs(s, faces, r, buf)
+            else:
+                momentum_rhs(s, p, g, faces, integral, i, r, buf)
+            finite = np.isfinite(r)
+            if not finite.all():
+                idx = tuple(int(v) for v in np.argwhere(~finite)[0])
+                raise NumericalError(f"non-finite tendency d{names[i]} at interior index {idx}")
+
+        def solve(i, buf):
+            # the predictor f + dt * rate, formed in the rate's own buffer
+            r, f = rates[i], getattr(s, names[i])[INTERIOR]
+            r *= dt
+            r += f
+            f[...] = _cached_diffusion(p, g, dt, _DIFFUSION[names[i]]).solve(r, buf)
+
+        ws.run(rate, len(names), scratch)
+        # the faces are free now: the record of an output step reads the old interiors from them
+        if ws.keep_previous:
+            for kept, f in zip(ws.previous, s.interiors()):
+                kept[...] = f
+        ws.run(solve, len(names), scratch)
+        # project refills the v1, v2 and p_s ghosts, refresh_w those of w
+        fill_ghosts(s.T, TEMPERATURE_BC, p, g)
+        if not cfg.temperature_only:
+            project(s, dt, p, g)
+        s.refresh_w(p, g, (rates[0], scratch[0]))
     return s
 
 
 class _Member:
-    """One trajectory's state, readied in place (ghosts, projection, w), and its run monitors."""
+    """One trajectory's state, readied in place (ghosts, projection, w), its workspace and run monitors."""
 
     def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: RunChecks):
         s.fill_all_ghosts(p, g)
@@ -155,6 +237,7 @@ class _Member:
         if cfg.dt > suggestion:
             log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)
         self.s, self.p, self.g, self.cfg, self.checks = s, p, g, cfg, checks
+        self.ws = Workspace(g, cfg)
         self.l2_q = diag.l2sq(s.Q, g)
         self.l2_t0 = diag.l2sq(s.T[INTERIOR], g)
         on = checks.energy == "on" or (checks.energy == "auto" and self.l2_q == 0.0)
@@ -204,28 +287,35 @@ def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfi
     output_every steps (and the last) each member's DiagRecord is evaluated
     and checked, then (n, t, states, records) is yielded: the caller's states,
     advanced in place by the next step.  An exception from a failed step keeps
-    its type and carries the last valid time as a note (PEP 678).
+    its type and carries the last valid time as a note (PEP 678).  The
+    members' helper threads are joined when the generator is exhausted,
+    fails or is closed.
     """
     checks = checks or RunChecks()
-    group = [_Member(s, p, g, cfg, checks) for s, p, g in members]
-    states = [m.s for m in group]
-    yield 0, 0.0, states, [m.record(0.0, None) for m in group]
-    n_steps = cfg.n_steps
-    for n in range(1, n_steps + 1):
-        emits = n % cfg.output_every == 0 or n == n_steps
-        # the time-derivative norms of a record need v1, v2 and T one step back
-        prev = [tuple(f.copy() for f in s.interiors()) for s in states] if emits else None
-        try:
+    group = []
+    try:
+        group.extend(_Member(s, p, g, cfg, checks) for s, p, g in members)
+        states = [m.s for m in group]
+        yield 0, 0.0, states, [m.record(0.0, None) for m in group]
+        n_steps = cfg.n_steps
+        for n in range(1, n_steps + 1):
+            emits = n % cfg.output_every == 0 or n == n_steps
+            try:
+                for m in group:
+                    # the time-derivative norms of a record need v1, v2 and T one step back
+                    m.ws.keep_previous = emits
+                    step(m.s, cfg.dt, m.p, m.g, cfg, m.ws)
+            except Exception as exc:
+                exc.add_note(f"run aborted; last valid time t={(n - 1) * cfg.dt:.6g}")
+                raise
+            t = n * cfg.dt
             for m in group:
-                step(m.s, cfg.dt, m.p, m.g, cfg)
-        except Exception as exc:
-            exc.add_note(f"run aborted; last valid time t={(n - 1) * cfg.dt:.6g}")
-            raise
-        t = n * cfg.dt
+                m.check_energy_step(t)
+            if emits:
+                yield n, t, states, [m.record(t, m.ws.previous) for m in group]
+    finally:
         for m in group:
-            m.check_energy_step(t)
-        if emits:
-            yield n, t, states, [m.record(t, sp) for m, sp in zip(group, prev)]
+            m.ws.close()
 
 
 def run(s: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: Optional[RunChecks] = None):

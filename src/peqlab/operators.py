@@ -35,11 +35,18 @@ def grad_h(fp: np.ndarray, g: Grid):
     return fx, fy
 
 
-def div_h(up: np.ndarray, vp: np.ndarray, g: Grid):
-    """Horizontal divergence d(u)/dx + d(v)/dy of padded component fields."""
-    return (_shifted(up, 1, 0) - _shifted(up, -1, 0)) / (2.0 * g.dx) + (
-        _shifted(vp, 0, 1) - _shifted(vp, 0, -1)
-    ) / (2.0 * g.dy)
+def div_h(up: np.ndarray, vp: np.ndarray, g: Grid, out=None, buf=None):
+    """Horizontal divergence d(u)/dx + d(v)/dy of padded component fields.
+
+    The result goes to `out` and the d(v)/dy term to `buf`, two
+    interior-shaped buffers allocated when not given.
+    """
+    out = np.subtract(_shifted(up, 1, 0), _shifted(up, -1, 0), out=out)
+    out /= 2.0 * g.dx
+    buf = np.subtract(_shifted(vp, 0, 1), _shifted(vp, 0, -1), out=buf)
+    buf /= 2.0 * g.dy
+    out += buf
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -56,20 +63,23 @@ def _quadrature_matrices(nz: int, dz: float):
     return weights
 
 
-def _vertical_quadrature(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _vertical_quadrature(f: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     nz = f.shape[-1]
-    return (f.reshape(-1, nz) @ weights).reshape(f.shape)
+    out = np.empty(f.shape) if out is None else out
+    np.matmul(f.reshape(-1, nz), weights, out=out.reshape(-1, nz))
+    return out
 
 
-def integrate_from_bottom(f: np.ndarray, g: Grid):
+def integrate_from_bottom(f: np.ndarray, g: Grid, out=None):
     """Cumulative vertical integral from z = -h to each cell center.
 
     Trapezoidal, with the bottom-face value mirrored from the first cell, so
     the top-face total matches h times the uniform depth mean.  Applied as
     one matrix product of the (columns, nz) field with the (nz, nz) weight
-    matrix, cached per (nz, dz); f may carry lateral ghosts.
+    matrix, cached per (nz, dz); f may carry lateral ghosts.  With `out`
+    (f's shape, C-contiguous) the product is written there.
     """
-    return _vertical_quadrature(f, _quadrature_matrices(f.shape[-1], g.dz)[0])
+    return _vertical_quadrature(f, _quadrature_matrices(f.shape[-1], g.dz)[0], out)
 
 
 def integrate_from_top(f: np.ndarray, g: Grid):

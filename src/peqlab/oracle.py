@@ -26,7 +26,7 @@ from . import operators as ops
 from .bc import BcKind, FieldBcs, TEMPERATURE_BC, VELOCITY_BC, fill_ghosts, robin_ghost_factor
 from .diagnostics import DiagRecord, l2sq
 from .grid import INTERIOR, INTERIOR2D, Grid
-from .model import State, face_velocities, momentum_rhs, temperature_rhs
+from .model import State, face_velocities, hydrostatic_integral, momentum_rhs, temperature_rhs
 from .params import PhysParams
 from .projection import constraint_residual, depth_mean
 
@@ -136,7 +136,8 @@ def helmholtz_apply(x: np.ndarray, p: PhysParams, g: Grid, dt: float, kind: str)
 def full_rhs(s: State, p: PhysParams, g: Grid) -> tuple:
     """(dv1, dv2, dT) of the full equations: the explicit tendency with diffusion added."""
     faces = face_velocities(s.v1, s.v2, s.w, g)
-    dv1, dv2 = momentum_rhs(s, p, g, faces)
+    P = hydrostatic_integral(s.T, g)
+    dv1, dv2 = (momentum_rhs(s, p, g, faces, P, axis) for axis in (0, 1))
     dT = temperature_rhs(s, faces) - apply_L2(s.T, p, g)
     return dv1 - apply_L1(s.v1, p, g), dv2 - apply_L1(s.v2, p, g), dT
 

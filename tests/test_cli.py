@@ -359,6 +359,22 @@ def test_failed_verdict_exits_3(tmp_path, capsys, command, body, message):
     assert err.startswith("check failed: ") and message in err
 
 
+def test_non_monotone_mms_refinement_exits_3(tmp_path, capsys, monkeypatch):
+    """cmd_mms's second verdict: orders in range, errors not shrinking at every refinement."""
+    from peqlab import cli
+    from peqlab.mms import MmsReport
+
+    levels = ((0.25, 1e-3, 1e-3, 2e-3), (0.125, 2.5e-4, 2.5e-4, 5e-4))
+    monkeypatch.setattr(cli, "mms_convergence_study",
+                        lambda p, sizes, dt, horizon: MmsReport(levels, 2.0, 2.0, monotone=False))
+    out = tmp_path / "o"
+    assert main(["mms", write_cfg(tmp_path, TINY_MMS), "--output-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "observed orders: velocity 2.000, temperature 2.000" in captured.out
+    assert captured.err.startswith("check failed: ") and "refinement errors are not monotone" in captured.err
+    assert len((out / "mms.csv").read_text().splitlines()) == 3
+
+
 def test_q_file_run_matches_gaussian_source(tmp_path):
     """A heat source read from file runs byte for byte as the source it was saved from."""
     gaussian = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian\nq.center_y = 0.5")
