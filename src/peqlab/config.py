@@ -185,10 +185,11 @@ class RunConfig:
             - ((z - v[f"{section}.center_z"]) ** 2) / (2 * w * w)
         )
 
-    def initial_state(self, p: PhysParams, g: Grid, scale=1.0, shift=0.0) -> State:
+    def initial_state(self, p: PhysParams, g: Grid, scale=1.0, shift=0.0, q=None) -> State:
         """The initial interiors and heat source; the run's prologue fills the ghosts and w.
 
         scale multiplies init.t_amplitude and init.v_amplitude, shift moves init.center_x.
+        A given q becomes the state's heat source as it is, instead of a new one.
         """
         kind = self["init.kind"]
         if kind == "mms":
@@ -199,7 +200,7 @@ class RunConfig:
             s.T[INTERIOR] = self["init.t_amplitude"] * scale * blob
             s.v1[INTERIOR] = self["init.v_amplitude"] * scale * blob
             s.v2[INTERIOR] = -self["init.v_amplitude"] * scale * blob
-        s.Q = self.q_field(g)
+        s.Q = self.q_field(g) if q is None else q
         return s
 
     def contraction_pair(self, p: PhysParams, g: Grid):
@@ -209,11 +210,10 @@ class RunConfig:
         A twin equal to the base state has nothing to contract and is rejected.
         """
         s_a = self.initial_state(p, g)
-        s_b = self.initial_state(p, g, self["contract.t_scale"], self["contract.shift_x"])
+        s_b = self.initial_state(p, g, self["contract.t_scale"], self["contract.shift_x"], s_a.Q)
         if all(map(np.array_equal, s_a.interiors(), s_b.interiors())):
             raise ConfigError(f"the contraction twin equals the base state (init.kind = "
                               f"{self['init.kind']}); the probe needs two distinct states")
-        s_b.Q = s_a.Q
         return s_a, s_b
 
 

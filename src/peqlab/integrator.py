@@ -55,9 +55,9 @@ DIV_TOL = 1e-8
 ENERGY_SLACK = 1e-8
 GRONWALL_FACTOR = 1.05
 #: cells above which a coupled step runs its per-field tasks concurrently:
-#: above the measured crossover near 16,384 cells (README, Numerics), at the
-#: 64x32x16 reference grid, which stays serial with every smaller one
-CONCURRENT_CELLS = 32_768
+#: the measured crossover (README, Numerics), so the 64x32x16 reference grid
+#: and the 32^3 MMS level run concurrently and every smaller committed grid serially
+CONCURRENT_CELLS = 16_384
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,13 @@ def _cached_diffusion(p: PhysParams, g: Grid, dt: float, kind: str) -> ImplicitD
 class Workspace:
     """One member's face arrays, kept between steps, and the helper threads its steps run on.
 
-    The faces are free once a step's rates are formed, so their leading
+    The faces are free once a step's tasks are joined, so their leading
     cells also hold the previous interiors an output step's record reads.
     A step's other buffers (the hydrostatic integral, one rate per field
     and one scratch array per worker) live only for the step, so no record
     runs beside them.  Above CONCURRENT_CELLS cells a coupled step runs its
-    per-field tasks on the calling thread plus min(3, CPUs) - 1 helpers,
-    started on first use and joined by :meth:`close`.
+    per-field tasks on the calling thread plus min(3, CPUs) - 1 helpers in
+    one fork-join; the helpers start on first use and :meth:`close` joins them.
     """
 
     def __init__(self, g: Grid, cfg: StepConfig):
@@ -177,23 +177,24 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig,
     """Advance a state (valid ghosts, diagnosed w) by one IMEX step in place.
 
     The face velocities are built once and shared by every advected field.
-    Two phases then run one task per field (v1, v2, T) on the workspace's
-    workers, each with its own scratch array: the rate, checked finite, then
-    the predictor f + dt * rate, solved in the rate's buffer and written to
-    the field's interior.  So
-    every rate is checked before the first field is written.  Each task
-    keeps its field's operation order and every matrix product stays one
-    BLAS call, so the bytes do not depend on the workers.  Without `ws` the
-    step uses a fresh workspace of its own.
+    One task per field (v1, v2, T) then runs on the workspace's workers,
+    each with its own scratch array: the rate, checked finite, then the
+    predictor f + dt * rate, solved in the rate's buffer.  No field is
+    written before the join, as v2's rate reads v1; after it the first
+    failure is raised and the three solutions are written.  Each task keeps
+    its field's operation order and every matrix product stays one BLAS
+    call, so the bytes do not depend on the workers.  Without `ws` the step
+    uses a fresh workspace of its own.
     """
     with closing(Workspace(g, cfg)) if ws is None else nullcontext(ws) as ws:
         names = ("T",) if cfg.temperature_only else ("v1", "v2", "T")
+        fields = [getattr(s, name)[INTERIOR] for name in names]
         rates = [np.empty((g.nx, g.ny, g.nz)) for _ in names]
         scratch = [np.empty((g.nx, g.ny, g.nz)) for _ in range(ws.workers)]
         faces = face_velocities(s.v1, s.v2, s.w, g, ws.faces)
         integral = None if cfg.temperature_only else hydrostatic_integral(s.T, g)
 
-        def rate(i, buf):
+        def advance(i, buf):
             r = rates[i]
             if names[i] == "T":
                 temperature_rhs(s, faces, r, buf)
@@ -203,20 +204,18 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig,
             if not finite.all():
                 idx = tuple(int(v) for v in np.argwhere(~finite)[0])
                 raise NumericalError(f"non-finite tendency d{names[i]} at interior index {idx}")
-
-        def solve(i, buf):
-            # the predictor f + dt * rate, formed in the rate's own buffer
-            r, f = rates[i], getattr(s, names[i])[INTERIOR]
+            # the predictor f + dt * rate, formed and solved in the rate's own buffer
             r *= dt
-            r += f
-            f[...] = _cached_diffusion(p, g, dt, _DIFFUSION[names[i]]).solve(r, buf)
+            r += fields[i]
+            _cached_diffusion(p, g, dt, _DIFFUSION[names[i]]).solve(r, buf)
 
-        ws.run(rate, len(names), scratch)
+        ws.run(advance, len(names), scratch)
         # the faces are free now: the record of an output step reads the old interiors from them
         if ws.keep_previous:
             for kept, f in zip(ws.previous, s.interiors()):
                 kept[...] = f
-        ws.run(solve, len(names), scratch)
+        for f, r in zip(fields, rates):
+            f[...] = r
         # project refills the v1, v2 and p_s ghosts, refresh_w those of w
         fill_ghosts(s.T, TEMPERATURE_BC, p, g)
         if not cfg.temperature_only:

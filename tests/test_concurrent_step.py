@@ -1,9 +1,10 @@
 """The concurrent step: the same bytes as the serial one, the same failures, no stray threads.
 
 A step on more than `integrator.CONCURRENT_CELLS` cells runs its per-field
-tasks on helper threads.  The tests below lower that threshold to 0 and fix
+tasks on helper threads.  Most tests below lower that threshold to 0 and fix
 the CPU count the helper count is taken from, so small grids take the
-concurrent path on 2 and 3 workers whatever the machine has.
+concurrent path on 2 and 3 workers whatever the machine has; the rest pin
+which committed grids take it at the threshold as it stands.
 """
 
 import os
@@ -18,7 +19,9 @@ import pytest
 
 from peqlab import PhysParams, StepConfig, make_grid, run, step, trajectory
 from peqlab import integrator
+from peqlab.config import parse_config
 from peqlab.errors import NumericalError
+from peqlab.mms import mms_convergence_study
 from tests.test_integrator import P, gaussian_state
 from tests.test_model import random_smooth_state
 
@@ -99,15 +102,54 @@ def test_concurrent_steps_under_a_short_switch_interval(monkeypatch):
 CONFIG = (ROOT / "configs" / "reference.cfg").read_text()
 
 
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.mark.parametrize("counts,temperature_only,workers", [
+    ((64, 32, 16), False, 2),  # reference.cfg
+    ((32, 32, 32), False, 2),  # the finest mms.cfg level
+    ((32, 16, 8), False, 1),  # dissipation.cfg and its kin
+    ((32, 32, 16), False, 1),  # 16,384 cells
+    ((64, 32, 16), True, 1),
+    ((128, 64, 32), True, 1),
+])
+def test_which_grids_step_concurrently(monkeypatch, counts, temperature_only, workers):
+    two_cpus(monkeypatch)
+    ws = integrator.Workspace(make_grid(P, *counts), StepConfig(temperature_only=temperature_only))
+    try:
+        assert ws.workers == workers
+    finally:
+        ws.close()
+
+
+MMS = parse_config((ROOT / "configs" / "mms.cfg").read_text())
+
+
+def test_mms_study_rows_do_not_depend_on_the_threshold(monkeypatch):
+    """The 32^3 level steps concurrently at the threshold as it stands, with the serial bytes."""
+    rows = {}
+    two_cpus(monkeypatch)
+    threads = rhs_threads(monkeypatch)
+    for threshold in (10**9, integrator.CONCURRENT_CELLS):
+        monkeypatch.setattr(integrator, "CONCURRENT_CELLS", threshold)
+        threads.clear()
+        report = mms_convergence_study(MMS.params(), sizes=[(n, n, n) for n in MMS["mms.sizes"]],
+                                       dt=MMS["mms.dt"], horizon=MMS["mms.horizon"])
+        rows[threshold] = np.array(report.rows()).tobytes()
+        assert any(name.startswith(HELPER) for name in threads) == (threshold < 10**9)
+    assert len(set(rows.values())) == 1
+
+
 def test_concurrent_run_is_identical_across_blas_threads(tmp_path, monkeypatch):
-    """Criterion 10 on a grid above the threshold: 72x32x16, three steps, one record after t = 0."""
+    """Criterion 10 on the reference.cfg grid: three steps, one record after t = 0."""
     body = CONFIG
-    for key, value in (("grid.nx", "72"), ("step.t_end", "0.03"), ("step.output_every", "3")):
+    for key, value in (("step.t_end", "0.03"), ("step.output_every", "3")):
         body = body.replace(next(line for line in body.splitlines() if line.startswith(key)),
                             f"{key} = {value}")
-    cfg = tmp_path / "wide.cfg"
+    cfg = tmp_path / "reference.cfg"
     cfg.write_text(body)
-    assert 72 * 32 * 16 > integrator.CONCURRENT_CELLS
+    assert 64 * 32 * 16 > integrator.CONCURRENT_CELLS
     outputs = {}
     for threads in ("1", "4"):
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,

@@ -122,6 +122,20 @@ class TestConfig:
         cfg.grid()  # also exercises grid validation
         assert parse_config(serialize_config(cfg)).values == cfg.values
 
+    def test_contraction_pair_builds_one_heat_source(self, monkeypatch):
+        cfg = parse_config((CONFIG_DIR / "contraction_default.cfg").read_text())
+        calls = []
+        q_field = RunConfig.q_field
+
+        def spy(self, g):
+            calls.append(g)
+            return q_field(self, g)
+
+        monkeypatch.setattr(RunConfig, "q_field", spy)
+        s_a, s_b = cfg.contraction_pair(cfg.params(), cfg.grid())
+        assert len(calls) == 1
+        assert s_b.Q is s_a.Q
+
 
 def _fake_records(n=3):
     rows = []
