@@ -4,14 +4,14 @@ from .params import PhysParams
 from .grid import Grid, make_grid
 from .bc import BcKind, FieldBcs, VELOCITY_BC, TEMPERATURE_BC, W_BC, fill_ghosts
 from .model import State
-from .integrator import StepConfig, RunChecks, cfl_dt, step, run, trajectory
+from .integrator import StepConfig, cfl_dt, step, run, trajectory
 from .diagnostics import DiagRecord, kappa, gronwall_T_envelope
 
 __all__ = [
     "PhysParams", "Grid", "make_grid",
     "BcKind", "FieldBcs", "VELOCITY_BC", "TEMPERATURE_BC", "W_BC", "fill_ghosts",
     "State",
-    "StepConfig", "RunChecks", "cfl_dt", "step", "run", "trajectory",
+    "StepConfig", "cfl_dt", "step", "run", "trajectory",
     "DiagRecord", "kappa", "gronwall_T_envelope",
 ]
 

@@ -2,7 +2,7 @@
 
 Subcommands: run, mms, tail, truncate, contract, plot.  Exit codes: 0 on
 success, 1 for configuration problems, 2 for numerical failures, 3 when a
-configured acceptance/inequality check fails.
+run monitor or an experiment's verdict fails.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def cmd_run(args) -> int:
     out = _outdir(cfg, args.output_dir)
     # the arguments are evaluated here, so a source the config cannot honour is rejected
     # before the CSV exists
-    steps = trajectory([(cfg.initial_state(p, g), p, g)], cfg.step_config(), cfg.checks())
+    steps = trajectory([(cfg.initial_state(p, g), p, g)], cfg.step_config())
     with CsvWriter(out / "timeseries.csv", diag.CSV_COLUMNS) as series:
         for n, _, (state,), (last,) in steps:
             series(last)
@@ -98,7 +98,7 @@ def cmd_tail(args) -> int:
     out = _outdir(cfg, args.output_dir)
     tail = cfg.tail_config()
     rows = _stream_csv(out / "tail.csv", tail.header, tail_decay_experiment(
-        tail, cfg.initial_state(p, g), p, g, cfg.step_config(), cfg.checks()))
+        tail, cfg.initial_state(p, g), p, g, cfg.step_config()))
     for r, sup_rel in zip(tail.radii, tail.sup_rel(rows)):
         print(f"r={r:g}: sup tail/total for t>={tail.tau_probe:g} is {sup_rel:.3e}")
     r_star = tail.r_star(rows)
@@ -115,12 +115,11 @@ def cmd_truncate(args) -> int:
     if cfg["init.kind"] == "mms":
         raise ConfigError("truncate cannot widen the channel under init.kind = mms: "
                           "the manufactured fields depend on physics.lx")
-    counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
+    g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
     factor = cfg["truncate.factor"]
     rows = _stream_csv(out / "truncate.csv", TruncationRow._fields, truncation_convergence(
-        cfg.params(), counts, cfg.step_config(), cfg.initial_state,
-        factor=factor, checks=cfg.checks()))
+        cfg.params(), (g.nx, g.ny, g.nz), cfg.step_config(), cfg.initial_state, factor=factor))
     max_rel_diff = max(row.rel_diff for row in rows)
     print(f"max relative difference against {factor}x domain: {max_rel_diff:.3e}")
     limit = cfg["truncate.max_rel"]
@@ -136,7 +135,7 @@ def cmd_contract(args) -> int:
     out = _outdir(cfg, args.output_dir)
     s_a, s_b = cfg.contraction_pair(p, g)
     rows = _stream_csv(out / "contract.csv", ContractionRow._fields, two_trajectory_contraction(
-        s_a, s_b, p, g, cfg.step_config(), cfg.checks()))
+        s_a, s_b, p, g, cfg.step_config()))
     first, last = rows[0], rows[-1]
     print(f"distance {first.dist_l2:.6g} -> {last.dist_l2:.6g} over t={last.t:g}")
     if first.dist_l2 > 0.0 and not last.dist_l2 < first.dist_l2:

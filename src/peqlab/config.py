@@ -2,24 +2,26 @@
 
 The format is deliberately tiny: one `section.key = value` per line, `#`
 comments, nothing nested.  Unknown keys, duplicates, and malformed lines are
-hard errors with line numbers; physical values are validated through the
-same invariants the library enforces.  Serialization writes every key with
-17 significant digits so parse -> serialize -> parse is the identity.
+hard errors with line numbers; every number must be finite, and physical
+values are validated through the same invariants the library enforces.
+Serialization writes every key with 17 significant digits so
+parse -> serialize -> parse is the identity.
 
-Defaults live in one place per key.  The physics.*, step.*, check.* and
-tail.* keys, with their defaults and parsers, are the fields of PhysParams,
-StepConfig, RunChecks and TailConfig; KEY_SPEC lists the other keys.
+Defaults live in one place per key.  The physics.*, step.* and tail.* keys,
+with their defaults and parsers, are the fields of PhysParams, StepConfig and
+TailConfig; KEY_SPEC lists the other keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import INTERIOR, Grid, make_grid
-from .integrator import RunChecks, StepConfig
+from .integrator import StepConfig
 from .mms import MmsSpec
 from .model import State
 from .params import PhysParams
@@ -34,8 +36,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true/false, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str):
-    return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
+    return tuple(_parse_float(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
 def _parse_int_list(text: str):
@@ -43,7 +52,7 @@ def _parse_int_list(text: str):
 
 
 #: field annotation -> parser of its config value
-_PARSERS = {"float": float, "int": int, "bool": _parse_bool, "str": str,
+_PARSERS = {"float": _parse_float, "int": int, "bool": _parse_bool, "str": str,
             "tuple[float, ...]": _parse_float_list}
 
 
@@ -60,30 +69,29 @@ KEY_SPEC = {
     "grid.nz": (int, 8),
     **_fields_spec("step", StepConfig),
     "init.kind": (str, "zero"),
-    "init.center_x": (float, 0.0),
-    "init.center_y": (float, 0.25),
-    "init.center_z": (float, -0.25),
-    "init.width": (float, 0.25),
-    "init.t_amplitude": (float, 1.0),
-    "init.v_amplitude": (float, 0.0),
+    "init.center_x": (_parse_float, 0.0),
+    "init.center_y": (_parse_float, 0.25),
+    "init.center_z": (_parse_float, -0.25),
+    "init.width": (_parse_float, 0.25),
+    "init.t_amplitude": (_parse_float, 1.0),
+    "init.v_amplitude": (_parse_float, 0.0),
     "q.kind": (str, "zero"),
-    "q.center_x": (float, 0.0),
-    "q.center_y": (float, 0.25),
-    "q.center_z": (float, -0.25),
-    "q.width": (float, 0.12),
-    "q.amplitude": (float, 0.5),
+    "q.center_x": (_parse_float, 0.0),
+    "q.center_y": (_parse_float, 0.25),
+    "q.center_z": (_parse_float, -0.25),
+    "q.width": (_parse_float, 0.12),
+    "q.amplitude": (_parse_float, 0.5),
     "q.path": (str, ""),
     "output.dir": (str, "out"),
     "output.snapshots": (_parse_bool, False),
-    **_fields_spec("check", RunChecks),
     **_fields_spec("tail", TailConfig),
     "truncate.factor": (int, 2),
-    "truncate.max_rel": (float, 0.0),
-    "contract.t_scale": (float, 1.5),
-    "contract.shift_x": (float, 0.2),
+    "truncate.max_rel": (_parse_float, 0.0),
+    "contract.t_scale": (_parse_float, 1.5),
+    "contract.shift_x": (_parse_float, 0.2),
     "mms.sizes": (_parse_int_list, (8, 16, 32)),
-    "mms.dt": (float, 2e-3),
-    "mms.horizon": (float, 0.1),
+    "mms.dt": (_parse_float, 2e-3),
+    "mms.horizon": (_parse_float, 0.1),
 }
 
 
@@ -119,9 +127,11 @@ class RunConfig:
         sizes = self["mms.sizes"]
         if len(sizes) < 2 or min(sizes) < 4:
             raise ConfigError(f"mms.sizes must list at least two grid sizes, each >= 4, got {sizes!r}")
+        for key in ("init.width", "q.width"):
+            if not self[key] > 0.0:
+                raise ConfigError(f"{key} must be > 0, got {self[key]!r}")
         try:
             self.step_config()
-            self.checks()
             StepConfig(dt=self["mms.dt"], t_end=self["mms.horizon"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -143,9 +153,6 @@ class RunConfig:
 
     def step_config(self) -> StepConfig:
         return self._section(StepConfig, "step")
-
-    def checks(self) -> RunChecks:
-        return self._section(RunChecks, "check")
 
     def tail_config(self) -> TailConfig:
         return self._section(TailConfig, "tail")

@@ -12,9 +12,10 @@ which keeps the discrete energy balance: transport is skew-neutral, the
 implicit solves are contractions, and the projection removes energy.
 
 :func:`trajectory` is the only loop over steps: it advances one or more
-states in lockstep under one prologue and one set of run monitors, and
-yields each output step to its caller.  :func:`run`, the ``run`` command
-and the experiments in :mod:`peqlab.tail` are loops over it.
+states in lockstep under one prologue and one set of run monitors, the
+energy method's estimates, always on, and yields each output step to its
+caller.  :func:`run`, the ``run`` command and the experiments in
+:mod:`peqlab.tail` and :mod:`peqlab.mms` are loops over it.
 """
 
 from __future__ import annotations
@@ -83,18 +84,6 @@ class StepConfig:
     def n_steps(self) -> int:
         """Number of steps to t_end (a whole number, checked at construction)."""
         return round(self.t_end / self.dt)
-
-
-@dataclass(frozen=True)
-class RunChecks:
-    """Inequality monitors evaluated during a run; violations abort it."""
-
-    energy: str = "auto"  # on, off, or auto: on when Q is identically zero
-    gronwall: bool = False
-
-    def __post_init__(self):
-        if self.energy not in ("auto", "on", "off"):
-            raise ValueError(f"check.energy must be auto, on, or off, got {self.energy!r}")
 
 
 def cfl_dt(s: State, g: Grid) -> float:
@@ -225,9 +214,15 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig,
 
 
 class _Member:
-    """One trajectory's state, readied in place (ghosts, projection, w), its workspace and run monitors."""
+    """One trajectory's state, readied in place (ghosts, projection, w), its workspace and run monitors.
 
-    def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: RunChecks):
+    The monitors are the energy method's estimates, always on: after every
+    step the energy inequality when Q is identically zero, and on every
+    record the Poincare ratios, the constraint residual (coupled steps) and
+    the decay envelope |T(t)|^2 <= |T0|^2 e^(-t/kappa) + kappa^2 |Q|^2.
+    """
+
+    def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig):
         s.fill_all_ghosts(p, g)
         if not cfg.temperature_only:
             project(s, cfg.dt, p, g)
@@ -235,18 +230,18 @@ class _Member:
         suggestion = cfl_dt(s, g)
         if cfg.dt > suggestion:
             log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)
-        self.s, self.p, self.g, self.cfg, self.checks = s, p, g, cfg, checks
+        self.s, self.p, self.g, self.cfg = s, p, g, cfg
         self.ws = Workspace(g, cfg)
         self.l2_q = diag.l2sq(s.Q, g)
         self.l2_t0 = diag.l2sq(s.T[INTERIOR], g)
-        on = checks.energy == "on" or (checks.energy == "auto" and self.l2_q == 0.0)
-        self.energy = self._energy() if on else None
+        # the energy inequality holds for an unforced system only
+        self.energy = self._energy() if self.l2_q == 0.0 else None
 
     def _energy(self) -> float:
         return sum(diag.l2sq(f, self.g) for f in self.s.interiors())
 
     def check_energy_step(self, t: float):
-        """The energy inequality after a step, when enabled (Q == 0 by default)."""
+        """The energy inequality after a step, when Q is identically zero."""
         if self.energy is None:
             return
         energy = self._energy()
@@ -267,33 +262,30 @@ class _Member:
             raise CheckError(
                 f"constraint residual {rec.constraint_residual:.3e} > {DIV_TOL:.1e} at t={t:.6g}"
             )
-        if self.checks.gronwall:
-            envelope = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, diag.kappa(self.p))
-            bound = envelope * GRONWALL_FACTOR
-            if rec.l2_T > bound:
-                raise CheckError(
-                    f"temperature energy {rec.l2_T:.6g} above decay envelope {bound:.6g} at t={t:.6g}"
-                )
+        envelope = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, diag.kappa(self.p))
+        bound = envelope * GRONWALL_FACTOR
+        if rec.l2_T > bound:
+            raise CheckError(
+                f"temperature energy {rec.l2_T:.6g} above decay envelope {bound:.6g} at t={t:.6g}"
+            )
         return rec
 
 
-def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfig,
-               checks: Optional[RunChecks] = None) -> Iterator[tuple]:
+def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfig) -> Iterator[tuple]:
     """Advance (state, params, grid) members in lockstep to t_end, in place.
 
     Each member is its own State; members may share only their read-only Q.
-    Every member gets the same prologue and run monitors.  At t = 0 and every
-    output_every steps (and the last) each member's DiagRecord is evaluated
-    and checked, then (n, t, states, records) is yielded: the caller's states,
-    advanced in place by the next step.  An exception from a failed step keeps
+    Every member gets the same prologue and run monitors (see _Member).  At
+    t = 0 and every output_every steps (and the last) each member's
+    DiagRecord is evaluated and checked, then (n, t, states, records) is
+    yielded: the caller's states, advanced in place by the next step.  An exception from a failed step keeps
     its type and carries the last valid time as a note (PEP 678).  The
     members' helper threads are joined when the generator is exhausted,
     fails or is closed.
     """
-    checks = checks or RunChecks()
     group = []
     try:
-        group.extend(_Member(s, p, g, cfg, checks) for s, p, g in members)
+        group.extend(_Member(s, p, g, cfg) for s, p, g in members)
         states = [m.s for m in group]
         yield 0, 0.0, states, [m.record(0.0, None) for m in group]
         n_steps = cfg.n_steps
@@ -317,6 +309,6 @@ def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfi
             m.ws.close()
 
 
-def run(s: State, p: PhysParams, g: Grid, cfg: StepConfig, checks: Optional[RunChecks] = None):
-    """Advance a state to t_end in place; returns (s, records), one record per output step."""
-    return s, [rec for _, _, _, (rec,) in trajectory([(s, p, g)], cfg, checks)]
+def run(s: State, p: PhysParams, g: Grid, cfg: StepConfig):
+    """Advance a state to t_end in place under the run monitors; returns (s, records), one per output step."""
+    return s, [rec for _, _, _, (rec,) in trajectory([(s, p, g)], cfg)]

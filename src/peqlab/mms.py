@@ -109,17 +109,13 @@ class MmsSpec:
         w = -(a1 * X1[1] * Y1[0] + a2 * X2[0] * Y2[1]) * ((np.sin(k * z) - math.sin(-math.pi)) / k)
         return v1, v2, T, w
 
-    def state(self, g: Grid) -> State:
-        """State holding the manufactured fields with BC-filled ghosts."""
+    def forced_state(self, g: Grid) -> State:
+        """The manufactured interiors and the forcing that makes them steady.
+
+        As for every initial state, the run's prologue fills the ghosts and w.
+        """
         s = State.zeros(g)
         s.v1[INTERIOR], s.v2[INTERIOR], s.T[INTERIOR], _ = self.evaluate(*g.coords())
-        s.fill_all_ghosts(self.p, g)
-        s.refresh_w(self.p, g)
-        return s
-
-    def forced_state(self, g: Grid) -> State:
-        """The manufactured state carrying the forcing that makes it steady."""
-        s = self.state(g)
         f1, f2, s.Q = mms_forcing(self, g)
         s.body_force = (f1, f2)
         return s

@@ -8,7 +8,7 @@ doubling the truncation half-length barely changes the solution on the
 common subdomain, and paired trajectories contract.
 
 Each experiment is a loop over :func:`peqlab.integrator.trajectory`, so it
-advances under the same prologue and run monitors (``checks``) as a run and
+advances under the same prologue and run monitors as a run and
 reads the norms it shares with a DiagRecord from the members' records.  It
 yields one row of its CSV table at every output step, so ``list`` of an
 experiment is its table.  Inputs are checked on the first ``next``, before
@@ -26,7 +26,7 @@ import numpy as np
 from .diagnostics import distance_sq, l2sq
 from .errors import ConfigError
 from .grid import INTERIOR, Grid, make_grid
-from .integrator import RunChecks, StepConfig, trajectory
+from .integrator import StepConfig, trajectory
 from .model import State
 from .params import PhysParams
 
@@ -99,7 +99,6 @@ def tail_decay_experiment(
     p: PhysParams,
     g: Grid,
     cfg: StepConfig,
-    checks: Optional[RunChecks] = None,
 ) -> Iterator[tuple]:
     """Run the simulation and track windowed tail energies per radius.
 
@@ -117,7 +116,7 @@ def tail_decay_experiment(
             f"heat source support |x| <= {support:.3g} is not well inside the "
             f"smallest window radius {min(tail.radii)}"
         )
-    for _, t, (state,), (rec,) in trajectory([(initial, p, g)], cfg, checks):
+    for _, t, (state,), (rec,) in trajectory([(initial, p, g)], cfg):
         yield (t, rec.l2_T, *(windowed_T_energy(state.T[INTERIOR], r, g) for r in tail.radii))
 
 
@@ -133,7 +132,6 @@ def truncation_convergence(
     initial: Callable[[PhysParams, Grid], State],
     factor: int = 2,
     factor_base: int = 1,
-    checks: Optional[RunChecks] = None,
 ) -> Iterator[TruncationRow]:
     """Compare runs of the same physics on channels widened by two factors.
 
@@ -164,7 +162,7 @@ def truncation_convergence(
 
     sl = np.s_[1 + offset:1 + offset + na, 1:-1, 1:-1]
 
-    for _, t, (base, wide), (rec, _) in trajectory(members, cfg, checks):
+    for _, t, (base, wide), (rec, _) in trajectory(members, cfg):
         # the narrow domain is the whole interior of the base grid
         num = sum(distance_sq(wide, base.interiors(), g_a, sl))
         den = rec.l2_v + rec.l2_T
@@ -185,7 +183,6 @@ def two_trajectory_contraction(
     p: PhysParams,
     g: Grid,
     cfg: StepConfig,
-    checks: Optional[RunChecks] = None,
 ) -> Iterator[ContractionRow]:
     """Integrate two states side by side and track their separation.
 
@@ -196,7 +193,7 @@ def two_trajectory_contraction(
     if not np.array_equal(s_a.Q, s_b.Q):
         raise ConfigError("contraction probe requires identical heat sources")
 
-    for _, t, (a, b), records in trajectory([(s_a, p, g), (s_b, p, g)], cfg, checks):
+    for _, t, (a, b), records in trajectory([(s_a, p, g), (s_b, p, g)], cfg):
         dv1, dv2, dT2 = distance_sq(a, b.interiors(), g)
         dv, dT = math.sqrt(dv1 + dv2), math.sqrt(dT2)
         dist = math.hypot(dv, dT)

@@ -26,6 +26,7 @@ from tests.test_model import random_smooth_state
 from tests.test_tail import max_rel_diff
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 #: criterion 6: the calibrated absorbing radius (squared V-level) and the
 #: largest gap between the entry times of the base and the 10x-data runs
@@ -47,7 +48,7 @@ def execute(cfg: RunConfig, scale=1.0):
     p = cfg.params()
     g = cfg.grid()
     s = cfg.initial_state(p, g, scale=scale)
-    final, records = run(s, p, g, cfg.step_config(), checks=cfg.checks())
+    final, records = run(s, p, g, cfg.step_config())
     return {"cfg": cfg, "p": p, "g": g, "final": final, "records": records}
 
 
@@ -266,6 +267,7 @@ def test_criterion_10_determinism(tmp_path):
         env = dict(os.environ)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC_DIR), env.get("PYTHONPATH"))))
         outdir = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "peqlab.cli", "run", str(config), "--output-dir", str(outdir)],

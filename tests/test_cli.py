@@ -110,7 +110,7 @@ def _shrink_envelope(monkeypatch):
 def test_injected_check_violation_exits_3(tmp_path, monkeypatch):
     # zero envelope slack makes any heated state fail the decay check
     _shrink_envelope(monkeypatch)
-    cfg = write_cfg(tmp_path, TINY_RUN + "check.gronwall = true\n")
+    cfg = write_cfg(tmp_path, TINY_RUN)
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
 
 
@@ -131,12 +131,12 @@ def test_frozen_velocity_temperature_only_run(tmp_path):
     ("tail", "tail.cfg"),
     ("truncate", "truncation.cfg"),
     ("contract", "contraction_diffusive.cfg"),
+    ("mms", "mms.cfg"),
 ])
 def test_experiments_enforce_run_checks(tmp_path, capsys, monkeypatch, command, config):
-    # zero envelope slack: the decay check configured for a run must trip here too
+    # zero envelope slack: the decay check every run makes must trip here too
     _shrink_envelope(monkeypatch)
-    body = (CONFIG_DIR / config).read_text() + "check.gronwall = true\n"
-    cfg = write_cfg(tmp_path, body)
+    cfg = str(CONFIG_DIR / config)
     assert main([command, cfg, "--output-dir", str(tmp_path / "o")]) == 3
     assert "check failed: temperature energy" in capsys.readouterr().err
 
@@ -248,8 +248,10 @@ truncate.max_rel = 0.01
 MMS_INIT = TINY_RUN.replace("init.kind = gaussian", "init.kind = mms")
 
 
+HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
+
+
 @pytest.mark.parametrize("command,body,message", [
-    ("run", TINY_RUN + "check.energy = maybe\n", "check.energy must be auto, on, or off"),
     ("run", MMS_INIT.replace("q.kind = zero", "q.kind = gaussian"), "q.kind must be zero"),
     ("truncate", MMS_INIT, "under init.kind = mms"),
     ("contract", TINY_RUN.replace("init.kind = gaussian", "init.kind = zero"),
@@ -257,8 +259,26 @@ MMS_INIT = TINY_RUN.replace("init.kind = gaussian", "init.kind = mms")
     ("tail", TINY_TAIL.replace("tail.epsilon = 0.001", "tail.epsilon = -1"), "tail.epsilon must be >= 0"),
     ("truncate", TINY_TRUNCATE.replace("truncate.max_rel = 0.01", "truncate.max_rel = -1"),
      "truncate.max_rel must be >= 0"),
-], ids=["energy_check_value", "mms_init_with_q", "truncate_mms_init", "contract_identical_twin",
-        "negative_tail_epsilon", "negative_truncate_max_rel"])
+    ("truncate", TINY_TRUNCATE.replace("grid.nx = 16", "grid.nx = 3"), "nx must be an integer >= 4"),
+    ("truncate", TINY_TRUNCATE.replace("grid.ny = 6", "grid.ny = 2"), "ny must be an integer >= 4"),
+    ("truncate", TINY_TRUNCATE.replace("grid.nz = 4", "grid.nz = 2"), "nz must be an integer >= 4"),
+    ("run", TINY_RUN + "physics.f0 = nan\n", "physics.f0: expected a finite number, got 'nan'"),
+    ("run", TINY_RUN + "physics.beta = inf\n", "physics.beta: expected a finite number, got 'inf'"),
+    ("run", TINY_RUN.replace("init.t_amplitude = 0.5", "init.t_amplitude = nan"),
+     "init.t_amplitude: expected a finite number"),
+    ("run", HEATED_RUN + "q.amplitude = inf\n", "q.amplitude: expected a finite number"),
+    ("run", TINY_RUN.replace("init.center_y = 0.5", "init.center_y = nan"),
+     "init.center_y: expected a finite number"),
+    ("tail", TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii = nan,1.6,1.9"),
+     "tail.radii: expected a finite number, got 'nan'"),
+    ("run", TINY_RUN + "init.width = 0\n", "init.width must be > 0, got 0.0"),
+    ("run", TINY_RUN + "init.width = -0.25\n", "init.width must be > 0, got -0.25"),
+    ("run", HEATED_RUN + "q.width = 0\n", "q.width must be > 0, got 0.0"),
+], ids=["mms_init_with_q", "truncate_mms_init", "contract_identical_twin",
+        "negative_tail_epsilon", "negative_truncate_max_rel", "truncate_nx_3", "truncate_ny_2",
+        "truncate_nz_2", "nan_f0", "inf_beta", "nan_t_amplitude", "inf_q_amplitude",
+        "nan_init_center_y", "nan_tail_radius", "zero_init_width", "negative_init_width",
+        "zero_q_width"])
 def test_unusable_input_exits_before_stepping(tmp_path, capsys, monkeypatch, command, body, message):
     _forbid_steps(monkeypatch)
     out = tmp_path / "o"
@@ -413,7 +433,7 @@ def test_plot_envelope_uses_the_runs_heat_source(tmp_path, monkeypatch):
 
     # init.kind = mms brings its own heat source; the q.* keys leave q_field zero
     body = MMS_INIT.replace("grid.nz = 4", "grid.nz = 8").replace("step.t_end = 0.2", "step.t_end = 1.0")
-    cfg = write_cfg(tmp_path, body + "check.gronwall = true\n")
+    cfg = write_cfg(tmp_path, body)
     out = tmp_path / "o"
     assert main(["run", cfg, "--output-dir", str(out)]) == 0
     plotted = {}
@@ -424,7 +444,7 @@ def test_plot_envelope_uses_the_runs_heat_source(tmp_path, monkeypatch):
     run_cfg = parse_config_file(cfg)
     p, g = run_cfg.params(), run_cfg.grid()
     l2_q = l2sq(MmsSpec(p).forced_state(g).Q, g)
-    # the envelope the run's Gronwall monitor checked, which bounds the run's energy
+    # the envelope the run's decay monitor checked, which bounds the run's energy
     assert envelope.tolist() == [gronwall_T_envelope(s, l2_T[0], l2_q, kappa(p)) for s in t]
     assert np.all(l2_T <= envelope)
 
@@ -511,7 +531,7 @@ def test_streamed_series_matches_batch_writer(tmp_path):
     assert main(["run", cfg_path, "--output-dir", str(tmp_path / "o")]) == 0
     cfg = parse_config_file(cfg_path)
     p, g = cfg.params(), cfg.grid()
-    _, records = run(cfg.initial_state(p, g), p, g, cfg.step_config(), checks=cfg.checks())
+    _, records = run(cfg.initial_state(p, g), p, g, cfg.step_config())
     write_timeseries(records, tmp_path / "batch.csv")
     assert (tmp_path / "o" / "timeseries.csv").read_bytes() == (tmp_path / "batch.csv").read_bytes()
 
@@ -539,13 +559,21 @@ def test_failed_run_keeps_records_and_reports_time(tmp_path, capsys, monkeypatch
 
 def test_failed_check_keeps_records(tmp_path, capsys, monkeypatch):
     import peqlab.integrator as integrator
+    from peqlab.grid import INTERIOR
 
-    # a weak initial blob decays until the heat source wins, which trips the
-    # monotone-energy check forced on at t = 0.06
-    monkeypatch.setattr(integrator, "ENERGY_SLACK", 0.0)
-    body = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian\nq.amplitude = 5.0")
-    body = body.replace("init.t_amplitude = 0.5", "init.t_amplitude = 0.05")
-    cfg = write_cfg(tmp_path, body + "check.energy = on\n")
+    step = integrator.step
+    calls = []
+
+    def heating_step(s, *args):
+        step(s, *args)
+        calls.append(1)
+        # an energy gain no unforced step can make trips the energy check at t = 0.06
+        if len(calls) == 3:
+            s.T[INTERIOR] *= 2.0
+        return s
+
+    monkeypatch.setattr(integrator, "step", heating_step)
+    cfg = write_cfg(tmp_path, TINY_RUN)
     out = tmp_path / "o"
     assert main(["run", cfg, "--output-dir", str(out)]) == 3
     assert "energy increased at t=0.06" in capsys.readouterr().err
@@ -556,15 +584,18 @@ def test_failed_check_keeps_records(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command,config,table,header", [
     ("tail", "tail.cfg", "tail.csv", "t,total,w_1.2,w_1.6,w_1.9"),
     ("truncate", "truncation.cfg", "truncate.csv", "t,rel_diff"),
-    # tail.cfg heats small data, so both contraction members gain energy
     ("contract", "tail.cfg", "contract.csv", "t,dist_v,dist_T,dist_l2,v_proxy"),
 ])
-def test_failed_experiment_keeps_rows(tmp_path, capsys, command, config, table, header):
+def test_failed_experiment_keeps_rows(tmp_path, capsys, monkeypatch, command, config, table, header):
+    import peqlab.integrator as integrator
+
+    # unforced, every step is checked for energy; a slack of -1 asks it to lose all of it
+    monkeypatch.setattr(integrator, "ENERGY_SLACK", -1.0)
     # a small blob in place of zero data keeps the contraction twin distinct
     body = (CONFIG_DIR / config).read_text()
-    assert "init.kind = zero\n" in body
+    assert "init.kind = zero\n" in body and "q.kind = gaussian\n" in body
     body = body.replace("init.kind = zero\n", "init.kind = gaussian\ninit.t_amplitude = 0.01\n")
-    cfg = write_cfg(tmp_path, body + "check.energy = on\n")
+    cfg = write_cfg(tmp_path, body.replace("q.kind = gaussian\n", "q.kind = zero\n"))
     out = tmp_path / "o"
     assert main([command, cfg, "--output-dir", str(out)]) == 3
     assert "check failed: energy increased at t=0.02" in capsys.readouterr().err

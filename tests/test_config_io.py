@@ -9,7 +9,6 @@ from peqlab.config import KEY_SPEC, RunConfig, parse_config
 from peqlab.diagnostics import CSV_COLUMNS, DiagRecord
 from peqlab.errors import ConfigError
 from peqlab.grid import INTERIOR
-from peqlab.integrator import RunChecks
 from peqlab.io import (
     plot_svg,
     read_snapshot,
@@ -22,8 +21,7 @@ from peqlab.tail import TailConfig
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 #: config sections whose keys are the fields of the dataclass they build
-DATACLASS_SECTIONS = {"physics": PhysParams, "step": StepConfig, "check": RunChecks,
-                      "tail": TailConfig}
+DATACLASS_SECTIONS = {"physics": PhysParams, "step": StepConfig, "tail": TailConfig}
 
 def _fmt(value) -> str:
     """A parsed config value written back in the form the parser reads, floats exactly."""
@@ -65,7 +63,6 @@ class TestConfig:
         cfg = RunConfig({})
         assert cfg.params() == PhysParams()
         assert cfg.step_config() == StepConfig()
-        assert cfg.checks() == RunChecks()
         assert cfg.tail_config() == TailConfig()
 
     def test_every_key_is_read(self):
@@ -102,7 +99,8 @@ class TestConfig:
                                      "poisson.tolerance", "poisson.max_iter", "tail.pair_seed",
                                      "step.cfl_target", "step.dt_max", "check.poincare_tol",
                                      "check.div_tol", "check.poincare", "check.constraint",
-                                     "check.energy_slack", "check.gronwall_factor"])
+                                     "check.energy_slack", "check.gronwall_factor",
+                                     "check.energy", "check.gronwall"])
     def test_removed_solver_keys_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"{key} = 1")

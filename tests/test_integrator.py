@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peqlab import PhysParams, State, StepConfig, RunChecks, make_grid, cfl_dt, run, step, trajectory
+from peqlab import PhysParams, State, StepConfig, make_grid, cfl_dt, run, step, trajectory
 from peqlab.integrator import CFL_TARGET, DT_MAX
 from peqlab import operators as ops
 from peqlab.grid import INTERIOR
@@ -264,16 +264,12 @@ def test_energy_check_violation_raises(monkeypatch):
     from peqlab.errors import CheckError
 
     g = make_grid(P, 10, 8, 6)
-    s = State.zeros(g)
-    x, y, z = g.coords()
-    s.Q[...] = np.exp(-(x**2) - (y - P.l / 2) ** 2 - (z + P.h / 2) ** 2)
-    s.fill_all_ghosts(P, g)
-    # forcing the monotone-energy check on a heated run must trip it
-    monkeypatch.setattr(integrator, "ENERGY_SLACK", 0.0)
-    checks = RunChecks(energy="on")
+    # an unforced run checks its energy after every step; a slack of -1 asks
+    # each step to lose all of it
+    monkeypatch.setattr(integrator, "ENERGY_SLACK", -1.0)
     cfg = StepConfig(dt=0.05, t_end=2.0, output_every=5)
-    with pytest.raises(CheckError, match="energy increased"):
-        run(s, P, g, cfg, checks=checks)
+    with pytest.raises(CheckError, match=r"^energy increased at t=0.05: "):
+        run(gaussian_state(g, P, amp_v=0.1), P, g, cfg)
 
 
 def test_poincare_violation_names_its_time(monkeypatch):
