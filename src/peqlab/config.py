@@ -109,10 +109,7 @@ class RunConfig:
         return self.values[key]
 
     def validate(self):
-        try:
-            self.params()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.params()
         if self["init.kind"] not in ("zero", "gaussian", "mms"):
             raise ConfigError(f"unknown init.kind {self['init.kind']!r}")
         if self["q.kind"] not in ("zero", "gaussian", "file"):
@@ -130,11 +127,8 @@ class RunConfig:
         for key in ("init.width", "q.width"):
             if not self[key] > 0.0:
                 raise ConfigError(f"{key} must be > 0, got {self[key]!r}")
-        try:
-            self.step_config()
-            StepConfig(dt=self["mms.dt"], t_end=self["mms.horizon"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.step_config()
+        StepConfig(dt=self["mms.dt"], t_end=self["mms.horizon"])
         return self
 
     # builders ---------------------------------------------------------------
@@ -146,10 +140,7 @@ class RunConfig:
         return self._section(PhysParams, "physics")
 
     def grid(self) -> Grid:
-        try:
-            return make_grid(self.params(), self["grid.nx"], self["grid.ny"], self["grid.nz"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return make_grid(self.params(), self["grid.nx"], self["grid.ny"], self["grid.nz"])
 
     def step_config(self) -> StepConfig:
         return self._section(StepConfig, "step")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .params import PhysParams
 
 #: slice selecting the interior of a ghost-padded 3D array
@@ -74,7 +75,7 @@ def make_grid(p: PhysParams, nx: int, ny: int, nz: int) -> Grid:
     """Build the collocated mesh; rejects degenerate cell counts."""
     for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
         if int(n) != n or n < 4:
-            raise ValueError(f"{name} must be an integer >= 4, got {n!r}")
+            raise ConfigError(f"{name} must be an integer >= 4, got {n!r}")
     if not (p.lx > 0 and p.l > 0 and p.h > 0):
-        raise ValueError("grid extents must be positive")
+        raise ConfigError("grid extents must be positive")
     return Grid(nx=int(nx), ny=int(ny), nz=int(nz), lx=p.lx, l=p.l, h=p.h)

@@ -35,7 +35,7 @@ from . import diagnostics as diag
 from . import operators as ops
 from .bc import TEMPERATURE_BC, fill_ghosts
 from .diffusion import ImplicitDiffusion
-from .errors import CheckError, NumericalError
+from .errors import CheckError, ConfigError, NumericalError
 from .grid import INTERIOR, Grid
 from .model import State, face_velocities, hydrostatic_integral, momentum_rhs, temperature_rhs
 from .params import PhysParams
@@ -70,13 +70,13 @@ class StepConfig:
 
     def __post_init__(self):
         if not (self.dt > 0.0):
-            raise ValueError("dt must be positive")
+            raise ConfigError("dt must be positive")
         if self.output_every < 1:
-            raise ValueError("output_every must be >= 1")
+            raise ConfigError("output_every must be >= 1")
         # t_end/dt is rarely an exact float (0.2/0.01 is 20.000000000000004)
         steps = self.t_end / self.dt
         if not (0.0 <= steps < math.inf) or abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(
+            raise ConfigError(
                 f"t_end={self.t_end!r} must be a non-negative whole number of steps of dt={self.dt!r}"
             )
 

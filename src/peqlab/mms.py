@@ -101,7 +101,10 @@ class MmsSpec:
 
     def evaluate(self, x, y, z):
         """Manufactured (v1, v2, T, w) at arbitrary coordinates."""
-        at = self._at(x, y, z)
+        return self._values(self._at(x, y, z), z)
+
+    def _values(self, at: dict, z):
+        """Manufactured (v1, v2, T, w) from the table `at` of :meth:`_at` at depths z."""
         v1, v2, T = (amp * X[0] * Y[0] * Z[0] for amp, X, Y, Z in at.values())
         (a1, X1, Y1, _), (a2, X2, Y2, _) = at["v1"], at["v2"]
         # w = -div_h of the depth integral from -h of the shared z factor cos(pi z/h)
@@ -110,42 +113,35 @@ class MmsSpec:
         return v1, v2, T, w
 
     def forced_state(self, g: Grid) -> State:
-        """The manufactured interiors and the forcing that makes them steady.
+        """The manufactured interiors and the steady forcing (momentum pair, heat source).
 
         As for every initial state, the run's prologue fills the ghosts and w.
         """
+        p = self.p
         s = State.zeros(g)
-        s.v1[INTERIOR], s.v2[INTERIOR], s.T[INTERIOR], _ = self.evaluate(*g.coords())
-        f1, f2, s.Q = mms_forcing(self, g)
-        s.body_force = (f1, f2)
+        x, y, z = g.coords()
+        at = self._at(x, y, z)
+        v1, v2, s.T[INTERIOR], w = self._values(at, z)
+        s.v1[INTERIOR], s.v2[INTERIOR] = v1, v2
+        # each field's gradient, horizontal Laplacian and d2/dz2, expanded once and held together:
+        # a smaller peak here left 32^3 steps re-faulting their heap pages, 20-30% slower
+        terms = {name: (amp * dX * Y * Z, amp * X * dY * Z, amp * X * Y * dZ,
+                        amp * (d2X * Y + X * d2Y) * Z, amp * X * Y * d2Z)
+                 for name, (amp, (X, dX, d2X), (Y, dY, d2Y), (Z, dZ, d2Z)) in at.items()}
+
+        def transport(name, r1, r2):
+            """-lap_h/r1 - d2/dz2 /r2 of one field, plus its advection by (v1, v2, w)."""
+            gx, gy, gz, lap_h, d2z = terms[name]
+            return -lap_h / r1 - d2z / r2 + (v1 * gx + v2 * gy + w * gz)
+
+        # the baroclinic integral int_0^z grad_h T, from T's z factor cos(kz (z + h))
+        aT, (XT, dXT, _), (YT, dYT, _), _ = at["T"]
+        jz = (np.sin(self.kz * (z + p.h)) - math.sin(self.kz * p.h)) / self.kz
+        f_cor = coriolis_f(y, p) / p.ro
+        s.body_force = (transport("v1", p.re1, p.re2) - f_cor * v2 - aT * dXT * YT * jz,
+                        transport("v2", p.re1, p.re2) + f_cor * v1 - aT * XT * dYT * jz)
+        s.Q = transport("T", p.rt1, p.rt2)
         return s
-
-
-def mms_forcing(spec: MmsSpec, g: Grid):
-    """Steady forcing (momentum pair, heat source) for the manufactured fields."""
-    p = spec.p
-    x, y, z = g.coords()
-    v1, v2, _, w = spec.evaluate(x, y, z)
-    at = spec._at(x, y, z)
-    # each field's gradient, horizontal Laplacian and d2/dz2, expanded once and held together:
-    # a smaller peak here left 32^3 steps re-faulting their heap pages, 20-30% slower
-    terms = {name: (amp * dX * Y * Z, amp * X * dY * Z, amp * X * Y * dZ,
-                    amp * (d2X * Y + X * d2Y) * Z, amp * X * Y * d2Z)
-             for name, (amp, (X, dX, d2X), (Y, dY, d2Y), (Z, dZ, d2Z)) in at.items()}
-
-    def transport(name, r1, r2):
-        """-lap_h/r1 - d2/dz2 /r2 of one field, plus its advection by (v1, v2, w)."""
-        gx, gy, gz, lap_h, d2z = terms[name]
-        return -lap_h / r1 - d2z / r2 + (v1 * gx + v2 * gy + w * gz)
-
-    # the baroclinic integral int_0^z grad_h T, from T's z factor cos(kz (z + h))
-    aT, (XT, dXT, _), (YT, dYT, _), _ = at["T"]
-    kz = spec.kz
-    jz = (np.sin(kz * (z + p.h)) - math.sin(kz * p.h)) / kz
-    f_cor = coriolis_f(y, p) / p.ro
-    f1 = transport("v1", p.re1, p.re2) - f_cor * v2 - aT * dXT * YT * jz
-    f2 = transport("v2", p.re1, p.re2) + f_cor * v1 - aT * XT * dYT * jz
-    return f1, f2, transport("T", p.rt1, p.rt2)
 
 
 @dataclass(frozen=True)

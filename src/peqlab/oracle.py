@@ -161,30 +161,6 @@ def advect_reference(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, fp: np.nd
     return 0.5 * (conv + dive)
 
 
-def dense_lap_h_2d(nx: int, ny: int, dx: float, dy: float, kind: BcKind) -> np.ndarray:
-    """Dense horizontal Laplacian on an nx x ny layer with a uniform closure."""
-    n = nx * ny
-    if n > MAX_UNKNOWNS:
-        raise ValueError(f"oracle size cap exceeded: {n} > {MAX_UNKNOWNS}")
-    gamma = {BcKind.DIRICHLET: -1.0, BcKind.NEUMANN: 1.0}[kind]
-    a = np.zeros((n, n))
-
-    def row(i, j):
-        return i * ny + j
-
-    for i in range(nx):
-        for j in range(ny):
-            r = row(i, j)
-            for (di, dj, d) in ((-1, 0, dx), (1, 0, dx), (0, -1, dy), (0, 1, dy)):
-                a[r, r] -= 1.0 / d**2
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny:
-                    a[r, row(ii, jj)] += 1.0 / d**2
-                else:
-                    a[r, r] += gamma / d**2
-    return a
-
-
 def flatten(field: np.ndarray) -> np.ndarray:
     """Interior field to the oracle's unknown ordering."""
     return np.asarray(field).reshape(-1)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class PhysParams:
@@ -32,6 +34,6 @@ class PhysParams:
         for name in self._POSITIVE:
             value = getattr(self, name)
             if not (value > 0.0):
-                raise ValueError(f"parameter {name} must be strictly positive, got {value!r}")
+                raise ConfigError(f"parameter {name} must be strictly positive, got {value!r}")
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)))

@@ -88,8 +88,8 @@ def constraint_residual(vbar1: np.ndarray, vbar2: np.ndarray, v1p: np.ndarray, v
     return peak / float(scale)
 
 
-def project(s, dt: float, p: PhysParams, g: Grid) -> np.ndarray:
-    """Project the state's velocity onto the constraint; returns the phi increment.
+def project(s, dt: float, p: PhysParams, g: Grid) -> None:
+    """Project the state's velocity onto the constraint in place, by the pressure increment phi.
 
     The correction -dt * grad_h(phi) is depth-independent, so the baroclinic
     part of the velocity is untouched; p_s accumulates phi and keeps its zero
@@ -108,4 +108,3 @@ def project(s, dt: float, p: PhysParams, g: Grid) -> np.ndarray:
     fill_ghosts(s.v1, VELOCITY_BC, p, g)
     fill_ghosts(s.v2, VELOCITY_BC, p, g)
     fill_ghosts(s.p_s, SURFACE_PRESSURE_BC, p, g)
-    return phi

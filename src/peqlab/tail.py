@@ -90,7 +90,7 @@ def _q_support_radius(Q: np.ndarray, g: Grid) -> float:
         return 0.0
     x = np.abs(g.x(np.arange(g.nx)))
     occupied = np.abs(Q).max(axis=(1, 2)) > 1e-12 * peak
-    return float(x[occupied].max()) if occupied.any() else 0.0
+    return float(x[occupied].max())
 
 
 def tail_decay_experiment(
@@ -155,12 +155,8 @@ def truncation_convergence(
         return initial(pp, gg), pp, gg
 
     members = [member(fa), member(fb)]
-    g_a, g_b = members[0][2], members[1][2]
-    na = g_a.nx
-    if not np.allclose(g_a.x(np.arange(na)), g_b.x(np.arange(offset, offset + na))):
-        raise ConfigError("incompatible grids: cell centers do not align")
-
-    sl = np.s_[1 + offset:1 + offset + na, 1:-1, 1:-1]
+    g_a = members[0][2]
+    sl = np.s_[1 + offset:1 + offset + g_a.nx, 1:-1, 1:-1]
 
     for _, t, (base, wide), (rec, _) in trajectory(members, cfg):
         # the narrow domain is the whole interior of the base grid

@@ -11,7 +11,6 @@ from peqlab.mms import (
     MmsSpec,
     convergence_order,
     mms_convergence_study,
-    mms_forcing,
     robin_wavenumber,
 )
 from peqlab.oracle import apply_L2, full_rhs
@@ -29,7 +28,8 @@ def test_robin_wavenumber_solves_transcendental():
 def test_zero_spec_zero_forcing():
     g = make_grid(P, 8, 8, 8)
     spec = MmsSpec(P, amp_v1=0.0, amp_v2=0.0, amp_T=0.0)
-    f1, f2, q = mms_forcing(spec, g)
+    s = spec.forced_state(g)
+    (f1, f2), q = s.body_force, s.Q
     assert np.abs(f1).max() == 0.0
     assert np.abs(f2).max() == 0.0
     assert np.abs(q).max() == 0.0
@@ -41,7 +41,7 @@ def test_pure_diffusion_spec_forcing_is_heat_operator():
     errs = []
     for n in (12, 24):
         g = make_grid(P, n, n, n)
-        _, _, q = mms_forcing(spec, g)
+        q = spec.forced_state(g).Q
         # independent route: discrete L2 on the analytically-ghosted field
         X = g.x(np.arange(-1, g.nx + 1))[:, None, None]
         Y = g.y(np.arange(-1, g.ny + 1))[None, :, None]

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from peqlab import PhysParams, make_grid
-from peqlab.bc import BcKind, TEMPERATURE_BC, VELOCITY_BC, fill_ghosts
+from peqlab.bc import TEMPERATURE_BC, VELOCITY_BC, fill_ghosts
 from peqlab.grid import INTERIOR
 from peqlab.oracle import (
     apply_L1,
     apply_L2,
-    dense_lap_h_2d,
     dense_operator_oracle,
     flatten,
     unflatten,
@@ -21,23 +20,6 @@ def stencil_apply(op, g, bcs, x):
     pad[INTERIOR] = x
     fill_ghosts(pad, bcs, P, g)
     return op(pad, P, g)
-
-
-def test_textbook_five_point_row_sums():
-    nx = ny = 4
-    dx, dy = 0.25, 0.5
-    a = dense_lap_h_2d(nx, ny, dx, dy, BcKind.DIRICHLET)
-    # constant field: row sum equals the pure boundary contribution
-    ones = np.ones(nx * ny)
-    got = (a @ ones).reshape(nx, ny)
-    for i in range(nx):
-        for j in range(ny):
-            expect = 0.0
-            if i == 0 or i == nx - 1:
-                expect -= 2.0 / dx**2
-            if j == 0 or j == ny - 1:
-                expect -= 2.0 / dy**2
-            assert got[i, j] == pytest.approx(expect, rel=1e-13)
 
 
 @pytest.mark.parametrize("op,bcs,fn", [
