@@ -2,10 +2,11 @@
 
 The format is deliberately tiny: one `section.key = value` per line, `#`
 comments, nothing nested.  Unknown keys, duplicates, and malformed lines are
-hard errors with line numbers; every number must be finite, and physical
-values are validated through the same invariants the library enforces.
-Serialization writes every key with 17 significant digits so
-parse -> serialize -> parse is the identity.
+hard errors with line numbers; every number must be finite, in a file or set
+in code, and physical values are validated through the same invariants the
+library enforces, which raise ConfigError themselves.  The serializer,
+`tests/test_config_io.py::serialize_config`, writes every key with 17
+significant digits, so parse -> serialize -> parse is the identity.
 
 Defaults live in one place per key.  The physics.*, step.* and tail.* keys,
 with their defaults and parsers, are the fields of PhysParams, StepConfig and
@@ -109,6 +110,11 @@ class RunConfig:
         return self.values[key]
 
     def validate(self):
+        # parse_config's floats are finite already; this catches values set in code
+        for key, value in self.values.items():
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         self.params()
         if self["init.kind"] not in ("zero", "gaussian", "mms"):
             raise ConfigError(f"unknown init.kind {self['init.kind']!r}")

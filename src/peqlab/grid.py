@@ -76,6 +76,5 @@ def make_grid(p: PhysParams, nx: int, ny: int, nz: int) -> Grid:
     for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
         if int(n) != n or n < 4:
             raise ConfigError(f"{name} must be an integer >= 4, got {n!r}")
-    if not (p.lx > 0 and p.l > 0 and p.h > 0):
-        raise ConfigError("grid extents must be positive")
+    # PhysParams has checked that lx, l and h are positive
     return Grid(nx=int(nx), ny=int(ny), nz=int(nz), lx=p.lx, l=p.l, h=p.h)

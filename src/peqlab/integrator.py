@@ -114,14 +114,18 @@ class Workspace:
     and one scratch array per worker) live only for the step, so no record
     runs beside them.  Above CONCURRENT_CELLS cells a coupled step runs its
     per-field tasks on the calling thread plus min(3, CPUs) - 1 helpers in
-    one fork-join; the helpers start on first use and :meth:`close` joins them.
+    one fork-join, CPUs being those the process may run on (os.cpu_count()
+    where the system cannot say); the helpers start on first use and
+    :meth:`close` joins them.
     """
 
     def __init__(self, g: Grid, cfg: StepConfig):
         fields = 1 if cfg.temperature_only else 3
         self.workers = 1
         if g.nx * g.ny * g.nz > CONCURRENT_CELLS:
-            self.workers = min(fields, 3, len(os.sched_getaffinity(0)))
+            # the CPUs this process may run on; sched_getaffinity exists on Linux only
+            affinity = getattr(os, "sched_getaffinity", None)
+            self.workers = min(fields, len(affinity(0)) if affinity else os.cpu_count() or 1)
         self.faces = tuple(np.empty(n) for n in ((g.nx + 1, g.ny, g.nz), (g.nx, g.ny + 1, g.nz),
                                                   (g.nx, g.ny, g.nz + 1)))
         self.previous = tuple(f.reshape(-1)[:g.nx * g.ny * g.nz].reshape(g.nx, g.ny, g.nz)

@@ -33,7 +33,7 @@ HELPER = "peqlab-step"
 def go_concurrent(monkeypatch, workers: int):
     """Every grid above the threshold, with `workers` CPUs to run on."""
     monkeypatch.setattr(integrator, "CONCURRENT_CELLS", 0)
-    monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: set(range(workers)))
+    monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
 
 
 def rhs_threads(monkeypatch) -> list:
@@ -103,7 +103,7 @@ CONFIG = (ROOT / "configs" / "reference.cfg").read_text()
 
 
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(integrator.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 @pytest.mark.parametrize("counts,temperature_only,workers", [
@@ -121,6 +121,23 @@ def test_which_grids_step_concurrently(monkeypatch, counts, temperature_only, wo
         assert ws.workers == workers
     finally:
         ws.close()
+
+
+def test_cpu_count_stands_in_off_linux(monkeypatch):
+    """Without os.sched_getaffinity (macOS, Windows) the helper count comes from os.cpu_count."""
+    cfg = StepConfig(dt=0.01, t_end=0.04, output_every=2)
+    serial = advance(MEMBER_SETS["one"], cfg)
+    monkeypatch.delattr(integrator.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(integrator.os, "cpu_count", lambda: 2)
+    ws = integrator.Workspace(make_grid(P, 64, 32, 16), StepConfig())
+    try:
+        assert ws.workers == 2
+    finally:
+        ws.close()
+    monkeypatch.setattr(integrator, "CONCURRENT_CELLS", 0)
+    threads = rhs_threads(monkeypatch)
+    assert advance(MEMBER_SETS["one"], cfg) == serial
+    assert any(name.startswith(HELPER) for name in threads)
 
 
 MMS = parse_config((ROOT / "configs" / "mms.cfg").read_text())

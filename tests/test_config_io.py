@@ -87,6 +87,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="alpha"):
             parse_config("physics.alpha = -1")
 
+    @pytest.mark.parametrize("key,value", [
+        ("physics.f0", float("nan")),
+        ("init.t_amplitude", float("inf")),
+        ("q.amplitude", float("nan")),
+        ("tail.radii", (float("nan"), 1.6, 1.9)),
+        ("contract.shift_x", float("inf")),
+    ])
+    def test_non_finite_value_set_in_code_names_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be finite, got "):
+            RunConfig({key: value})
+
     def test_malformed_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("physics.re1 = 1\nwhat is this\n")
