@@ -68,15 +68,8 @@ class ImplicitDiffusion:
         )
         self.denominator = 1.0 + self.dt * lam
 
-    def solve(self, b: np.ndarray, work=None) -> np.ndarray:
-        """(I + dt*L)^-1 b through six matrix products.
-
-        With `work` (b's shape, both C-contiguous) the products ping-pong
-        between the two buffers and the solution overwrites b; without it b
-        is left as it is and a new array is returned.
-        """
-        if work is None:
-            b, work = b.copy(), np.empty_like(b)
+    def solve(self, b: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Overwrite b with (I + dt*L)^-1 b by six products ping-ponging with `work`, both C-contiguous."""
         nx, ny, nz = b.shape
         np.matmul(self.qx.T, b.reshape(nx, ny * nz), out=work.reshape(nx, ny * nz))
         np.matmul(self.qy.T, work, out=b)

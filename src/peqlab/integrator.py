@@ -24,7 +24,6 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
@@ -165,72 +164,71 @@ class Workspace:
             self.pool.shutdown()
 
 
-def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig,
-         ws: Optional[Workspace] = None) -> State:
-    """Advance a state (valid ghosts, diagnosed w) by one IMEX step in place.
+def _ready(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, work=None):
+    """Ready a state for a step: T's ghosts, the projection (v1, v2, p_s ghosts) if coupled, then w."""
+    fill_ghosts(s.T, TEMPERATURE_BC, p, g)
+    if not cfg.temperature_only:
+        project(s, dt, p, g)
+    s.refresh_w(p, g, work)
 
-    The face velocities are built once and shared by every advected field.
-    One task per field (v1, v2, T) then runs on the workspace's workers,
-    each with its own scratch array: the rate, checked finite, then the
-    predictor f + dt * rate, solved in the rate's buffer.  No field is
-    written before the join, as v2's rate reads v1; after it the first
-    failure is raised and the three solutions are written.  Each task keeps
-    its field's operation order and every matrix product stays one BLAS
-    call, so the bytes do not depend on the workers.  Without `ws` the step
-    uses a fresh workspace of its own.
+
+def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Workspace) -> State:
+    """Advance a readied state (valid ghosts, diagnosed w) by one IMEX step in place.
+
+    One task per field (v1, v2, T) runs on the workers of `ws`: the rate,
+    checked finite, then the predictor f + dt * rate, solved in the rate's
+    buffer.  No field is written before the join, as v2's rate reads v1;
+    after it the first failure is raised, the solutions are written and
+    _ready readies the state again.  Each task keeps its field's operation
+    order and every matrix product stays one BLAS call, so the bytes do not
+    depend on the workers.
     """
-    with closing(Workspace(g, cfg)) if ws is None else nullcontext(ws) as ws:
-        names = ("T",) if cfg.temperature_only else ("v1", "v2", "T")
-        fields = [getattr(s, name)[INTERIOR] for name in names]
-        rates = [np.empty((g.nx, g.ny, g.nz)) for _ in names]
-        scratch = [np.empty((g.nx, g.ny, g.nz)) for _ in range(ws.workers)]
-        faces = face_velocities(s.v1, s.v2, s.w, g, ws.faces)
-        integral = None if cfg.temperature_only else hydrostatic_integral(s.T, g)
+    names = ("T",) if cfg.temperature_only else ("v1", "v2", "T")
+    fields = [getattr(s, name)[INTERIOR] for name in names]
+    rates = [np.empty((g.nx, g.ny, g.nz)) for _ in names]
+    scratch = [np.empty((g.nx, g.ny, g.nz)) for _ in range(ws.workers)]
+    faces = face_velocities(s.v1, s.v2, s.w, g, ws.faces)
+    integral = None if cfg.temperature_only else hydrostatic_integral(s.T, g)
 
-        def advance(i, buf):
-            r = rates[i]
-            if names[i] == "T":
-                temperature_rhs(s, faces, r, buf)
-            else:
-                momentum_rhs(s, p, g, faces, integral, i, r, buf)
-            finite = np.isfinite(r)
-            if not finite.all():
-                idx = tuple(int(v) for v in np.argwhere(~finite)[0])
-                raise NumericalError(f"non-finite tendency d{names[i]} at interior index {idx}")
-            # the predictor f + dt * rate, formed and solved in the rate's own buffer
-            r *= dt
-            r += fields[i]
-            _cached_diffusion(p, g, dt, _DIFFUSION[names[i]]).solve(r, buf)
+    def advance(i, buf):
+        r = rates[i]
+        if names[i] == "T":
+            temperature_rhs(s, faces, r, buf)
+        else:
+            momentum_rhs(s, p, g, faces, integral, i, r, buf)
+        finite = np.isfinite(r)
+        if not finite.all():
+            idx = tuple(int(v) for v in np.argwhere(~finite)[0])
+            raise NumericalError(f"non-finite tendency d{names[i]} at interior index {idx}")
+        # the predictor f + dt * rate, formed and solved in the rate's own buffer
+        r *= dt
+        r += fields[i]
+        _cached_diffusion(p, g, dt, _DIFFUSION[names[i]]).solve(r, buf)
 
-        ws.run(advance, len(names), scratch)
-        # the faces are free now: the record of an output step reads the old interiors from them
-        if ws.keep_previous:
-            for kept, f in zip(ws.previous, s.interiors()):
-                kept[...] = f
-        for f, r in zip(fields, rates):
-            f[...] = r
-        # project refills the v1, v2 and p_s ghosts, refresh_w those of w
-        fill_ghosts(s.T, TEMPERATURE_BC, p, g)
-        if not cfg.temperature_only:
-            project(s, dt, p, g)
-        s.refresh_w(p, g, (rates[0], scratch[0]))
+    ws.run(advance, len(names), scratch)
+    # the faces are free now: the record of an output step reads the old interiors from them
+    if ws.keep_previous:
+        for kept, f in zip(ws.previous, s.interiors()):
+            kept[...] = f
+    for f, r in zip(fields, rates):
+        f[...] = r
+    _ready(s, dt, p, g, cfg, (rates[0], scratch[0]))
     return s
 
 
 class _Member:
-    """One trajectory's state, readied in place (ghosts, projection, w), its workspace and run monitors.
+    """One trajectory's state, readied in place (ghosts, _ready), its workspace and run monitors.
 
     The monitors are the energy method's estimates, always on: after every
-    step the energy inequality when Q is identically zero, and on every
-    record the Poincare ratios, the constraint residual (coupled steps) and
-    the decay envelope |T(t)|^2 <= |T0|^2 e^(-t/kappa) + kappa^2 |Q|^2.
+    step the energy inequality when Q is identically zero and no body force
+    acts, and on every record the Poincare ratios, the constraint residual
+    (coupled steps) and the decay envelope
+    |T(t)|^2 <= |T0|^2 e^(-t/kappa) + kappa^2 |Q|^2.  A nan fails each of them.
     """
 
     def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig):
         s.fill_all_ghosts(p, g)
-        if not cfg.temperature_only:
-            project(s, cfg.dt, p, g)
-        s.refresh_w(p, g)
+        _ready(s, cfg.dt, p, g, cfg)
         suggestion = cfl_dt(s, g)
         if cfg.dt > suggestion:
             log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)
@@ -239,18 +237,18 @@ class _Member:
         self.l2_q = diag.l2sq(s.Q, g)
         self.l2_t0 = diag.l2sq(s.T[INTERIOR], g)
         # the energy inequality holds for an unforced system only
-        self.energy = self._energy() if self.l2_q == 0.0 else None
+        self.energy = self._energy() if self.l2_q == 0.0 and s.body_force is None else None
 
     def _energy(self) -> float:
         return sum(diag.l2sq(f, self.g) for f in self.s.interiors())
 
     def check_energy_step(self, t: float):
-        """The energy inequality after a step, when Q is identically zero."""
+        """The energy inequality after a step of an unforced member."""
         if self.energy is None:
             return
         energy = self._energy()
         slack = 0.0 if self.cfg.temperature_only else ENERGY_SLACK
-        if energy > self.energy * (1.0 + slack):
+        if not energy <= self.energy * (1.0 + slack):
             raise CheckError(f"energy increased at t={t:.6g}: {self.energy:.17g} -> {energy:.17g}")
         self.energy = energy
 
@@ -259,16 +257,16 @@ class _Member:
         rec = diag.compute_record(self.s, prev, self.cfg.dt, self.p, self.g, t=t)
         for name, ratio in (("temperature", diag.check_poincare_T(rec, self.p)),
                             ("velocity", diag.check_poincare_v(rec, self.p))):
-            if ratio > 1.0 + POINCARE_TOL:
+            if not ratio <= 1.0 + POINCARE_TOL:
                 raise CheckError(f"{name} Poincare ratio {ratio:.6g} > 1 + {POINCARE_TOL} at t={t:.6g}")
         # a temperature-only step never projects the (frozen) velocity
-        if not self.cfg.temperature_only and rec.constraint_residual > DIV_TOL:
+        if not self.cfg.temperature_only and not rec.constraint_residual <= DIV_TOL:
             raise CheckError(
                 f"constraint residual {rec.constraint_residual:.3e} > {DIV_TOL:.1e} at t={t:.6g}"
             )
         envelope = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, diag.kappa(self.p))
         bound = envelope * GRONWALL_FACTOR
-        if rec.l2_T > bound:
+        if not rec.l2_T <= bound:
             raise CheckError(
                 f"temperature energy {rec.l2_T:.6g} above decay envelope {bound:.6g} at t={t:.6g}"
             )

@@ -1,33 +1,28 @@
-"""The production names the benchmark's per-layer tracer wraps or calls.
+"""One traced benchmark round on the production names.
 
-`perfbench/layers.py` rebinds functions and methods of a fresh peqlab import
-by name, and `perfbench/run.py` warms two private caches before timing.  A
-rename in `src/` would break `perfbench/run.py --trace 1` without failing any
-other test, so this installs the tracer in a subprocess.
+`perfbench/layers.py` wraps functions and methods of a fresh peqlab import
+by name, and `perfbench/run.py` warms two private caches and calls
+`integrator.step` through a wrapper of its own.  A rename or a changed
+signature in `src/` would break `perfbench/run.py --trace 1` without failing
+any other test, so this runs one short traced round of the `dense_output`
+workload in a subprocess (about a second).
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCRIPT = f"""
-import sys
-sys.path[:0] = [{str(ROOT / "perfbench")!r}, {str(ROOT / "src")!r}]
-from layers import Tracer
-from run import Peqlab
 
-pq = Peqlab()
-Tracer().install(pq)
-assert callable(pq.integrator._cached_diffusion)
-assert callable(pq.projection._poisson_factors)
-print("installed")
-"""
-
-
-def test_benchmark_tracer_installs_on_production_names():
-    proc = subprocess.run([sys.executable, "-B", "-c", SCRIPT], cwd=ROOT, capture_output=True,
-                          text=True, timeout=120)
+def test_one_traced_benchmark_round():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "dense_output", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "installed"
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"], result["attempted"]) == (True, 0, 2), proc.stderr
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in per_layer)

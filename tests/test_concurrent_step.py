@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -225,8 +226,9 @@ def test_concurrent_nonfinite_rate_is_raised_in_field_order(monkeypatch, workers
         for f in spoil:
             f(s)
         before = s.copy()
-        with pytest.raises(NumericalError, match=rf"^non-finite tendency {first} at interior index \(") as info:
-            step(s, cfg.dt, PR, GR, cfg)
+        with pytest.raises(NumericalError, match=rf"^non-finite tendency {first} at interior index \(") as info, \
+                closing(integrator.Workspace(GR, cfg)) as ws:
+            step(s, cfg.dt, PR, GR, cfg, ws)
         messages.append(str(info.value))
         for name in FIELDS:
             assert np.array_equal(getattr(s, name), getattr(before, name), equal_nan=True), name

@@ -130,6 +130,17 @@ def test_steady_state_held_for_100_steps():
     assert drift(200) <= 1.1 * e100
 
 
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("amps", [(0.3, 0.2, 0.0), (0.0, 0.2, 0.0)], ids=["v1_v2", "v2"])
+def test_body_forced_member_runs_without_the_energy_check(amps, n):
+    """With Q = 0 but a body force doing work, the energy grows: the energy inequality is not checked."""
+    g = make_grid(P, n, n, n)
+    s = MmsSpec(P, *amps).forced_state(g)
+    assert not s.Q.any()
+    _, records = run(s, P, g, StepConfig(dt=2e-3, t_end=1e-2, output_every=1))
+    assert records[1].l2_v > records[0].l2_v
+
+
 def test_convergence_study_orders():
     report = mms_convergence_study(P, sizes=((8, 8, 8), (16, 16, 16), (32, 32, 32)),
                                    dt=2e-3, horizon=0.1)

@@ -253,7 +253,9 @@ class TestRhs:
     def test_nonfinite_tendency_reported_with_location(self):
         """A non-finite rate stops integrator.step, by name, before it writes any field."""
         from peqlab.errors import NumericalError
-        from peqlab.integrator import StepConfig, step
+        from contextlib import closing
+
+        from peqlab.integrator import StepConfig, Workspace, step
 
         p, g = self.p, self.g
         cases = (
@@ -269,7 +271,7 @@ class TestRhs:
             getattr(s, name)[index] = np.nan
             before = s.copy()
             cfg = StepConfig(dt=0.01, t_end=0.01, temperature_only=temperature_only)
-            with pytest.raises(NumericalError, match=message):
-                step(s, cfg.dt, p, g, cfg)
+            with pytest.raises(NumericalError, match=message), closing(Workspace(g, cfg)) as ws:
+                step(s, cfg.dt, p, g, cfg, ws)
             for field in ("v1", "v2", "T", "w", "p_s"):
                 assert np.array_equal(getattr(s, field), getattr(before, field), equal_nan=True)
