@@ -147,6 +147,8 @@ def cmd_plot(args) -> int:
     data = read_timeseries(args.csv)
     if "t" not in data:
         raise ConfigError(f"{args.csv}: no time column")
+    if not len(data["t"]):
+        raise ConfigError(f"{args.csv}: no rows to plot, only a header")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     missing = [c for c in columns if c not in data]
     if missing:

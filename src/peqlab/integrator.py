@@ -95,10 +95,6 @@ def cfl_dt(s: State, g: Grid) -> float:
     return suggestion
 
 
-#: the implicit diffusion operator of each prognostic field
-_DIFFUSION = {"v1": "velocity", "v2": "velocity", "T": "temperature"}
-
-
 @lru_cache(maxsize=32)
 def _cached_diffusion(p: PhysParams, g: Grid, dt: float, kind: str) -> ImplicitDiffusion:
     return ImplicitDiffusion(p=p, g=g, dt=dt, kind=kind)
@@ -107,15 +103,15 @@ def _cached_diffusion(p: PhysParams, g: Grid, dt: float, kind: str) -> ImplicitD
 class Workspace:
     """One member's face arrays, kept between steps, and the helper threads its steps run on.
 
-    The faces are free once a step's tasks are joined, so their leading
-    cells also hold the previous interiors an output step's record reads.
-    A step's other buffers (the hydrostatic integral, one rate per field
-    and one scratch array per worker) live only for the step, so no record
-    runs beside them.  Above CONCURRENT_CELLS cells a coupled step runs its
-    per-field tasks on the calling thread plus min(3, CPUs) - 1 helpers in
-    one fork-join, CPUs being those the process may run on (os.cpu_count()
-    where the system cannot say); the helpers start on first use and
-    :meth:`close` joins them.
+    The faces are free once a step's first fork-join has formed every rate,
+    so their leading cells then take the previous interiors an output
+    step's record reads.  A step's other buffers (the hydrostatic integral,
+    one rate per field and one scratch array per worker) live only for the
+    step, so no record runs beside them.  Above CONCURRENT_CELLS cells a
+    coupled step runs its two fork-joins on the calling thread plus
+    min(3, CPUs) - 1 helpers, CPUs being those the process may run on
+    (os.cpu_count() where the system cannot say); the helpers start on
+    first use and :meth:`close` joins them.
     """
 
     def __init__(self, g: Grid, cfg: StepConfig):
@@ -164,9 +160,13 @@ class Workspace:
             self.pool.shutdown()
 
 
-def _ready(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, work=None):
-    """Ready a state for a step: T's ghosts, the projection (v1, v2, p_s ghosts) if coupled, then w."""
+def _ready_temperature(s: State, p: PhysParams, g: Grid):
+    """Ready T for a step: its ghosts."""
     fill_ghosts(s.T, TEMPERATURE_BC, p, g)
+
+
+def _ready_velocity(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, work=None):
+    """Ready the velocity for a step: the projection (v1, v2, p_s ghosts) if coupled, then w."""
     if not cfg.temperature_only:
         project(s, dt, p, g)
     s.refresh_w(p, g, work)
@@ -175,13 +175,15 @@ def _ready(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, work=No
 def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Workspace) -> State:
     """Advance a readied state (valid ghosts, diagnosed w) by one IMEX step in place.
 
-    One task per field (v1, v2, T) runs on the workers of `ws`: the rate,
-    checked finite, then the predictor f + dt * rate, solved in the rate's
-    buffer.  No field is written before the join, as v2's rate reads v1;
-    after it the first failure is raised, the solutions are written and
-    _ready readies the state again.  Each task keeps its field's operation
-    order and every matrix product stays one BLAS call, so the bytes do not
-    depend on the workers.
+    Two fork-joins run on the workers of `ws`.  First one task per field
+    (v1, v2, T) forms its rate, checks it finite and forms the predictor
+    f + dt * rate in the rate's buffer, solving it for v1 and v2; no field
+    is written, as v2's rate reads v1, and the first failure is raised at
+    the join.  Then the velocity's task writes and readies v1 and v2 beside
+    T's task, which solves, writes and readies T; a temperature-only step
+    runs T's task alone, its velocity and w frozen.  Each task keeps its
+    field's operation order and every matrix product stays one BLAS call,
+    so the bytes do not depend on the workers.
     """
     names = ("T",) if cfg.temperature_only else ("v1", "v2", "T")
     fields = [getattr(s, name)[INTERIOR] for name in names]
@@ -190,7 +192,7 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Works
     faces = face_velocities(s.v1, s.v2, s.w, g, ws.faces)
     integral = None if cfg.temperature_only else hydrostatic_integral(s.T, g)
 
-    def advance(i, buf):
+    def predict(i, buf):
         r = rates[i]
         if names[i] == "T":
             temperature_rhs(s, faces, r, buf)
@@ -200,24 +202,36 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Works
         if not finite.all():
             idx = tuple(int(v) for v in np.argwhere(~finite)[0])
             raise NumericalError(f"non-finite tendency d{names[i]} at interior index {idx}")
-        # the predictor f + dt * rate, formed and solved in the rate's own buffer
+        # the predictor f + dt * rate, formed (and solved, for the velocity) in the rate's own buffer
         r *= dt
         r += fields[i]
-        _cached_diffusion(p, g, dt, _DIFFUSION[names[i]]).solve(r, buf)
+        if names[i] != "T":
+            _cached_diffusion(p, g, dt, "velocity").solve(r, buf)
 
-    ws.run(advance, len(names), scratch)
-    # the faces are free now: the record of an output step reads the old interiors from them
-    if ws.keep_previous:
-        for kept, f in zip(ws.previous, s.interiors()):
-            kept[...] = f
-    for f, r in zip(fields, rates):
-        f[...] = r
-    _ready(s, dt, p, g, cfg, (rates[0], scratch[0]))
+    def finish_velocity(buf):
+        for k in (0, 1):
+            if ws.keep_previous:
+                ws.previous[k][...] = fields[k]
+            fields[k][...] = rates[k]
+        _ready_velocity(s, dt, p, g, cfg, (rates[0], buf))
+
+    def finish_temperature(buf):
+        _cached_diffusion(p, g, dt, "temperature").solve(rates[-1], buf)
+        if ws.keep_previous:
+            # a temperature-only step keeps its frozen velocity here too
+            for k in (0, 1, 2) if cfg.temperature_only else (2,):
+                ws.previous[k][...] = s.interiors()[k]
+        fields[-1][...] = rates[-1]
+        _ready_temperature(s, p, g)
+
+    ws.run(predict, len(names), scratch)
+    finishing = (finish_temperature,) if cfg.temperature_only else (finish_velocity, finish_temperature)
+    ws.run(lambda i, buf: finishing[i](buf), len(finishing), scratch)
     return s
 
 
 class _Member:
-    """One trajectory's state, readied in place (ghosts, _ready), its workspace and run monitors.
+    """One trajectory's state, readied in place (ghosts, both _ready parts), its workspace and run monitors.
 
     The monitors are the energy method's estimates, always on: after every
     step the energy inequality when Q is identically zero and no body force
@@ -228,7 +242,8 @@ class _Member:
 
     def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig):
         s.fill_all_ghosts(p, g)
-        _ready(s, cfg.dt, p, g, cfg)
+        _ready_temperature(s, p, g)
+        _ready_velocity(s, cfg.dt, p, g, cfg)
         suggestion = cfl_dt(s, g)
         if cfg.dt > suggestion:
             log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)

@@ -183,7 +183,11 @@ def plot_svg(
 
     With log_y, non-positive samples are dropped from the drawn polyline.
     Names listed in `dashed` render with a dash pattern (envelope overlays).
+    The title and the names are XML-escaped, as a file name may hold & or <.
     """
+    # imported here: it pulls in urllib.request, tens of ms that no run should pay
+    from xml.sax.saxutils import escape
+
     floor = 1e-300
     xs_all, ys_all = [], []
     cleaned = {}
@@ -216,7 +220,7 @@ def plot_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{_W / 2:.1f}" y="20" text-anchor="middle" font-size="14">{escape(title)}</text>',
     ]
     axis = f'stroke="#333" stroke-width="1"'
     parts.append(f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" {axis}/>')
@@ -245,7 +249,7 @@ def plot_svg(
         )
         parts.append(
             f'<text x="{_W - _MR - 5}" y="{_MT + 16 * (i + 1)}" text-anchor="end" '
-            f'font-size="12" fill="{color}">{name}</text>'
+            f'font-size="12" fill="{color}">{escape(name)}</text>'
         )
     parts.append("</svg>")
     path = Path(path)

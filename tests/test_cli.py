@@ -468,17 +468,36 @@ def test_successive_main_calls_behave_like_fresh_calls(tmp_path):
     assert b"gronwall_envelope" in linear and b"gronwall_envelope" not in log
 
 
-@pytest.mark.parametrize("text,where", [
-    ("", "empty time series"),
-    ("t,l2_T\n0,1\n0.1,abc\n", "line 3"),
-    ("t,l2_T\n0,1\n\n0.1\n", "line 4"),
-], ids=["empty", "non_numeric", "ragged"])
-def test_malformed_timeseries_plot_exits_1(tmp_path, capsys, text, where):
+ENVELOPE = ("--envelope", "--config", str(CONFIG_DIR / "zero.cfg"))
+
+
+@pytest.mark.parametrize("text,where,flags", [
+    ("", "empty time series", ()),
+    ("t,l2_T\n0,1\n0.1,abc\n", "line 3", ()),
+    ("t,l2_T\n0,1\n\n0.1\n", "line 4", ()),
+    # what a run whose t = 0 monitor fails leaves behind
+    ("t,l2_T\n", "no rows", ()),
+    ("t,l2_T\n", "no rows", ENVELOPE),
+], ids=["empty", "non_numeric", "ragged", "header_only", "header_only_envelope"])
+def test_malformed_timeseries_plot_exits_1(tmp_path, capsys, text, where, flags):
     csv = tmp_path / "bad.csv"
     csv.write_text(text)
-    assert main(["plot", str(csv), "l2_T", "--out", str(tmp_path / "f.svg")]) == 1
+    assert main(["plot", str(csv), "l2_T", "--out", str(tmp_path / "f.svg"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(csv) in err and where in err
+    assert not (tmp_path / "f.svg").exists()
+
+
+def test_plot_escapes_its_text(tmp_path):
+    """A file name with XML's special characters gives a well-formed SVG that shows it as written."""
+    from xml.dom import minidom
+
+    csv = tmp_path / "a&b<c.csv"
+    csv.write_text("t,l2_T\n0,1\n0.1,0.5\n")
+    svg = tmp_path / "f.svg"
+    assert main(["plot", str(csv), "l2_T", "--out", str(svg)]) == 0
+    texts = [node.firstChild.data for node in minidom.parse(str(svg)).getElementsByTagName("text")]
+    assert "a&b<c.csv" in texts and "l2_T" in texts
 
 
 def test_plot_unknown_column(tmp_path):

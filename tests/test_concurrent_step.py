@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 
 from peqlab import PhysParams, StepConfig, make_grid, run, step, trajectory
+from peqlab import diagnostics as diag
 from peqlab import integrator
 from peqlab.config import parse_config
+from peqlab.diffusion import ImplicitDiffusion
 from peqlab.errors import NumericalError
 from peqlab.mms import mms_convergence_study
 from tests.test_integrator import P, gaussian_state
@@ -98,6 +100,66 @@ def test_concurrent_steps_under_a_short_switch_interval(monkeypatch):
         assert advance(MEMBER_SETS["lockstep"], cfg) == serial
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_velocity_is_readied_beside_the_temperature_solve(monkeypatch):
+    """On two workers the caller projects the velocity while a helper solves T."""
+    go_concurrent(monkeypatch, 2)
+    calls = []
+    project, solve = integrator.project, ImplicitDiffusion.solve
+
+    def project_spy(*args):
+        calls.append(("project", threading.current_thread().name))
+        return project(*args)
+
+    def solve_spy(self, *args):
+        calls.append((self.kind, threading.current_thread().name))
+        return solve(self, *args)
+
+    monkeypatch.setattr(integrator, "project", project_spy)
+    monkeypatch.setattr(ImplicitDiffusion, "solve", solve_spy)
+    g = make_grid(P, 12, 10, 6)
+    cfg = StepConfig(dt=0.01, t_end=0.01)
+    s = gaussian_state(g, P, amp_T=0.8, amp_v=0.2)
+    with closing(integrator.Workspace(g, cfg)) as ws:
+        step(s, cfg.dt, P, g, cfg, ws)
+    on_helper = {what: name.startswith(HELPER) for what, name in calls}
+    assert sorted(what for what, _ in calls) == ["project", "temperature", "velocity", "velocity"]
+    assert on_helper["project"] is False and on_helper["temperature"] is True
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("temperature_only", [False, True], ids=["coupled", "temperature_only"])
+def test_records_difference_the_interiors_before_the_step(monkeypatch, workers, temperature_only):
+    """l2_vt and l2_Tt of every record are those of the interiors one step back, copied by the caller."""
+    if workers > 1:
+        go_concurrent(monkeypatch, workers)
+    g = make_grid(P, 12, 10, 6)
+    cfg = StepConfig(dt=0.01, t_end=0.04, output_every=1, temperature_only=temperature_only)
+    before = None
+    for _, t, (s,), (rec,) in trajectory([(gaussian_state(g, P, amp_T=0.8, amp_v=0.2), P, g)], cfg):
+        if before is not None:
+            expected = diag.compute_record(s, before, cfg.dt, P, g, t=t)
+            assert (rec.l2_vt, rec.l2_Tt) == (expected.l2_vt, expected.l2_Tt)
+            assert rec.l2_Tt > 0.0 and (rec.l2_vt == 0.0) == temperature_only
+        before = tuple(f.copy() for f in s.interiors())
+
+
+def test_temperature_only_steps_keep_the_prologues_w(monkeypatch):
+    """A frozen velocity's w is diagnosed once per member, in the prologue, and never again."""
+    members = MEMBER_SETS["lockstep"]()
+    calls = []
+    refresh_w = integrator.State.refresh_w
+
+    def spy(self, *args):
+        calls.append(id(self))
+        return refresh_w(self, *args)
+
+    monkeypatch.setattr(integrator.State, "refresh_w", spy)
+    cfg = StepConfig(dt=0.01, t_end=0.05, output_every=2, temperature_only=True)
+    steps = [n for n, *_ in trajectory(members, cfg)]
+    assert steps == [0, 2, 4, 5]
+    assert sorted(calls) == sorted(id(s) for s, _, _ in members)
 
 
 CONFIG = (ROOT / "configs" / "reference.cfg").read_text()
