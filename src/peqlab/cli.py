@@ -149,6 +149,8 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"{args.csv}: no time column")
     if not len(data["t"]):
         raise ConfigError(f"{args.csv}: no rows to plot, only a header")
+    if args.envelope and "l2_T" not in data:
+        raise ConfigError(f"{args.csv}: the envelope overlay needs an l2_T column")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     missing = [c for c in columns if c not in data]
     if missing:
@@ -156,15 +158,11 @@ def cmd_plot(args) -> int:
     series = {c: (data["t"], data[c]) for c in columns}
     dashed = []
     if args.envelope:
-        if not args.config:
-            raise ConfigError("--envelope needs --config to supply kappa and the heat source")
-        cfg = parse_config_file(args.config)
+        cfg = parse_config_file(args.envelope)
         p, g = cfg.params(), cfg.grid()
         kap = diag.kappa(p)
         # the run's own heat source, which init.kind = mms manufactures
         l2_q = diag.l2sq(cfg.initial_state(p, g).Q, g)
-        if "l2_T" not in data:
-            raise ConfigError("envelope overlay needs an l2_T column")
         l2_t0 = float(data["l2_T"][0])
         env = [diag.gronwall_T_envelope(t, l2_t0, l2_q, kap=kap) for t in data["t"]]
         series["gronwall_envelope"] = (data["t"], np.array(env))
@@ -203,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("csv", help="time-series CSV produced by a run")
     sp.add_argument("columns", help="comma-separated column names")
     sp.add_argument("--out", default=None, help="output SVG path")
-    sp.add_argument("--config", default=None, help="config for the envelope overlay")
-    sp.add_argument("--envelope", action="store_true", help="overlay the decay envelope")
+    sp.add_argument("--envelope", metavar="CONFIG", help="overlay the decay envelope of this run config")
     sp.add_argument("--linear", action="store_true", help="linear instead of log y axis")
     return parser
 

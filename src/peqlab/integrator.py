@@ -104,14 +104,15 @@ class Workspace:
     """One member's face arrays, kept between steps, and the helper threads its steps run on.
 
     The faces are free once a step's first fork-join has formed every rate,
-    so their leading cells then take the previous interiors an output
-    step's record reads.  A step's other buffers (the hydrostatic integral,
-    one rate per field and one scratch array per worker) live only for the
-    step, so no record runs beside them.  Above CONCURRENT_CELLS cells a
-    coupled step runs its two fork-joins on the calling thread plus
-    min(3, CPUs) - 1 helpers, CPUs being those the process may run on
-    (os.cpu_count() where the system cannot say); the helpers start on
-    first use and :meth:`close` joins them.
+    so a step called with `keep` copies the previous interiors, which an
+    output step's record reads, to their leading cells (`previous`).  A
+    step's other buffers (the hydrostatic integral, one rate per field and
+    one scratch array per worker) live only for the step, so no record runs
+    beside them.  Above CONCURRENT_CELLS cells a coupled step runs its two
+    fork-joins on the calling thread plus min(3, CPUs) - 1 helpers, CPUs
+    being those the process may run on (os.cpu_count() where the system
+    cannot say); the helpers start on first use and :meth:`close` joins
+    them.
     """
 
     def __init__(self, g: Grid, cfg: StepConfig):
@@ -125,8 +126,6 @@ class Workspace:
                                                   (g.nx, g.ny, g.nz + 1)))
         self.previous = tuple(f.reshape(-1)[:g.nx * g.ny * g.nz].reshape(g.nx, g.ny, g.nz)
                               for f in self.faces)
-        #: set before a step whose record needs the previous interiors
-        self.keep_previous = False
         self.pool = ThreadPoolExecutor(self.workers - 1, "peqlab-step") if self.workers > 1 else None
 
     def run(self, task, count: int, scratch: Sequence[np.ndarray]):
@@ -160,11 +159,6 @@ class Workspace:
             self.pool.shutdown()
 
 
-def _ready_temperature(s: State, p: PhysParams, g: Grid):
-    """Ready T for a step: its ghosts."""
-    fill_ghosts(s.T, TEMPERATURE_BC, p, g)
-
-
 def _ready_velocity(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, work=None):
     """Ready the velocity for a step: the projection (v1, v2, p_s ghosts) if coupled, then w."""
     if not cfg.temperature_only:
@@ -172,7 +166,8 @@ def _ready_velocity(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig
     s.refresh_w(p, g, work)
 
 
-def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Workspace) -> State:
+def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Workspace,
+         keep: bool = False) -> State:
     """Advance a readied state (valid ghosts, diagnosed w) by one IMEX step in place.
 
     Two fork-joins run on the workers of `ws`.  First one task per field
@@ -180,8 +175,9 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Works
     f + dt * rate in the rate's buffer, solving it for v1 and v2; no field
     is written, as v2's rate reads v1, and the first failure is raised at
     the join.  Then the velocity's task writes and readies v1 and v2 beside
-    T's task, which solves, writes and readies T; a temperature-only step
-    runs T's task alone, its velocity and w frozen.  Each task keeps its
+    T's task, which solves, writes T and fills its ghosts; a temperature-only
+    step runs T's task alone, its velocity and w frozen.  With `keep`, each
+    task first copies its old interiors to ws.previous.  Each task keeps its
     field's operation order and every matrix product stays one BLAS call,
     so the bytes do not depend on the workers.
     """
@@ -210,19 +206,19 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Works
 
     def finish_velocity(buf):
         for k in (0, 1):
-            if ws.keep_previous:
+            if keep:
                 ws.previous[k][...] = fields[k]
             fields[k][...] = rates[k]
         _ready_velocity(s, dt, p, g, cfg, (rates[0], buf))
 
     def finish_temperature(buf):
         _cached_diffusion(p, g, dt, "temperature").solve(rates[-1], buf)
-        if ws.keep_previous:
+        if keep:
             # a temperature-only step keeps its frozen velocity here too
             for k in (0, 1, 2) if cfg.temperature_only else (2,):
                 ws.previous[k][...] = s.interiors()[k]
         fields[-1][...] = rates[-1]
-        _ready_temperature(s, p, g)
+        fill_ghosts(s.T, TEMPERATURE_BC, p, g)
 
     ws.run(predict, len(names), scratch)
     finishing = (finish_temperature,) if cfg.temperature_only else (finish_velocity, finish_temperature)
@@ -231,7 +227,7 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Works
 
 
 class _Member:
-    """One trajectory's state, readied in place (ghosts, both _ready parts), its workspace and run monitors.
+    """One trajectory's state, readied in place (ghosts, then _ready_velocity), its workspace and run monitors.
 
     The monitors are the energy method's estimates, always on: after every
     step the energy inequality when Q is identically zero and no body force
@@ -242,7 +238,6 @@ class _Member:
 
     def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig):
         s.fill_all_ghosts(p, g)
-        _ready_temperature(s, p, g)
         _ready_velocity(s, cfg.dt, p, g, cfg)
         suggestion = cfl_dt(s, g)
         if cfg.dt > suggestion:
@@ -311,8 +306,7 @@ def trajectory(members: Sequence[Tuple[State, PhysParams, Grid]], cfg: StepConfi
             try:
                 for m in group:
                     # the time-derivative norms of a record need v1, v2 and T one step back
-                    m.ws.keep_previous = emits
-                    step(m.s, cfg.dt, m.p, m.g, cfg, m.ws)
+                    step(m.s, cfg.dt, m.p, m.g, cfg, m.ws, emits)
             except Exception as exc:
                 exc.add_note(f"run aborted; last valid time t={(n - 1) * cfg.dt:.6g}")
                 raise

@@ -26,10 +26,6 @@ SNAPSHOT_MAGIC = b"PEQ1"
 SNAPSHOT_FIELDS = ("v1", "v2", "T", "w", "p_s")
 
 
-def format_float(v: float) -> str:
-    return f"{v:.17g}"
-
-
 class CsvWriter:
     """CSV written one row of floats at a time, flushed after every row.
 
@@ -47,7 +43,7 @@ class CsvWriter:
         self._line(header)
 
     def __call__(self, values) -> None:
-        self._line(format_float(v) for v in values)
+        self._line(f"{v:.17g}" for v in values)
 
     def _line(self, cells) -> None:
         try:
@@ -75,8 +71,9 @@ def write_timeseries(records: Sequence[DiagRecord], path) -> None:
 def read_timeseries(path) -> dict:
     """Columns of a written time series as float arrays keyed by name.
 
-    A file with no header, a cell that is not a number or a row whose width
-    differs from the header's raises ConfigError naming the path and line.
+    A file with no header, a header that names a column twice, a cell that
+    is not a number or a row whose width differs from the header's raises
+    ConfigError naming the path and the column or line.
     """
     path = Path(path)
     try:
@@ -87,6 +84,9 @@ def read_timeseries(path) -> dict:
     if not lines:
         raise ConfigError(f"{path}: empty time series, no header line")
     header = lines[0][1].split(",")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ConfigError(f"{path}: the header names the column {name} twice")
     rows = []
     for lineno, ln in lines[1:]:
         cells = ln.split(",")
@@ -154,8 +154,7 @@ _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
+    """About n round tick values in [lo, hi]; hi > lo, as plot_svg widens a zero span."""
     span = hi - lo
     raw = span / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))

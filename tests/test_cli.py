@@ -114,6 +114,66 @@ def test_injected_check_violation_exits_3(tmp_path, monkeypatch):
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 3
 
 
+def test_unprojected_velocity_fails_the_constraint_monitor(tmp_path, capsys, monkeypatch):
+    """A forced coupled run whose steps skip the projection exits 3 at its first output step."""
+    import peqlab.integrator as integrator
+
+    project = integrator.project
+    calls = []
+
+    def prologue_only(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            project(*args)
+
+    monkeypatch.setattr(integrator, "project", prologue_only)
+    # forced, so the energy check (unforced runs only) cannot trip first
+    body = (CONFIG_DIR / "reference.cfg").read_text()
+    for old, new in (("grid.nx = 64", "grid.nx = 16"), ("grid.ny = 32", "grid.ny = 8"),
+                     ("grid.nz = 16", "grid.nz = 8"), ("init.v_amplitude = 0.0", "init.v_amplitude = 0.1"),
+                     ("step.t_end = 10.0", "step.t_end = 0.2"), ("step.output_every = 20", "step.output_every = 5")):
+        assert old in body
+        body = body.replace(old, new)
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: constraint residual ") and "> 1.0e-08 at t=0.05" in err
+    assert read_timeseries(out / "timeseries.csv")["t"].tolist() == [0.0]
+
+
+@pytest.mark.parametrize("config,code", [("dissipation.cfg", 3), ("dissipation_temponly.cfg", 0)])
+def test_constraint_monitor_skips_only_temperature_only_runs(tmp_path, capsys, monkeypatch, config, code):
+    """With no tolerance the projected velocity fails at t = 0; a frozen, unprojected one is never checked."""
+    import peqlab.integrator as integrator
+
+    monkeypatch.setattr(integrator, "DIV_TOL", 0.0)
+    # a moving frozen velocity, whose constraint residual is far from 0
+    body = (CONFIG_DIR / config).read_text().replace("init.v_amplitude = 0.0", "init.v_amplitude = 0.1")
+    body = body.replace("step.t_end = 2.0", "step.t_end = 0.2")
+    assert "init.v_amplitude = 0.1" in body and "step.t_end = 0.2" in body
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert (err.startswith("check failed: constraint residual ") and "> 0.0e+00 at t=0" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("changes,warnings", [
+    ((), []),
+    ((("step.dt = 0.01", "step.dt = 0.1"), ("init.v_amplitude = 0.1", "init.v_amplitude = 5")),
+     ["dt=0.1 exceeds the advective CFL suggestion 0.0139124"]),
+], ids=["committed", "fast_flow"])
+def test_prologue_gives_cfl_advice(tmp_path, caplog, changes, warnings):
+    import logging
+
+    # the advice comes from the prologue, so a zero horizon is enough
+    body = (CONFIG_DIR / "dissipation.cfg").read_text().replace("step.t_end = 2.0", "step.t_end = 0")
+    for old, new in changes:
+        assert old in body
+        body = body.replace(old, new)
+    caplog.set_level(logging.WARNING, logger="peqlab.integrator")
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "peqlab.integrator"] == warnings
+
+
 def test_frozen_velocity_temperature_only_run(tmp_path):
     # a temperature-only step never projects v, so its constraint is not monitored
     body = (CONFIG_DIR / "dissipation_temponly.cfg").read_text()
@@ -274,11 +334,22 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
     ("run", TINY_RUN + "init.width = 0\n", "init.width must be > 0, got 0.0"),
     ("run", TINY_RUN + "init.width = -0.25\n", "init.width must be > 0, got -0.25"),
     ("run", HEATED_RUN + "q.width = 0\n", "q.width must be > 0, got 0.0"),
+    ("truncate", TINY_TRUNCATE.replace("q.kind = gaussian", "q.kind = file\nq.path = q.npy"),
+     "truncate requires an analytic heat source"),
+    ("run", TINY_RUN.replace("step.dt = 0.02", "step.dt = 0"), "dt must be positive"),
+    ("run", TINY_RUN.replace("step.output_every = 2", "step.output_every = 0"),
+     "output_every must be >= 1"),
+    ("run", TINY_RUN.replace("init.kind = gaussian", "init.kind = blob"), "unknown init.kind 'blob'"),
+    ("run", TINY_RUN.replace("q.kind = zero", "q.kind = sine"), "unknown q.kind 'sine'"),
+    ("run", TINY_RUN.replace("q.kind = zero", "q.kind = file"), "q.kind = file requires q.path"),
+    ("run", TINY_RUN + "output.snapshots = yes\n",
+     "bad value for output.snapshots: expected true/false, got 'yes'"),
 ], ids=["mms_init_with_q", "truncate_mms_init", "contract_identical_twin",
         "negative_tail_epsilon", "negative_truncate_max_rel", "truncate_nx_3", "truncate_ny_2",
         "truncate_nz_2", "nan_f0", "inf_beta", "nan_t_amplitude", "inf_q_amplitude",
         "nan_init_center_y", "nan_tail_radius", "zero_init_width", "negative_init_width",
-        "zero_q_width"])
+        "zero_q_width", "truncate_q_file", "zero_dt", "zero_output_every", "unknown_init_kind",
+        "unknown_q_kind", "q_file_without_path", "snapshots_yes"])
 def test_unusable_input_exits_before_stepping(tmp_path, capsys, monkeypatch, command, body, message):
     _forbid_steps(monkeypatch)
     out = tmp_path / "o"
@@ -418,11 +489,19 @@ def test_plot_with_envelope(tmp_path):
     svg = tmp_path / "fig.svg"
     code = main([
         "plot", str(csv), "l2_T,v2norm_T", "--out", str(svg),
-        "--config", cfg, "--envelope",
+        "--envelope", cfg,
     ])
     assert code == 0
     text = svg.read_text()
     assert "gronwall_envelope" in text and "<polyline" in text
+
+
+def test_plot_takes_its_config_only_through_envelope(tmp_path, capsys):
+    """The envelope's config is the value of --envelope; a separate --config is a usage error."""
+    csv = tmp_path / "x.csv"
+    csv.write_text("t,l2_T\n0,1\n0.1,0.5\n")
+    assert main(["plot", str(csv), "l2_T", "--config", str(CONFIG_DIR / "zero.cfg")]) == 1
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_plot_envelope_uses_the_runs_heat_source(tmp_path, monkeypatch):
@@ -438,7 +517,7 @@ def test_plot_envelope_uses_the_runs_heat_source(tmp_path, monkeypatch):
     assert main(["run", cfg, "--output-dir", str(out)]) == 0
     plotted = {}
     monkeypatch.setattr(cli, "plot_svg", lambda series, *args, **kwargs: plotted.update(series))
-    assert main(["plot", str(out / "timeseries.csv"), "l2_T", "--config", cfg, "--envelope"]) == 0
+    assert main(["plot", str(out / "timeseries.csv"), "l2_T", "--envelope", cfg]) == 0
     t, envelope = plotted["gronwall_envelope"]
     _, l2_T = plotted["l2_T"]
     run_cfg = parse_config_file(cfg)
@@ -460,7 +539,7 @@ def test_successive_main_calls_behave_like_fresh_calls(tmp_path):
         assert main(["plot", csv, "l2_T", "--out", str(tmp_path / name), *flags]) == 0
         return (tmp_path / name).read_bytes()
 
-    linear = plot("linear.svg", "--linear", "--config", cfg, "--envelope")
+    linear = plot("linear.svg", "--linear", "--envelope", cfg)
     log = plot("log.svg")
     assert cli.build_parser() is cli.build_parser()
     cli.build_parser.cache_clear()
@@ -468,7 +547,7 @@ def test_successive_main_calls_behave_like_fresh_calls(tmp_path):
     assert b"gronwall_envelope" in linear and b"gronwall_envelope" not in log
 
 
-ENVELOPE = ("--envelope", "--config", str(CONFIG_DIR / "zero.cfg"))
+ENVELOPE = ("--envelope", str(CONFIG_DIR / "zero.cfg"))
 
 
 @pytest.mark.parametrize("text,where,flags", [
@@ -478,7 +557,11 @@ ENVELOPE = ("--envelope", "--config", str(CONFIG_DIR / "zero.cfg"))
     # what a run whose t = 0 monitor fails leaves behind
     ("t,l2_T\n", "no rows", ()),
     ("t,l2_T\n", "no rows", ENVELOPE),
-], ids=["empty", "non_numeric", "ragged", "header_only", "header_only_envelope"])
+    ("t,l2_T,l2_T\n0,1,5\n0.1,0.5,6\n", "column l2_T twice", ()),
+    ("x,l2_T\n0,1\n", "no time column", ()),
+    ("t,l2_v\n0,1\n", "needs an l2_T column", ENVELOPE),
+], ids=["empty", "non_numeric", "ragged", "header_only", "header_only_envelope", "duplicate_column",
+        "no_time_column", "envelope_without_l2_T"])
 def test_malformed_timeseries_plot_exits_1(tmp_path, capsys, text, where, flags):
     csv = tmp_path / "bad.csv"
     csv.write_text(text)
@@ -498,6 +581,17 @@ def test_plot_escapes_its_text(tmp_path):
     assert main(["plot", str(csv), "l2_T", "--out", str(svg)]) == 0
     texts = [node.firstChild.data for node in minidom.parse(str(svg)).getElementsByTagName("text")]
     assert "a&b<c.csv" in texts and "l2_T" in texts
+
+
+def test_plot_one_row_series(tmp_path):
+    """A zero horizon writes one record: its plot spans no time and, with the envelope, no energy."""
+    cfg = write_cfg(tmp_path, TINY_RUN.replace("step.t_end = 0.2", "step.t_end = 0"))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--output-dir", str(out)]) == 0
+    assert len(read_timeseries(out / "timeseries.csv")["t"]) == 1
+    svg = tmp_path / "f.svg"
+    assert main(["plot", str(out / "timeseries.csv"), "l2_T", "--out", str(svg), "--envelope", cfg]) == 0
+    assert "gronwall_envelope" in svg.read_text()
 
 
 def test_plot_unknown_column(tmp_path):
@@ -534,6 +628,34 @@ def test_commands_copy_no_state(tmp_path, monkeypatch, command, body):
 
     monkeypatch.setattr(State, "copy", no_copy)
     assert main([command, write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == 0
+
+
+def test_q_file_of_the_wrong_shape_rejected(tmp_path, capsys, monkeypatch):
+    _forbid_steps(monkeypatch)
+    np.save(tmp_path / "q.npy", np.zeros((8, 8, 5)))
+    body = TINY_RUN.replace("q.kind = zero", f"q.kind = file\nq.path = {tmp_path / 'q.npy'}")
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(out)]) == 1
+    assert "q file shape (8, 8, 5) does not match grid (8, 8, 4)" in capsys.readouterr().err
+    assert not (out / "timeseries.csv").exists()
+
+
+def test_readme_command_examples_parse():
+    """Every `peqlab` line of the README's command-line block parses with the current options."""
+    import shlex
+
+    from peqlab.cli import build_parser
+
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = (line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines())
+    commands = [line for line in lines if line.startswith("peqlab ")]
+    assert len(commands) == 6
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"the README example does not parse: {command}")
 
 
 def test_unreadable_q_file_rejected(tmp_path, capsys):

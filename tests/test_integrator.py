@@ -237,11 +237,11 @@ def test_failed_step_keeps_exception_type(monkeypatch):
 
     calls = []
 
-    def failing_step(s, dt, p, g, cfg, ws):
+    def failing_step(s, dt, p, g, cfg, ws, keep):
         calls.append(1)
         if len(calls) == 3:
             raise TwoArgError(7, "solver")
-        return step(s, dt, p, g, cfg, ws)
+        return step(s, dt, p, g, cfg, ws, keep)
 
     monkeypatch.setattr(integrator, "step", failing_step)
     g = make_grid(P, 8, 8, 4)
