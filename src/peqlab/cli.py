@@ -18,7 +18,7 @@ from . import diagnostics as diag
 from .config import RunConfig, parse_config_file
 from .errors import CheckError, ConfigError, NumericalError
 from .integrator import trajectory
-from .io import CsvWriter, plot_svg, read_timeseries, write_snapshot
+from .io import plot_svg, read_timeseries, write_csv, write_snapshot
 from .mms import mms_convergence_study
 from .tail import (ContractionRow, TruncationRow, tail_decay_experiment, truncation_convergence,
                    two_trajectory_contraction)
@@ -34,24 +34,7 @@ def _outdir(cfg: RunConfig, override):
 
 
 def _write_csv(path, header, rows):
-    with CsvWriter(path, header) as out:
-        for row in rows:
-            out(row)
-
-
-def _stream_csv(path, header, rows):
-    """Write each row an experiment yields as it comes; returns the rows as a list.
-
-    The file opens on the first row, so an input the experiment rejects
-    leaves none; each row is flushed, so a failed run keeps its rows.
-    """
-    table = [next(rows)]
-    with CsvWriter(path, header) as out:
-        out(table[0])
-        for row in rows:
-            out(row)
-            table.append(row)
-    return table
+    write_csv(path, header, rows)
 
 
 def cmd_run(args) -> int:
@@ -59,15 +42,17 @@ def cmd_run(args) -> int:
     p = cfg.params()
     g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
-    # the arguments are evaluated here, so a source the config cannot honour is rejected
-    # before the CSV exists
-    steps = trajectory([(cfg.initial_state(p, g), p, g)], cfg.step_config())
-    with CsvWriter(out / "timeseries.csv", diag.CSV_COLUMNS) as series:
-        for n, _, (state,), (last,) in steps:
-            series(last)
+    s = cfg.initial_state(p, g)
+
+    def records():
+        # each snapshot is written after its record's row
+        for n, _, _, (rec,) in trajectory([(s, p, g)], cfg.step_config()):
+            yield rec
             if cfg["output.snapshots"]:
-                write_snapshot(state, out / f"snapshot_{n:06d}.peq")
-    write_snapshot(state, out / "snapshot_final.peq")
+                write_snapshot(s, out / f"snapshot_{n:06d}.peq")
+
+    last = write_csv(out / "timeseries.csv", diag.CSV_COLUMNS, records())[-1]
+    write_snapshot(s, out / "snapshot_final.peq")
     print(f"run finished at t={last.t:.6g}: |T|^2={last.l2_T:.6g} |v|^2={last.l2_v:.6g} "
           f"constraint={last.constraint_residual:.3e}")
     print(f"wrote {out / 'timeseries.csv'}")
@@ -97,7 +82,7 @@ def cmd_tail(args) -> int:
     g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
     tail = cfg.tail_config()
-    rows = _stream_csv(out / "tail.csv", tail.header, tail_decay_experiment(
+    rows = write_csv(out / "tail.csv", tail.header, tail_decay_experiment(
         tail, cfg.initial_state(p, g), p, g, cfg.step_config()))
     for r, sup_rel in zip(tail.radii, tail.sup_rel(rows)):
         print(f"r={r:g}: sup tail/total for t>={tail.tau_probe:g} is {sup_rel:.3e}")
@@ -118,7 +103,7 @@ def cmd_truncate(args) -> int:
     g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
     factor = cfg["truncate.factor"]
-    rows = _stream_csv(out / "truncate.csv", TruncationRow._fields, truncation_convergence(
+    rows = write_csv(out / "truncate.csv", TruncationRow._fields, truncation_convergence(
         cfg.params(), (g.nx, g.ny, g.nz), cfg.step_config(), cfg.initial_state, factor=factor))
     max_rel_diff = max(row.rel_diff for row in rows)
     print(f"max relative difference against {factor}x domain: {max_rel_diff:.3e}")
@@ -134,7 +119,7 @@ def cmd_contract(args) -> int:
     g = cfg.grid()
     out = _outdir(cfg, args.output_dir)
     s_a, s_b = cfg.contraction_pair(p, g)
-    rows = _stream_csv(out / "contract.csv", ContractionRow._fields, two_trajectory_contraction(
+    rows = write_csv(out / "contract.csv", ContractionRow._fields, two_trajectory_contraction(
         s_a, s_b, p, g, cfg.step_config()))
     first, last = rows[0], rows[-1]
     print(f"distance {first.dist_l2:.6g} -> {last.dist_l2:.6g} over t={last.t:g}")
@@ -152,9 +137,11 @@ def cmd_plot(args) -> int:
     if args.envelope and "l2_T" not in data:
         raise ConfigError(f"{args.csv}: the envelope overlay needs an l2_T column")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
+    if not columns:
+        raise ConfigError(f"{args.csv}: no column given to plot")
     missing = [c for c in columns if c not in data]
     if missing:
-        raise ConfigError(f"unknown columns {missing}; available: {sorted(data)}")
+        raise ConfigError(f"{args.csv}: unknown columns {missing}; available: {sorted(data)}")
     series = {c: (data["t"], data[c]) for c in columns}
     dashed = []
     if args.envelope:
@@ -168,7 +155,10 @@ def cmd_plot(args) -> int:
         series["gronwall_envelope"] = (data["t"], np.array(env))
         dashed.append("gronwall_envelope")
     out = args.out or (str(Path(args.csv).with_suffix("")) + ".svg")
-    plot_svg(series, out, title=Path(args.csv).name, log_y=not args.linear, dashed=dashed)
+    try:
+        plot_svg(series, out, title=Path(args.csv).name, log_y=not args.linear, dashed=dashed)
+    except ConfigError as exc:
+        raise ConfigError(f"{args.csv}: {exc}") from exc
     print(f"wrote {out}")
     return 0
 

@@ -128,8 +128,9 @@ class RunConfig:
             raise ConfigError(f"truncate.max_rel must be >= 0 (0 turns the check off), "
                               f"got {self['truncate.max_rel']!r}")
         sizes = self["mms.sizes"]
-        if len(sizes) < 2 or min(sizes) < 4:
-            raise ConfigError(f"mms.sizes must list at least two grid sizes, each >= 4, got {sizes!r}")
+        if len(sizes) < 2 or len(set(sizes)) < len(sizes) or min(sizes) < 4:
+            raise ConfigError(f"mms.sizes must list at least two distinct grid sizes, each >= 4, "
+                              f"got {sizes!r}")
         for key in ("init.width", "q.width"):
             if not self[key] > 0.0:
                 raise ConfigError(f"{key} must be > 0, got {self[key]!r}")

@@ -176,10 +176,12 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Works
     is written, as v2's rate reads v1, and the first failure is raised at
     the join.  Then the velocity's task writes and readies v1 and v2 beside
     T's task, which solves, writes T and fills its ghosts; a temperature-only
-    step runs T's task alone, its velocity and w frozen.  With `keep`, each
-    task first copies its old interiors to ws.previous.  Each task keeps its
-    field's operation order and every matrix product stays one BLAS call,
-    so the bytes do not depend on the workers.
+    step runs T's task alone, its velocity and w frozen.  With `keep`, the
+    calling thread copies the old interiors (v1, v2, T) to ws.previous
+    between the fork-joins: the faces they share are free once every rate
+    is formed.  Each task keeps its field's operation order and every
+    matrix product stays one BLAS call, so the bytes do not depend on the
+    workers.
     """
     names = ("T",) if cfg.temperature_only else ("v1", "v2", "T")
     fields = [getattr(s, name)[INTERIOR] for name in names]
@@ -206,21 +208,18 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Works
 
     def finish_velocity(buf):
         for k in (0, 1):
-            if keep:
-                ws.previous[k][...] = fields[k]
             fields[k][...] = rates[k]
         _ready_velocity(s, dt, p, g, cfg, (rates[0], buf))
 
     def finish_temperature(buf):
         _cached_diffusion(p, g, dt, "temperature").solve(rates[-1], buf)
-        if keep:
-            # a temperature-only step keeps its frozen velocity here too
-            for k in (0, 1, 2) if cfg.temperature_only else (2,):
-                ws.previous[k][...] = s.interiors()[k]
         fields[-1][...] = rates[-1]
         fill_ghosts(s.T, TEMPERATURE_BC, p, g)
 
     ws.run(predict, len(names), scratch)
+    if keep:
+        for previous, f in zip(ws.previous, s.interiors()):
+            previous[...] = f
     finishing = (finish_temperature,) if cfg.temperature_only else (finish_velocity, finish_temperature)
     ws.run(lambda i, buf: finishing[i](buf), len(finishing), scratch)
     return s

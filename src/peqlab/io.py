@@ -11,6 +11,7 @@ order, then the 2D surface pressure p_s.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import Sequence
@@ -26,46 +27,32 @@ SNAPSHOT_MAGIC = b"PEQ1"
 SNAPSHOT_FIELDS = ("v1", "v2", "T", "w", "p_s")
 
 
-class CsvWriter:
-    """CSV written one row of floats at a time, flushed after every row.
+def write_csv(path, header, rows) -> list:
+    """Write a header and rows of floats as CSV; returns the rows as a list.
 
-    Cells carry 17 significant digits.  Fed one row per output step, a run
-    that fails part-way leaves every row it wrote.  Use it as a context
-    manager to close the file.
+    The first row is drawn before the file opens, so a row source that fails
+    on it leaves no file; an empty one leaves the header alone.  Cells carry
+    17 significant digits and every row is flushed as it comes, so a source
+    that fails part-way leaves every row it gave.
     """
-
-    def __init__(self, path, header):
-        self.path = Path(path)
-        try:
-            self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {self.path}: {exc}") from exc
-        self._line(header)
-
-    def __call__(self, values) -> None:
-        self._line(f"{v:.17g}" for v in values)
-
-    def _line(self, cells) -> None:
-        try:
-            self._fh.write(",".join(cells) + "\n")
-            self._fh.flush()
-        except OSError as exc:
-            raise ConfigError(f"cannot write {self.path}: {exc}") from exc
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
+    rows = iter(rows)
+    first = list(itertools.islice(rows, 1))
+    table = []
+    path = Path(path)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in itertools.chain(first, rows):
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                fh.flush()
+                table.append(row)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return table
 
 
 def write_timeseries(records: Sequence[DiagRecord], path) -> None:
-    with CsvWriter(path, CSV_COLUMNS) as out:
-        for rec in records:
-            out(rec)
+    write_csv(path, CSV_COLUMNS, records)
 
 
 def read_timeseries(path) -> dict:

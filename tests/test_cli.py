@@ -154,6 +154,8 @@ def test_constraint_monitor_skips_only_temperature_only_runs(tmp_path, capsys, m
     assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == code
     err = capsys.readouterr().err
     assert (err.startswith("check failed: constraint residual ") and "> 0.0e+00 at t=0" in err) == (code == 3)
+    # the CSV opens on its first row, which the failed t = 0 record never gives
+    assert (tmp_path / "o" / "timeseries.csv").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("changes,warnings", [
@@ -269,7 +271,7 @@ def test_unusable_output_dir_exits_before_stepping(tmp_path, capsys, monkeypatch
     assert "config error: cannot make output directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sizes", ["8", "8,16,2", "", "2,4"])
+@pytest.mark.parametrize("sizes", ["8", "8,16,2", "", "2,4", "8,8", "8,16,8"])
 def test_bad_mms_sizes_rejected(tmp_path, capsys, monkeypatch, sizes):
     _forbid_steps(monkeypatch)
     cfg = write_cfg(tmp_path, f"mms.sizes = {sizes}\n")
@@ -277,6 +279,29 @@ def test_bad_mms_sizes_rejected(tmp_path, capsys, monkeypatch, sizes):
     assert main(["mms", cfg, "--output-dir", str(out)]) == 1
     assert "config error: mms.sizes must list at least two" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("blocked,where,steps", [
+    ("timeseries.csv", "cannot write {out}/timeseries.csv", False),
+    ("snapshot_final.peq", "cannot write snapshot {out}/snapshot_final.peq", True),
+])
+def test_unwritable_run_output_exits_1(tmp_path, capsys, monkeypatch, blocked, where, steps):
+    """A directory where an output file goes exits 1, the CSV's before the first step."""
+    if not steps:
+        _forbid_steps(monkeypatch)
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    assert main(["run", write_cfg(tmp_path, TINY_RUN), "--output-dir", str(out)]) == 1
+    assert f"config error: {where.format(out=out)}: " in capsys.readouterr().err
+
+
+def test_plot_unreadable_input_or_unwritable_output_exits_1(tmp_path, capsys):
+    assert main(["plot", str(tmp_path), "l2_T"]) == 1
+    assert f"config error: cannot read time series {tmp_path}: " in capsys.readouterr().err
+    csv = tmp_path / "ok.csv"
+    csv.write_text("t,l2_T\n0,1\n0.1,0.5\n")
+    assert main(["plot", str(csv), "l2_T", "--out", str(tmp_path), "--linear"]) == 1
+    assert f"config error: {csv}: cannot write plot {tmp_path}: " in capsys.readouterr().err
 
 
 TINY_TRUNCATE = """
@@ -427,15 +452,15 @@ def test_printed_verdict_comes_from_the_written_table(tmp_path, capsys, command,
 TINY_MMS = """
 physics.h = 1.0
 physics.lx = 1.0
-mms.sizes = 8,8
+mms.sizes = 8,16
 mms.dt = 0.002
-mms.horizon = 0.01
+mms.horizon = 0
 """
 
 
 @pytest.mark.parametrize("command,body,message", [
-    # two equal grids fit order 0
-    ("mms", TINY_MMS, "convergence orders out of range: v=0.000, T=0.000"),
+    # a zero horizon leaves T exact, with no error to fit an order to, and v at roundoff
+    ("mms", TINY_MMS, "convergence orders out of range: v=0.000, T=nan"),
     ("tail", TINY_TAIL.replace("tail.epsilon = 0.001", "tail.epsilon = 0"),
      "no radius achieved tail ratio <= 0"),
     ("truncate", TINY_TRUNCATE.replace("truncate.max_rel = 0.01", "truncate.max_rel = 1e-300"),
@@ -550,22 +575,26 @@ def test_successive_main_calls_behave_like_fresh_calls(tmp_path):
 ENVELOPE = ("--envelope", str(CONFIG_DIR / "zero.cfg"))
 
 
-@pytest.mark.parametrize("text,where,flags", [
-    ("", "empty time series", ()),
-    ("t,l2_T\n0,1\n0.1,abc\n", "line 3", ()),
-    ("t,l2_T\n0,1\n\n0.1\n", "line 4", ()),
-    # what a run whose t = 0 monitor fails leaves behind
-    ("t,l2_T\n", "no rows", ()),
-    ("t,l2_T\n", "no rows", ENVELOPE),
-    ("t,l2_T,l2_T\n0,1,5\n0.1,0.5,6\n", "column l2_T twice", ()),
-    ("x,l2_T\n0,1\n", "no time column", ()),
-    ("t,l2_v\n0,1\n", "needs an l2_T column", ENVELOPE),
+@pytest.mark.parametrize("text,columns,where,flags", [
+    ("", "l2_T", "empty time series", ()),
+    ("t,l2_T\n0,1\n0.1,abc\n", "l2_T", "line 3", ()),
+    ("t,l2_T\n0,1\n\n0.1\n", "l2_T", "line 4", ()),
+    # a CSV written by hand, as no command leaves a header without rows
+    ("t,l2_T\n", "l2_T", "no rows", ()),
+    ("t,l2_T\n", "l2_T", "no rows", ENVELOPE),
+    ("t,l2_T,l2_T\n0,1,5\n0.1,0.5,6\n", "l2_T", "column l2_T twice", ()),
+    ("x,l2_T\n0,1\n", "l2_T", "no time column", ()),
+    ("t,l2_v\n0,1\n", "l2_T", "needs an l2_T column", ENVELOPE),
+    ("t,l2_T\n0,1\n", "no_such", "unknown columns ['no_such']", ()),
+    # zero.cfg's l2_T, all zeros, which the log axis drops
+    ("t,l2_T\n0,0\n0.1,0\n", "l2_T", "nothing to plot", ()),
+    ("t,l2_T\n0,1\n", ",", "no column given", ()),
 ], ids=["empty", "non_numeric", "ragged", "header_only", "header_only_envelope", "duplicate_column",
-        "no_time_column", "envelope_without_l2_T"])
-def test_malformed_timeseries_plot_exits_1(tmp_path, capsys, text, where, flags):
+        "no_time_column", "envelope_without_l2_T", "unknown_column", "all_samples_dropped", "no_column"])
+def test_malformed_timeseries_plot_exits_1(tmp_path, capsys, text, columns, where, flags):
     csv = tmp_path / "bad.csv"
     csv.write_text(text)
-    assert main(["plot", str(csv), "l2_T", "--out", str(tmp_path / "f.svg"), *flags]) == 1
+    assert main(["plot", str(csv), columns, "--out", str(tmp_path / "f.svg"), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(csv) in err and where in err
     assert not (tmp_path / "f.svg").exists()
@@ -592,13 +621,6 @@ def test_plot_one_row_series(tmp_path):
     svg = tmp_path / "f.svg"
     assert main(["plot", str(out / "timeseries.csv"), "l2_T", "--out", str(svg), "--envelope", cfg]) == 0
     assert "gronwall_envelope" in svg.read_text()
-
-
-def test_plot_unknown_column(tmp_path):
-    cfg = write_cfg(tmp_path, TINY_RUN)
-    out = tmp_path / "plotrun2"
-    assert main(["run", cfg, "--output-dir", str(out)]) == 0
-    assert main(["plot", str(out / "timeseries.csv"), "no_such"]) == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

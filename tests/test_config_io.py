@@ -181,6 +181,11 @@ class TestTimeseries:
         write_timeseries(records, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+    def test_failed_write_names_the_path(self):
+        with pytest.raises(ConfigError, match=r"cannot write /dev/full: \[Errno 28\]"):
+            write_timeseries(_fake_records(), "/dev/full")
+
 
 class TestSnapshot:
     def test_roundtrip_bit_identical(self, tmp_path):
@@ -234,6 +239,10 @@ class TestSnapshot:
             read_snapshot(path)
         message = str(info.value)
         assert str(path) in message and expected in message and str(size) in message
+
+    def test_unreadable_snapshot_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read snapshot"):
+            read_snapshot(tmp_path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.peq"

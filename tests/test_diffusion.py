@@ -27,6 +27,11 @@ def test_eigen_solve_matches_dense(small_grid, kind, op):
     assert np.abs(x_eigen - x_dense).max() <= 1e-11 * np.abs(x_dense).max()
 
 
+def test_unknown_kind_rejected(small_grid):
+    with pytest.raises(ValueError, match="unknown operator kind 'salinity'"):
+        ImplicitDiffusion(P, small_grid, DT, "salinity")
+
+
 @pytest.mark.parametrize("kind,op", [("velocity", "helmholtz_v"), ("temperature", "helmholtz_T")])
 def test_eigen_solve_uneven_grid_strided_input(kind, op):
     """Axis lengths all differ, and the input is a contiguous copy of a padded field's interior view."""

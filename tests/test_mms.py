@@ -103,6 +103,10 @@ class TestConvergenceOrder:
         res = convergence_order([(0.1, 1e-3), (0.05, 1e-3)])
         assert res.order == 0.0
 
+    def test_zero_error_has_no_order(self):
+        res = convergence_order([(0.1, 1e-3), (0.05, 0.0)])
+        assert math.isnan(res.order) and not res.monotone
+
     def test_non_monotone_flagged(self):
         res = convergence_order([(0.1, 1e-3), (0.05, 2e-3), (0.025, 1e-4)])
         assert not res.monotone

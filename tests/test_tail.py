@@ -57,6 +57,11 @@ class TestWindowedEnergy:
     def test_zero_field(self):
         assert windowed_T_energy(np.zeros((48, 6, 4)), 0.5, self.g) == 0.0
 
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_non_positive_radius_rejected(self, r):
+        with pytest.raises(ValueError, match="window radius must be positive"):
+            windowed_T_energy(np.zeros((48, 6, 4)), r, self.g)
+
     def test_support_separation(self):
         g, p = self.g, self.p
         x, y, z = g.coords()
