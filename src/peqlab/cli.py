@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: run, mms, tail, truncate, contract, plot.  Exit codes: 0 on
-success, 1 for configuration problems, 2 for numerical failures, 3 when a
-run monitor or an experiment's verdict fails.
+Subcommands: run, mms, tail, truncate, contract, plot.  For every command
+but plot, main parses the config file, makes the output directory and then
+calls the command with (cfg, out).  Exit codes: 0 on success, then one per
+failure class in FAILURES: 1 for configuration problems, 2 for numerical
+failures, 3 when a run monitor or an experiment's verdict fails.
 """
 
 from __future__ import annotations
@@ -24,24 +26,17 @@ from .tail import (ContractionRow, TruncationRow, tail_decay_experiment, truncat
                    two_trajectory_contraction)
 
 
-def _outdir(cfg: RunConfig, override):
-    path = Path(override) if override else Path(cfg["output.dir"])
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {path}: {exc}") from exc
-    return path
+#: exit code and stderr prefix of each failure a command may raise
+FAILURES = {ConfigError: (1, "config error"), NumericalError: (2, "numerical failure"),
+            CheckError: (3, "check failed")}
 
 
 def _write_csv(path, header, rows):
     write_csv(path, header, rows)
 
 
-def cmd_run(args) -> int:
-    cfg = parse_config_file(args.config)
-    p = cfg.params()
-    g = cfg.grid()
-    out = _outdir(cfg, args.output_dir)
+def cmd_run(cfg: RunConfig, out: Path) -> int:
+    p, g = cfg.params(), cfg.grid()
     s = cfg.initial_state(p, g)
 
     def records():
@@ -59,12 +54,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_mms(args) -> int:
-    cfg = parse_config_file(args.config)
-    p = cfg.params()
+def cmd_mms(cfg: RunConfig, out: Path) -> int:
     sizes = tuple((n, n, n) for n in cfg["mms.sizes"])
-    out = _outdir(cfg, args.output_dir)
-    report = mms_convergence_study(p, sizes=sizes, dt=cfg["mms.dt"], horizon=cfg["mms.horizon"])
+    report = mms_convergence_study(cfg.params(), sizes=sizes, dt=cfg["mms.dt"], horizon=cfg["mms.horizon"])
     _write_csv(out / "mms.csv", report.header, report.rows())
     print(f"observed orders: velocity {report.order_v:.3f}, temperature {report.order_T:.3f}")
     if not (1.8 <= report.order_v <= 2.2 and 1.8 <= report.order_T <= 2.2):
@@ -76,11 +68,8 @@ def cmd_mms(args) -> int:
     return 0
 
 
-def cmd_tail(args) -> int:
-    cfg = parse_config_file(args.config)
-    p = cfg.params()
-    g = cfg.grid()
-    out = _outdir(cfg, args.output_dir)
+def cmd_tail(cfg: RunConfig, out: Path) -> int:
+    p, g = cfg.params(), cfg.grid()
     tail = cfg.tail_config()
     rows = write_csv(out / "tail.csv", tail.header, tail_decay_experiment(
         tail, cfg.initial_state(p, g), p, g, cfg.step_config()))
@@ -93,15 +82,13 @@ def cmd_tail(args) -> int:
     return 0
 
 
-def cmd_truncate(args) -> int:
-    cfg = parse_config_file(args.config)
+def cmd_truncate(cfg: RunConfig, out: Path) -> int:
     if cfg["q.kind"] == "file":
         raise ConfigError("truncate requires an analytic heat source (q.kind zero or gaussian)")
     if cfg["init.kind"] == "mms":
         raise ConfigError("truncate cannot widen the channel under init.kind = mms: "
                           "the manufactured fields depend on physics.lx")
     g = cfg.grid()
-    out = _outdir(cfg, args.output_dir)
     factor = cfg["truncate.factor"]
     rows = write_csv(out / "truncate.csv", TruncationRow._fields, truncation_convergence(
         cfg.params(), (g.nx, g.ny, g.nz), cfg.step_config(), cfg.initial_state, factor=factor))
@@ -113,11 +100,8 @@ def cmd_truncate(args) -> int:
     return 0
 
 
-def cmd_contract(args) -> int:
-    cfg = parse_config_file(args.config)
-    p = cfg.params()
-    g = cfg.grid()
-    out = _outdir(cfg, args.output_dir)
+def cmd_contract(cfg: RunConfig, out: Path) -> int:
+    p, g = cfg.params(), cfg.grid()
     s_a, s_b = cfg.contraction_pair(p, g)
     rows = write_csv(out / "contract.csv", ContractionRow._fields, two_trajectory_contraction(
         s_a, s_b, p, g, cfg.step_config()))
@@ -171,11 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_):
-        sp = sub.add_parser(name, help=help_)
-        sp.set_defaults(handler=handler)
-        return sp
-
     for name, handler, help_ in (
         ("run", cmd_run, "physics run with diagnostics"),
         ("mms", cmd_mms, "manufactured-solution convergence study"),
@@ -183,11 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("truncate", cmd_truncate, "domain-truncation convergence study"),
         ("contract", cmd_contract, "two-trajectory contraction probe"),
     ):
-        sp = add(name, handler, help_)
+        sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(handler=handler)
         sp.add_argument("config", help="path to a key=value config file")
         sp.add_argument("--output-dir", default=None, help="override output.dir")
 
-    sp = add("plot", cmd_plot, "render CSV columns to an SVG plot")
+    sp = sub.add_parser("plot", help="render CSV columns to an SVG plot")
     sp.add_argument("csv", help="time-series CSV produced by a run")
     sp.add_argument("columns", help="comma-separated column names")
     sp.add_argument("--out", default=None, help="output SVG path")
@@ -196,28 +176,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _describe(exc: Exception) -> str:
-    """The exception message followed by its notes, such as a run's last valid time."""
-    return "; ".join((str(exc), *getattr(exc, "__notes__", ())))
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {_describe(exc)}", file=sys.stderr)
-        return 1
-    except CheckError as exc:
-        print(f"check failed: {_describe(exc)}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {_describe(exc)}", file=sys.stderr)
-        return 2
+        if args.command == "plot":
+            return cmd_plot(args)
+        cfg = parse_config_file(args.config)
+        out = Path(args.output_dir or cfg["output.dir"])
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc}") from exc
+        return args.handler(cfg, out)
+    except tuple(FAILURES) as exc:
+        code, prefix = FAILURES[type(exc)]
+        # the notes, such as a run's last valid time, follow the message
+        print("; ".join((f"{prefix}: {exc}", *getattr(exc, "__notes__", ()))), file=sys.stderr)
+        return code
 
 
 def entry():

@@ -164,9 +164,15 @@ class RunConfig:
             return self._blob("q", g)
         path = self["q.path"]
         try:
-            data = np.asarray(np.load(path), dtype=float)
+            data = np.load(path)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read q file {path}: {exc}") from exc
+        if not isinstance(data, np.ndarray):  # an .npz archive, which holds its file open
+            data.close()
+            raise ConfigError(f"q file {path} is not a .npy array")
+        if data.dtype.kind not in "biuf":
+            raise ConfigError(f"q file {path} holds {data.dtype} values, not real numbers")
+        data = np.asarray(data, dtype=float)
         if data.shape != (g.nx, g.ny, g.nz):
             raise ConfigError(
                 f"q file shape {data.shape} does not match grid {(g.nx, g.ny, g.nz)}"

@@ -233,23 +233,30 @@ class _Member:
     acts, and on every record the Poincare ratios, the constraint residual
     (coupled steps) and the decay envelope
     |T(t)|^2 <= |T0|^2 e^(-t/kappa) + kappa^2 |Q|^2.  A nan fails each of them.
+    Finite initial fields whose |v|^2, |T|^2 or |Q|^2 overflows are a ConfigError.
     """
 
     def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig):
         s.fill_all_ghosts(p, g)
         _ready_velocity(s, cfg.dt, p, g, cfg)
+        fields = (*s.interiors(), s.Q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            l2_v1, l2_v2, self.l2_t0, self.l2_q = (diag.l2sq(f, g) for f in fields)
+        # finite fields whose squares overflow: no step can honour them (a nan or inf fails later)
+        if math.isinf(l2_v1 + l2_v2 + self.l2_t0 + self.l2_q) and all(np.isfinite(f).all() for f in fields):
+            raise ConfigError(f"initial squared norms overflow: |v|^2={l2_v1 + l2_v2:.6g} "
+                              f"|T|^2={self.l2_t0:.6g} |Q|^2={self.l2_q:.6g}")
         suggestion = cfl_dt(s, g)
         if cfg.dt > suggestion:
             log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)
         self.s, self.p, self.g, self.cfg = s, p, g, cfg
         self.ws = Workspace(g, cfg)
-        self.l2_q = diag.l2sq(s.Q, g)
-        self.l2_t0 = diag.l2sq(s.T[INTERIOR], g)
         # the energy inequality holds for an unforced system only
-        self.energy = self._energy() if self.l2_q == 0.0 and s.body_force is None else None
+        self.energy = l2_v1 + l2_v2 + self.l2_t0 if self.l2_q == 0.0 and s.body_force is None else None
 
     def _energy(self) -> float:
-        return sum(diag.l2sq(f, self.g) for f in self.s.interiors())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sum(diag.l2sq(f, self.g) for f in self.s.interiors())
 
     def check_energy_step(self, t: float):
         """The energy inequality after a step of an unforced member."""
@@ -263,7 +270,8 @@ class _Member:
 
     def record(self, t: float, prev: Optional[tuple]) -> diag.DiagRecord:
         """The DiagRecord of the current state, checked against the inequality monitors."""
-        rec = diag.compute_record(self.s, prev, self.cfg.dt, self.p, self.g, t=t)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a monitor below
+            rec = diag.compute_record(self.s, prev, self.cfg.dt, self.p, self.g, t=t)
         for name, ratio in (("temperature", diag.check_poincare_T(rec, self.p)),
                             ("velocity", diag.check_poincare_v(rec, self.p))):
             if not ratio <= 1.0 + POINCARE_TOL:

@@ -161,7 +161,7 @@ def convergence_order(errors) -> ConvergenceResult:
         return ConvergenceResult(order=float("nan"), monotone=False)
     order_sorted = np.argsort(deltas)[::-1]  # coarse to fine
     monotone = bool(np.all(np.diff(errs[order_sorted]) <= 0.0))
-    if np.allclose(errs, errs[0]):
+    if np.allclose(errs, errs[0], atol=0.0):  # relative: errors may all lie far below 1
         return ConvergenceResult(order=0.0, monotone=monotone)
     slope, _ = np.polyfit(np.log(deltas), np.log(errs), 1)
     return ConvergenceResult(order=float(slope), monotone=monotone)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -369,19 +370,43 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
     ("run", TINY_RUN.replace("q.kind = zero", "q.kind = file"), "q.kind = file requires q.path"),
     ("run", TINY_RUN + "output.snapshots = yes\n",
      "bad value for output.snapshots: expected true/false, got 'yes'"),
+    ("run", TINY_RUN.replace("q.kind = zero", "q.kind = file\nq.path = complex_q.npy"),
+     "q file complex_q.npy holds complex128 values, not real numbers"),
+    ("run", TINY_RUN.replace("q.kind = zero", "q.kind = file\nq.path = q.npz"),
+     "q file q.npz is not a .npy array"),
 ], ids=["mms_init_with_q", "truncate_mms_init", "contract_identical_twin",
         "negative_tail_epsilon", "negative_truncate_max_rel", "truncate_nx_3", "truncate_ny_2",
         "truncate_nz_2", "nan_f0", "inf_beta", "nan_t_amplitude", "inf_q_amplitude",
         "nan_init_center_y", "nan_tail_radius", "zero_init_width", "negative_init_width",
         "zero_q_width", "truncate_q_file", "zero_dt", "zero_output_every", "unknown_init_kind",
-        "unknown_q_kind", "q_file_without_path", "snapshots_yes"])
+        "unknown_q_kind", "q_file_without_path", "snapshots_yes", "complex_q_file", "npz_q_file"])
 def test_unusable_input_exits_before_stepping(tmp_path, capsys, monkeypatch, command, body, message):
     _forbid_steps(monkeypatch)
+    # q.path is read from the working directory
+    monkeypatch.chdir(tmp_path)
+    np.save("complex_q.npy", np.full((8, 8, 4), 1e-3 + 2j))
+    np.savez("q.npz", q=np.zeros((8, 8, 4)))
     out = tmp_path / "o"
     assert main([command, write_cfg(tmp_path, body), "--output-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("key,message", [
+    ("init.t_amplitude", "|v|^2=0.000362767 |T|^2=inf |Q|^2=0"),
+    ("init.v_amplitude", "|v|^2=inf |T|^2=0.046835 |Q|^2=0"),
+], ids=["T", "v"])
+def test_overflowing_initial_norms_exit_before_stepping(tmp_path, capsys, monkeypatch, key, message):
+    """A finite amplitude whose squared norm overflows is rejected with one line and no CSV."""
+    _forbid_steps(monkeypatch)
+    body, found = re.subn(rf"^{key} = .*$", f"{key} = 1e200", (CONFIG_DIR / "dissipation.cfg").read_text(),
+                          flags=re.M)
+    assert found == 1
+    out = tmp_path / "o"
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: initial squared norms overflow: {message}\n"
+    assert not (out / "timeseries.csv").exists()
 
 
 def test_truncate_subcommand(tmp_path):
@@ -459,8 +484,9 @@ mms.horizon = 0
 
 
 @pytest.mark.parametrize("command,body,message", [
-    # a zero horizon leaves T exact, with no error to fit an order to, and v at roundoff
-    ("mms", TINY_MMS, "convergence orders out of range: v=0.000, T=nan"),
+    # a zero horizon leaves T exact, with no error to fit an order to, and v at roundoff,
+    # whose errors (about 8e-18 and 7e-18) are fitted like any others
+    ("mms", TINY_MMS, "convergence orders out of range: v=0.112, T=nan"),
     ("tail", TINY_TAIL.replace("tail.epsilon = 0.001", "tail.epsilon = 0"),
      "no radius achieved tail ratio <= 0"),
     ("truncate", TINY_TRUNCATE.replace("truncate.max_rel = 0.01", "truncate.max_rel = 1e-300"),
@@ -718,6 +744,49 @@ def test_failed_run_keeps_records_and_reports_time(tmp_path, capsys, monkeypatch
     assert "injected failure; run aborted; last valid time t=0.12" in capsys.readouterr().err
     data = read_timeseries(out / "timeseries.csv")
     assert np.allclose(data["t"], [0.0, 0.04, 0.08, 0.12])
+
+
+@pytest.mark.parametrize("error,code,prefix", [
+    ("ConfigError", 1, "config error"),
+    ("NumericalError", 2, "numerical failure"),
+    ("CheckError", 3, "check failed"),
+])
+def test_each_failure_class_has_its_exit_code_and_prefix(tmp_path, capsys, monkeypatch, error, code, prefix):
+    """main's one failure table, with the run's note (its last valid time) after the message."""
+    import peqlab.errors as errors
+    import peqlab.integrator as integrator
+
+    def failing_step(*args):
+        raise getattr(errors, error)("injected")
+
+    monkeypatch.setattr(integrator, "step", failing_step)
+    assert main(["run", write_cfg(tmp_path, TINY_RUN), "--output-dir", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"{prefix}: injected; run aborted; last valid time t=0\n"
+
+
+@pytest.mark.parametrize("body,message", [
+    (TINY_RUN, "energy increased at t=0.06: "),
+    (HEATED_RUN, "temperature Poincare ratio nan > 1 + 0.01 at t=0.08"),
+], ids=["energy", "record"])
+def test_state_that_overflows_mid_run_fails_its_monitor_quietly(tmp_path, capsys, monkeypatch, body, message):
+    """A state whose squares overflow fails a monitor with no numpy warning on stderr."""
+    import peqlab.integrator as integrator
+    from peqlab.grid import INTERIOR
+
+    step = integrator.step
+    calls = []
+
+    def blowing_up_step(s, *args):
+        step(s, *args)
+        calls.append(1)
+        if len(calls) == 3:
+            s.T[INTERIOR] *= 1e200
+        return s
+
+    monkeypatch.setattr(integrator, "step", blowing_up_step)
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"check failed: {message}") and err.count("\n") == 1
 
 
 def test_failed_check_keeps_records(tmp_path, capsys, monkeypatch):

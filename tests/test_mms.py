@@ -103,6 +103,12 @@ class TestConvergenceOrder:
         res = convergence_order([(0.1, 1e-3), (0.05, 1e-3)])
         assert res.order == 0.0
 
+    def test_tiny_errors_keep_their_order(self):
+        # errors are compared relative to each other, whatever their scale
+        res = convergence_order([(0.1, 4e-9), (0.05, 1e-9)])
+        assert res.order == pytest.approx(2.0, abs=1e-12)
+        assert convergence_order([(0.1, 1e-20), (0.05, 1e-20)]).order == 0.0
+
     def test_zero_error_has_no_order(self):
         res = convergence_order([(0.1, 1e-3), (0.05, 0.0)])
         assert math.isnan(res.order) and not res.monotone
