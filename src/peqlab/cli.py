@@ -19,7 +19,7 @@ import numpy as np
 from . import diagnostics as diag
 from .config import RunConfig, parse_config_file
 from .errors import CheckError, ConfigError, NumericalError
-from .integrator import trajectory
+from .integrator import initial_norms, trajectory
 from .io import plot_svg, read_timeseries, write_csv, write_snapshot
 from .mms import mms_convergence_study
 from .tail import (ContractionRow, TruncationRow, tail_decay_experiment, truncation_convergence,
@@ -132,8 +132,8 @@ def cmd_plot(args) -> int:
         cfg = parse_config_file(args.envelope)
         p, g = cfg.params(), cfg.grid()
         kap = diag.kappa(p)
-        # the run's own heat source, which init.kind = mms manufactures
-        l2_q = diag.l2sq(cfg.initial_state(p, g).Q, g)
+        # the run's own heat source, which init.kind = mms manufactures; an overflow exits as run does
+        _, _, l2_q = initial_norms(cfg.initial_state(p, g), g)
         l2_t0 = float(data["l2_T"][0])
         env = [diag.gronwall_T_envelope(t, l2_t0, l2_q, kap=kap) for t in data["t"]]
         series["gronwall_envelope"] = (data["t"], np.array(env))

@@ -70,16 +70,10 @@ KEY_SPEC = {
     "grid.nz": (int, 8),
     **_fields_spec("step", StepConfig),
     "init.kind": (str, "zero"),
-    "init.center_x": (_parse_float, 0.0),
-    "init.center_y": (_parse_float, 0.25),
-    "init.center_z": (_parse_float, -0.25),
     "init.width": (_parse_float, 0.25),
     "init.t_amplitude": (_parse_float, 1.0),
     "init.v_amplitude": (_parse_float, 0.0),
     "q.kind": (str, "zero"),
-    "q.center_x": (_parse_float, 0.0),
-    "q.center_y": (_parse_float, 0.25),
-    "q.center_z": (_parse_float, -0.25),
     "q.width": (_parse_float, 0.12),
     "q.amplitude": (_parse_float, 0.5),
     "q.path": (str, ""),
@@ -161,7 +155,7 @@ class RunConfig:
         if kind == "zero":
             return np.zeros((g.nx, g.ny, g.nz))
         if kind == "gaussian":
-            return self._blob("q", g)
+            return self["q.amplitude"] * self._blob(g, self["q.width"])
         path = self["q.path"]
         try:
             data = np.load(path)
@@ -185,29 +179,27 @@ class RunConfig:
             )
         return data
 
-    def _blob(self, section, g: Grid, shift=0.0):
-        v = self.values
+    @staticmethod
+    def _blob(g: Grid, w: float, shift=0.0):
         x, y, z = g.coords()
-        w = v[f"{section}.width"]
-        amp = v[f"{section}.amplitude"] if section == "q" else 1.0
-        return amp * np.exp(
-            -((x - (v[f"{section}.center_x"] + shift)) ** 2) / (2 * w * w)
-            - ((y - v[f"{section}.center_y"]) ** 2) / (2 * w * w)
-            - ((z - v[f"{section}.center_z"]) ** 2) / (2 * w * w)
+        return np.exp(
+            -((x - shift) ** 2) / (2 * w * w)
+            - ((y - g.l / 2) ** 2) / (2 * w * w)
+            - ((z + g.h / 2) ** 2) / (2 * w * w)
         )
 
     def initial_state(self, p: PhysParams, g: Grid, scale=1.0, shift=0.0, q=None) -> State:
         """The initial interiors and heat source; the run's prologue fills the ghosts and w.
 
-        scale multiplies init.t_amplitude and init.v_amplitude, shift moves init.center_x.
-        A given q becomes the state's heat source as it is, instead of a new one.
+        Both Gaussians sit at the channel centre (0, l/2, -h/2); scale multiplies the init.*
+        amplitudes, shift moves the blob along x.  A given q is the state's heat source as it is.
         """
         kind = self["init.kind"]
         if kind == "mms":
             return MmsSpec(p).forced_state(g)
         s = State.zeros(g)
         if kind == "gaussian":
-            blob = self._blob("init", g, shift)
+            blob = self._blob(g, self["init.width"], shift)
             s.T[INTERIOR] = self["init.t_amplitude"] * scale * blob
             s.v1[INTERIOR] = self["init.v_amplitude"] * scale * blob
             s.v2[INTERIOR] = -self["init.v_amplitude"] * scale * blob

@@ -60,12 +60,10 @@ class ImplicitDiffusion:
 
     def __post_init__(self):
         ax, ay, az = axis_operators(self.p, self.g, self.kind)
-        self.wx, self.qx = np.linalg.eigh(ax)
-        self.wy, self.qy = np.linalg.eigh(ay)
-        self.wz, self.qz = np.linalg.eigh(az)
-        lam = (
-            self.wx[:, None, None] + self.wy[None, :, None] + self.wz[None, None, :]
-        )
+        wx, self.qx = np.linalg.eigh(ax)
+        wy, self.qy = np.linalg.eigh(ay)
+        wz, self.qz = np.linalg.eigh(az)
+        lam = wx[:, None, None] + wy[None, :, None] + wz[None, None, :]
         self.denominator = 1.0 + self.dt * lam
 
     def solve(self, b: np.ndarray, work: np.ndarray) -> np.ndarray:

@@ -225,6 +225,22 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Works
     return s
 
 
+def initial_norms(s: State, g: Grid) -> tuple:
+    """The squared norms |v|^2, |T|^2 and |Q|^2 of an initial state.
+
+    Finite fields whose squares overflow, which no step can honour, are a
+    ConfigError; a field that already holds a nan or inf passes, for a
+    monitor or the step to fail it.
+    """
+    fields = (*s.interiors(), s.Q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        l2_v1, l2_v2, l2_t, l2_q = (diag.l2sq(f, g) for f in fields)
+    if math.isinf(l2_v1 + l2_v2 + l2_t + l2_q) and all(np.isfinite(f).all() for f in fields):
+        raise ConfigError(f"initial squared norms overflow: |v|^2={l2_v1 + l2_v2:.6g} "
+                          f"|T|^2={l2_t:.6g} |Q|^2={l2_q:.6g}")
+    return l2_v1 + l2_v2, l2_t, l2_q
+
+
 class _Member:
     """One trajectory's state, readied in place (ghosts, then _ready_velocity), its workspace and run monitors.
 
@@ -233,26 +249,20 @@ class _Member:
     acts, and on every record the Poincare ratios, the constraint residual
     (coupled steps) and the decay envelope
     |T(t)|^2 <= |T0|^2 e^(-t/kappa) + kappa^2 |Q|^2.  A nan fails each of them.
-    Finite initial fields whose |v|^2, |T|^2 or |Q|^2 overflows are a ConfigError.
+    The initial norms come from initial_norms, which rejects an overflow.
     """
 
     def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig):
         s.fill_all_ghosts(p, g)
         _ready_velocity(s, cfg.dt, p, g, cfg)
-        fields = (*s.interiors(), s.Q)
-        with np.errstate(over="ignore", invalid="ignore"):
-            l2_v1, l2_v2, self.l2_t0, self.l2_q = (diag.l2sq(f, g) for f in fields)
-        # finite fields whose squares overflow: no step can honour them (a nan or inf fails later)
-        if math.isinf(l2_v1 + l2_v2 + self.l2_t0 + self.l2_q) and all(np.isfinite(f).all() for f in fields):
-            raise ConfigError(f"initial squared norms overflow: |v|^2={l2_v1 + l2_v2:.6g} "
-                              f"|T|^2={self.l2_t0:.6g} |Q|^2={self.l2_q:.6g}")
+        l2_v, self.l2_t0, self.l2_q = initial_norms(s, g)
         suggestion = cfl_dt(s, g)
         if cfg.dt > suggestion:
             log.warning("dt=%g exceeds the advective CFL suggestion %g", cfg.dt, suggestion)
         self.s, self.p, self.g, self.cfg = s, p, g, cfg
         self.ws = Workspace(g, cfg)
         # the energy inequality holds for an unforced system only
-        self.energy = l2_v1 + l2_v2 + self.l2_t0 if self.l2_q == 0.0 and s.body_force is None else None
+        self.energy = l2_v + self.l2_t0 if self.l2_q == 0.0 and s.body_force is None else None
 
     def _energy(self) -> float:
         with np.errstate(over="ignore", invalid="ignore"):

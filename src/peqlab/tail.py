@@ -70,10 +70,8 @@ class TailConfig:
 
 def cutoff_eta(s):
     """Smooth window: 0 below 1, 1 above 2, quintic smoothstep between."""
-    s = np.asarray(s, dtype=float)
     u = np.clip(s - 1.0, 0.0, 1.0)
-    val = u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
-    return val if val.ndim else float(val)
+    return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
 def windowed_T_energy(T: np.ndarray, r: float, g: Grid) -> float:

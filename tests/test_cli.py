@@ -24,8 +24,6 @@ step.dt = 0.02
 step.t_end = 0.2
 step.output_every = 2
 init.kind = gaussian
-init.center_y = 0.5
-init.center_z = -0.25
 init.t_amplitude = 0.5
 q.kind = zero
 """
@@ -47,8 +45,6 @@ step.t_end = 3.0
 step.output_every = 15
 init.kind = zero
 q.kind = gaussian
-q.center_y = 0.5
-q.center_z = -0.25
 q.width = 0.12
 q.amplitude = 0.5
 tail.radii = 1.2,1.6,1.9
@@ -322,8 +318,6 @@ step.t_end = 1.0
 step.output_every = 25
 init.kind = zero
 q.kind = gaussian
-q.center_y = 0.5
-q.center_z = -0.25
 q.width = 0.12
 q.amplitude = 0.5
 truncate.factor = 2
@@ -353,8 +347,7 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
     ("run", TINY_RUN.replace("init.t_amplitude = 0.5", "init.t_amplitude = nan"),
      "init.t_amplitude: expected a finite number"),
     ("run", HEATED_RUN + "q.amplitude = inf\n", "q.amplitude: expected a finite number"),
-    ("run", TINY_RUN.replace("init.center_y = 0.5", "init.center_y = nan"),
-     "init.center_y: expected a finite number"),
+    ("run", TINY_RUN + "init.width = nan\n", "init.width: expected a finite number"),
     ("tail", TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii = nan,1.6,1.9"),
      "tail.radii: expected a finite number, got 'nan'"),
     ("run", TINY_RUN + "init.width = 0\n", "init.width must be > 0, got 0.0"),
@@ -377,7 +370,7 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
 ], ids=["mms_init_with_q", "truncate_mms_init", "contract_identical_twin",
         "negative_tail_epsilon", "negative_truncate_max_rel", "truncate_nx_3", "truncate_ny_2",
         "truncate_nz_2", "nan_f0", "inf_beta", "nan_t_amplitude", "inf_q_amplitude",
-        "nan_init_center_y", "nan_tail_radius", "zero_init_width", "negative_init_width",
+        "nan_init_width", "nan_tail_radius", "zero_init_width", "negative_init_width",
         "zero_q_width", "truncate_q_file", "zero_dt", "zero_output_every", "unknown_init_kind",
         "unknown_q_kind", "q_file_without_path", "snapshots_yes", "complex_q_file", "npz_q_file"])
 def test_unusable_input_exits_before_stepping(tmp_path, capsys, monkeypatch, command, body, message):
@@ -519,7 +512,7 @@ def test_non_monotone_mms_refinement_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_q_file_run_matches_gaussian_source(tmp_path):
     """A heat source read from file runs byte for byte as the source it was saved from."""
-    gaussian = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian\nq.center_y = 0.5")
+    gaussian = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
     cfg = parse_config_file(write_cfg(tmp_path, gaussian, "gaussian.cfg"))
     np.save(tmp_path / "q.npy", cfg.q_field(cfg.grid()))
     from_file = gaussian.replace("q.kind = gaussian", f"q.kind = file\nq.path = {tmp_path / 'q.npy'}")
@@ -545,6 +538,23 @@ def test_plot_with_envelope(tmp_path):
     assert code == 0
     text = svg.read_text()
     assert "gronwall_envelope" in text and "<polyline" in text
+
+
+def test_plot_envelope_rejects_an_overflowing_heat_source_as_run_does(tmp_path, capsys, monkeypatch):
+    """An envelope config whose |Q|^2 overflows exits 1 with run's one stderr line and writes no SVG."""
+    _forbid_steps(monkeypatch)
+    body, found = re.subn(r"^q.amplitude = .*$", "q.amplitude = 1e200", (CONFIG_DIR / "reference.cfg").read_text(),
+                          flags=re.M)
+    assert found == 1
+    cfg = write_cfg(tmp_path, body)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 1
+    run_err = capsys.readouterr().err
+    assert run_err.startswith("config error: initial squared norms overflow: ") and run_err.count("\n") == 1
+    csv, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    csv.write_text("t,l2_T\n0,1\n0.1,0.5\n")
+    assert main(["plot", str(csv), "l2_T", "--envelope", cfg, "--out", str(svg)]) == 1
+    assert capsys.readouterr().err == run_err
+    assert not svg.exists()
 
 
 def test_plot_takes_its_config_only_through_envelope(tmp_path, capsys):

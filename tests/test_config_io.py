@@ -66,15 +66,14 @@ class TestConfig:
         assert cfg.tail_config() == TailConfig()
 
     def test_every_key_is_read(self):
-        # a key outside the dataclass sections must be read by subscript, either
-        # literally or through the section-generic blob reader
+        # a key outside the dataclass sections must be read by a literal subscript
         source = "".join(p.read_text() for p in (ROOT / "src" / "peqlab").glob("*.py"))
 
         def read(key):
             section, _, name = key.partition(".")
             if section in DATACLASS_SECTIONS:
                 return name in {f.name for f in fields(DATACLASS_SECTIONS[section])}
-            return f'["{key}"]' in source or f'[f"{{section}}.{name}"]' in source
+            return f'["{key}"]' in source
 
         assert [key for key in KEY_SPEC if not read(key)] == []
 
@@ -111,7 +110,9 @@ class TestConfig:
                                      "step.cfl_target", "step.dt_max", "check.poincare_tol",
                                      "check.div_tol", "check.poincare", "check.constraint",
                                      "check.energy_slack", "check.gronwall_factor",
-                                     "check.energy", "check.gronwall"])
+                                     "check.energy", "check.gronwall", "init.center_x",
+                                     "init.center_y", "init.center_z", "q.center_x",
+                                     "q.center_y", "q.center_z"])
     def test_removed_solver_keys_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"{key} = 1")
@@ -130,6 +131,28 @@ class TestConfig:
         cfg = parse_config(text)
         cfg.grid()  # also exercises grid validation
         assert parse_config(serialize_config(cfg)).values == cfg.values
+
+    def test_gaussians_sit_at_the_channel_centre(self):
+        """Blob, heat source and contraction twin are Gaussians at (x, l/2, -h/2), byte for byte."""
+        cfg = parse_config("physics.l = 0.8\nphysics.h = 1.0\ngrid.nx = 8\ngrid.ny = 6\ngrid.nz = 4\n"
+                           "init.kind = gaussian\ninit.width = 0.3\ninit.t_amplitude = 0.7\n"
+                           "init.v_amplitude = 0.2\nq.kind = gaussian\nq.width = 0.15\n"
+                           "q.amplitude = 0.4\ncontract.t_scale = 1.5\ncontract.shift_x = 0.2\n")
+        p, g = cfg.params(), cfg.grid()
+        x, y, z = g.coords()
+
+        def gaussian(w, cx):
+            return np.exp(-((x - cx) ** 2) / (2 * w * w) - ((y - 0.4) ** 2) / (2 * w * w)
+                          - ((z - (-0.5)) ** 2) / (2 * w * w))
+
+        s_a, s_b = cfg.contraction_pair(p, g)
+        q = 0.4 * gaussian(0.15, 0.0)
+        for s, scale, cx in ((s_a, 1.0, 0.0), (s_b, 1.5, 0.2)):
+            blob = gaussian(0.3, cx)
+            assert np.array_equal(s.T[INTERIOR], 0.7 * scale * blob)
+            assert np.array_equal(s.v1[INTERIOR], 0.2 * scale * blob)
+            assert np.array_equal(s.v2[INTERIOR], -0.2 * scale * blob)
+            assert np.array_equal(s.Q, q)
 
     def test_contraction_pair_builds_one_heat_source(self, monkeypatch):
         cfg = parse_config((CONFIG_DIR / "contraction_default.cfg").read_text())
