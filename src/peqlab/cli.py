@@ -2,9 +2,12 @@
 
 Subcommands: run, mms, tail, truncate, contract, plot.  For every command
 but plot, main parses the config file, makes the output directory and then
-calls the command with (cfg, out).  Exit codes: 0 on success, then one per
-failure class in FAILURES: 1 for configuration problems, 2 for numerical
-failures, 3 when a run monitor or an experiment's verdict fails.
+calls the command with (cfg, out).  The output directory is --output-dir when
+given, else out/<config file stem>, so configs/tail.cfg writes to out/tail; an
+empty --output-dir is rejected before any directory is made.  Exit codes: 0 on
+success, then one per failure class in FAILURES: 1 for configuration problems,
+2 for numerical failures, 3 when a run monitor or an experiment's verdict
+fails.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(handler=handler)
         sp.add_argument("config", help="path to a key=value config file")
-        sp.add_argument("--output-dir", default=None, help="override output.dir")
+        sp.add_argument("--output-dir", default=None, help="output directory (default: out/<config file stem>)")
 
     sp = sub.add_parser("plot", help="render CSV columns to an SVG plot")
     sp.add_argument("csv", help="time-series CSV produced by a run")
@@ -184,8 +187,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "plot":
             return cmd_plot(args)
+        if args.output_dir == "":
+            raise ConfigError("--output-dir is empty; leave it out to write to out/<config file stem>")
         cfg = parse_config_file(args.config)
-        out = Path(args.output_dir or cfg["output.dir"])
+        out = Path(args.output_dir or Path("out", Path(args.config).stem))
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -1,21 +1,25 @@
 """Flat key=value run configuration.
 
 The format is deliberately tiny: one `section.key = value` per line, `#`
-comments, nothing nested.  Unknown keys, duplicates, and malformed lines are
-hard errors with line numbers; every number must be finite, in a file or set
-in code, and physical values are validated through the same invariants the
-library enforces, which raise ConfigError themselves.  The serializer,
-`tests/test_config_io.py::serialize_config`, writes every key with 17
-significant digits, so parse -> serialize -> parse is the identity.
+comments, nothing nested.  A `#` starts a comment only at the start of a line
+or after whitespace, so `q.path = data/#1.npy` keeps its `#` and
+`step.dt = 0.01#x` is a bad value.  Unknown keys, duplicates, and malformed
+lines are hard errors with line numbers; every number must be finite, in a
+file or set in code, and physical values are validated through the same
+invariants the library enforces, which raise ConfigError themselves.  The
+serializer, `tests/test_config_io.py::serialize_config`, writes every key with
+17 significant digits, so parse -> serialize -> parse is the identity.
 
 Defaults live in one place per key.  The physics.*, step.* and tail.* keys,
 with their defaults and parsers, are the fields of PhysParams, StepConfig and
-TailConfig; KEY_SPEC lists the other keys.
+TailConfig; KEY_SPEC lists the other keys.  A config says what to compute, not
+where its outputs go: the command line picks the output directory.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -77,7 +81,6 @@ KEY_SPEC = {
     "q.width": (_parse_float, 0.12),
     "q.amplitude": (_parse_float, 0.5),
     "q.path": (str, ""),
-    "output.dir": (str, "out"),
     "output.snapshots": (_parse_bool, False),
     **_fields_spec("tail", TailConfig),
     "truncate.factor": (int, 2),
@@ -225,7 +228,7 @@ def parse_config(text: str) -> RunConfig:
     values = {}
     seen_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

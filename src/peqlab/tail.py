@@ -43,6 +43,10 @@ class TailConfig:
             raise ConfigError("tail radii must be positive")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("tail radii must be strictly increasing")
+        # the header's w_{r:g} names repeat only between neighbours, as rounding keeps order
+        for a, b in zip(radii, radii[1:]):
+            if f"{a:g}" == f"{b:g}":
+                raise ConfigError(f"tail radii {a!r} and {b!r} both name the CSV column w_{a:g}")
         if not self.epsilon >= 0.0:
             raise ConfigError(f"tail.epsilon must be >= 0, got {self.epsilon!r}")
         if max(radii) >= g.lx / 2:

@@ -243,6 +243,15 @@ def test_tail_probe_beyond_horizon_exits_before_stepping(tmp_path, capsys, monke
     assert "config error: tau_probe lies beyond the simulated horizon" in capsys.readouterr().err
 
 
+def test_tail_radii_sharing_a_column_name_exit_before_stepping(tmp_path, capsys, monkeypatch):
+    _forbid_steps(monkeypatch)
+    cfg = write_cfg(tmp_path, TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii = 1.2,1.2000001,1.9"))
+    out = tmp_path / "o"
+    assert main(["tail", cfg, "--output-dir", str(out)]) == 1
+    assert "config error: tail radii 1.2 and 1.2000001 both name the CSV column w_1.2" in capsys.readouterr().err
+    assert not (out / "tail.csv").exists()
+
+
 def _forbid_steps(monkeypatch):
     import peqlab.integrator as integrator
 
@@ -266,6 +275,22 @@ def test_unusable_output_dir_exits_before_stepping(tmp_path, capsys, monkeypatch
     code = main([command, str(CONFIG_DIR / config), "--output-dir", str(blocker)])
     assert code == 1
     assert "config error: cannot make output directory" in capsys.readouterr().err
+
+
+def test_output_dir_defaults_to_out_and_the_config_stem(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfgs").mkdir()
+    assert main(["run", write_cfg(tmp_path / "cfgs", TINY_RUN, "tiny.cfg")]) == 0
+    assert sorted(p.as_posix() for p in Path("out").rglob("*")) == [
+        "out/tiny", "out/tiny/snapshot_final.peq", "out/tiny/timeseries.csv"]
+
+
+def test_empty_output_dir_exits_before_making_a_directory(tmp_path, capsys, monkeypatch):
+    _forbid_steps(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", write_cfg(tmp_path, TINY_RUN, "tiny.cfg"), "--output-dir", ""]) == 1
+    assert capsys.readouterr().err.startswith("config error: --output-dir is empty")
+    assert [p.name for p in tmp_path.iterdir()] == ["tiny.cfg"]
 
 
 @pytest.mark.parametrize("sizes", ["8", "8,16,2", "", "2,4", "8,8", "8,16,8"])
@@ -523,6 +548,12 @@ def test_q_file_run_matches_gaussian_source(tmp_path):
     for table in ("timeseries.csv", "snapshot_final.peq"):
         assert (outs[0] / table).read_bytes() == (outs[1] / table).read_bytes(), table
     assert read_timeseries(outs[0] / "timeseries.csv")["l2_T"][-1] > 0.0
+
+
+def test_hash_inside_a_q_path_is_part_of_the_path(tmp_path):
+    np.save(tmp_path / "#1.npy", np.zeros((8, 8, 4)))
+    body = TINY_RUN.replace("q.kind = zero", f"q.kind = file\nq.path = {tmp_path}/#1.npy")
+    assert main(["run", write_cfg(tmp_path, body), "--output-dir", str(tmp_path / "o")]) == 0
 
 
 def test_plot_with_envelope(tmp_path):

@@ -112,10 +112,18 @@ class TestConfig:
                                      "check.energy_slack", "check.gronwall_factor",
                                      "check.energy", "check.gronwall", "init.center_x",
                                      "init.center_y", "init.center_z", "q.center_x",
-                                     "q.center_y", "q.center_z"])
+                                     "q.center_y", "q.center_z", "output.dir"])
     def test_removed_solver_keys_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(f"{key} = 1")
+
+    def test_hash_glued_to_a_value_is_part_of_it(self):
+        with pytest.raises(ConfigError, match=r"^line 2: bad value for step.dt: "):
+            parse_config("grid.nx = 8\nstep.dt = 0.01#x\n")
+
+    @pytest.mark.parametrize("line", ["step.dt = 0.01 # x", "step.dt = 0.01\t#x"])
+    def test_hash_after_whitespace_starts_a_comment(self, line):
+        assert parse_config(line)["step.dt"] == 0.01
 
     def test_duplicate_names_both_lines(self):
         with pytest.raises(ConfigError, match=r"line 3.*first set on line 1"):
