@@ -2,12 +2,13 @@
 
 Subcommands: run, mms, tail, truncate, contract, plot.  For every command
 but plot, main parses the config file, makes the output directory and then
-calls the command with (cfg, out).  The output directory is --output-dir when
-given, else out/<config file stem>, so configs/tail.cfg writes to out/tail; an
-empty --output-dir is rejected before any directory is made.  Exit codes: 0 on
-success, then one per failure class in FAILURES: 1 for configuration problems,
-2 for numerical failures, 3 when a run monitor or an experiment's verdict
-fails.
+calls the command with (cfg, out); plot reads its CSV alone, the decay
+envelope being a run's envelope_T column.  The output directory is
+--output-dir when given, else out/<config file stem>, so configs/tail.cfg
+writes to out/tail; an empty --output-dir is rejected before any directory is
+made.  Exit codes: 0 on success, then one per failure class in FAILURES: 1
+for configuration problems, 2 for numerical failures, 3 when a run monitor or
+an experiment's verdict fails.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import diagnostics as diag
 from .config import RunConfig, parse_config_file
 from .errors import CheckError, ConfigError, NumericalError
-from .integrator import initial_norms, trajectory
+from .integrator import trajectory
 from .io import plot_svg, read_timeseries, write_csv, write_snapshot
 from .mms import mms_convergence_study
 from .tail import (ContractionRow, TruncationRow, tail_decay_experiment, truncation_convergence,
@@ -121,8 +120,6 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"{args.csv}: no time column")
     if not len(data["t"]):
         raise ConfigError(f"{args.csv}: no rows to plot, only a header")
-    if args.envelope and "l2_T" not in data:
-        raise ConfigError(f"{args.csv}: the envelope overlay needs an l2_T column")
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     if not columns:
         raise ConfigError(f"{args.csv}: no column given to plot")
@@ -130,20 +127,9 @@ def cmd_plot(args) -> int:
     if missing:
         raise ConfigError(f"{args.csv}: unknown columns {missing}; available: {sorted(data)}")
     series = {c: (data["t"], data[c]) for c in columns}
-    dashed = []
-    if args.envelope:
-        cfg = parse_config_file(args.envelope)
-        p, g = cfg.params(), cfg.grid()
-        kap = diag.kappa(p)
-        # the run's own heat source, which init.kind = mms manufactures; an overflow exits as run does
-        _, _, l2_q = initial_norms(cfg.initial_state(p, g), g)
-        l2_t0 = float(data["l2_T"][0])
-        env = [diag.gronwall_T_envelope(t, l2_t0, l2_q, kap=kap) for t in data["t"]]
-        series["gronwall_envelope"] = (data["t"], np.array(env))
-        dashed.append("gronwall_envelope")
     out = args.out or (str(Path(args.csv).with_suffix("")) + ".svg")
     try:
-        plot_svg(series, out, title=Path(args.csv).name, log_y=not args.linear, dashed=dashed)
+        plot_svg(series, out, title=Path(args.csv).name, log_y=not args.linear)
     except ConfigError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
     print(f"wrote {out}")
@@ -174,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("csv", help="time-series CSV produced by a run")
     sp.add_argument("columns", help="comma-separated column names")
     sp.add_argument("--out", default=None, help="output SVG path")
-    sp.add_argument("--envelope", metavar="CONFIG", help="overlay the decay envelope of this run config")
     sp.add_argument("--linear", action="store_true", help="linear instead of log y axis")
     return parser
 

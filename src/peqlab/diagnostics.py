@@ -3,14 +3,15 @@
 Every functional tracked by the energy method is evaluated here with the
 same deterministic quadrature: uniform cell weights, i.e. the trapezoid rule
 with mirrored boundary faces.  A DiagRecord is one time-stamped bundle of
-all of them plus the constraint residual.  compute_record evaluates its 3D
+all of them plus the constraint residual and the three values the run
+monitors compare (see monitored).  compute_record evaluates its 3D
 integrands over slabs of whole x-planes holding at most SLAB_CELLS interior
 cells, building each field's stencils once per slab; each slab is reduced
 by the single-threaded float64 pairwise sum, and the slab sums are combined
 exactly by math.fsum.  A grid of up to SLAB_CELLS cells is one slab, so its
 record equals the whole-array formulas bit for bit (oracle.record_reference).
 The two Poincare-type inequality checks and the exponential decay envelope
-for the temperature energy are evaluated against records.
+for the temperature energy are evaluated on records and stored in them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ from .projection import constraint_residual, depth_mean
 
 
 class DiagRecord(NamedTuple):
-    """One output record; its fields, in order, are the frozen CSV schema."""
+    """One output record; its fields, in order, are the frozen CSV schema.
+
+    The last three, filled in by monitored, are the values the run monitors compare.
+    """
 
     t: float
     l2_T: float
@@ -47,6 +51,9 @@ class DiagRecord(NamedTuple):
     l2_vt: float
     l2_Tt: float
     constraint_residual: float
+    envelope_T: float = math.nan
+    poincare_T: float = math.nan
+    poincare_v: float = math.nan
 
 
 #: CSV schema: column order is frozen (golden-header tested)
@@ -151,18 +158,13 @@ def _slab_sums(s: State, prev, vbar1, vbar2, dt: float, p: PhysParams, g: Grid, 
     return out
 
 
-def compute_record(
-    s: State,
-    prev: Optional[tuple],
-    dt: float,
-    p: PhysParams,
-    g: Grid,
-    t: float = 0.0,
-) -> DiagRecord:
+def compute_record(s: State, prev: Optional[tuple], dt: float, p: PhysParams, g: Grid, t: float = 0.0,
+                   l2_t0: float = 0.0, l2_q: float = 0.0) -> DiagRecord:
     """Evaluate every monitored norm on a snapshot with valid ghosts.
 
     prev holds the interior (v1, v2, T) one step back; the time-derivative
     norms are its backward differences, and NaN (missing) when prev is None.
+    l2_t0 and l2_q, the initial |T0|^2 and |Q|^2, set the decay envelope.
     """
     planes = max(1, SLAB_CELLS // (g.ny * g.nz))
     vbar1, vbar2 = depth_mean(s.v1, p, g), depth_mean(s.v2, p, g)
@@ -191,7 +193,7 @@ def compute_record(
     )
 
     nan = float("nan")
-    return DiagRecord(
+    return monitored(DiagRecord(
         t=t,
         l2_T=l2("T"), l2_v=l2("v1", "v2"),
         l6_T=l6("T6"), l6_vtilde=l6("vt6"), l6_vz=l6("vz6"), l6_Tz=l6("Tz6"),
@@ -203,7 +205,13 @@ def compute_record(
         l2_vt=nan if prev is None else l2("v1t", "v2t"),
         l2_Tt=nan if prev is None else l2("Tt"),
         constraint_residual=constraint_residual(vbar1, vbar2, s.v1, s.v2, g),
-    )
+    ), p, l2_t0, l2_q)
+
+
+def monitored(rec: DiagRecord, p: PhysParams, l2_t0: float, l2_q: float) -> DiagRecord:
+    """rec with the values its run monitors compare, each from its own fields."""
+    return rec._replace(envelope_T=gronwall_T_envelope(rec.t, l2_t0, l2_q, kappa(p)),
+                        poincare_T=check_poincare_T(rec, p), poincare_v=check_poincare_v(rec, p))
 
 
 def check_poincare_T(rec: DiagRecord, p: PhysParams) -> float:

@@ -248,8 +248,9 @@ class _Member:
     step the energy inequality when Q is identically zero and no body force
     acts, and on every record the Poincare ratios, the constraint residual
     (coupled steps) and the decay envelope
-    |T(t)|^2 <= |T0|^2 e^(-t/kappa) + kappa^2 |Q|^2.  A nan fails each of them.
-    The initial norms come from initial_norms, which rejects an overflow.
+    |T(t)|^2 <= |T0|^2 e^(-t/kappa) + kappa^2 |Q|^2, each compared as the
+    record holds it.  A nan fails each of them.  The initial norms come from
+    initial_norms, which rejects an overflow.
     """
 
     def __init__(self, s: State, p: PhysParams, g: Grid, cfg: StepConfig):
@@ -281,9 +282,8 @@ class _Member:
     def record(self, t: float, prev: Optional[tuple]) -> diag.DiagRecord:
         """The DiagRecord of the current state, checked against the inequality monitors."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a monitor below
-            rec = diag.compute_record(self.s, prev, self.cfg.dt, self.p, self.g, t=t)
-        for name, ratio in (("temperature", diag.check_poincare_T(rec, self.p)),
-                            ("velocity", diag.check_poincare_v(rec, self.p))):
+            rec = diag.compute_record(self.s, prev, self.cfg.dt, self.p, self.g, t, self.l2_t0, self.l2_q)
+        for name, ratio in (("temperature", rec.poincare_T), ("velocity", rec.poincare_v)):
             if not ratio <= 1.0 + POINCARE_TOL:
                 raise CheckError(f"{name} Poincare ratio {ratio:.6g} > 1 + {POINCARE_TOL} at t={t:.6g}")
         # a temperature-only step never projects the (frozen) velocity
@@ -291,8 +291,7 @@ class _Member:
             raise CheckError(
                 f"constraint residual {rec.constraint_residual:.3e} > {DIV_TOL:.1e} at t={t:.6g}"
             )
-        envelope = diag.gronwall_T_envelope(t, self.l2_t0, self.l2_q, diag.kappa(self.p))
-        bound = envelope * GRONWALL_FACTOR
+        bound = rec.envelope_T * GRONWALL_FACTOR
         if not rec.l2_T <= bound:
             raise CheckError(
                 f"temperature energy {rec.l2_T:.6g} above decay envelope {bound:.6g} at t={t:.6g}"

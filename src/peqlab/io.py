@@ -152,7 +152,8 @@ def _ticks(lo: float, hi: float, n: int = 5):
     start = math.ceil(lo / step) * step
     ticks = []
     v = start
-    while v <= hi + 1e-9 * span:
+    # a step below half an ulp of v leaves v where it is: a span that floats barely resolve gets one tick
+    while v <= hi + 1e-9 * span and v not in ticks[-1:]:
         ticks.append(v)
         v += step
     return ticks
@@ -163,12 +164,10 @@ def plot_svg(
     path,
     title: str = "",
     log_y: bool = True,
-    dashed: Sequence[str] = (),
 ) -> None:
     """Write a line plot of named series {name: (t, values)} to an SVG file.
 
     With log_y, non-positive samples are dropped from the drawn polyline.
-    Names listed in `dashed` render with a dash pattern (envelope overlays).
     The title and the names are XML-escaped, as a file name may hold & or <.
     """
     # imported here: it pulls in urllib.request, tens of ms that no run should pay
@@ -228,10 +227,9 @@ def plot_svg(
         )
     for i, (name, (t, v)) in enumerate(cleaned.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        dash = ' stroke-dasharray="6,4"' if name in dashed else ""
         pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(t, v))
         parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{dash} points="{pts}"/>'
+            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
         )
         parts.append(
             f'<text x="{_W - _MR - 5}" y="{_MT + 16 * (i + 1)}" text-anchor="end" '

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import operators as ops
 from .bc import BcKind, FieldBcs, TEMPERATURE_BC, VELOCITY_BC, fill_ghosts, robin_ghost_factor
-from .diagnostics import DiagRecord, l2sq
+from .diagnostics import DiagRecord, l2sq, monitored
 from .grid import INTERIOR, INTERIOR2D, Grid
 from .model import State, face_velocities, hydrostatic_integral, momentum_rhs, temperature_rhs
 from .params import PhysParams
@@ -182,7 +182,8 @@ def surface_integral_sq(Tp: np.ndarray, g: Grid) -> float:
     return g.dx * g.dy * ops.pairwise_sum(top**2)
 
 
-def record_reference(s: State, prev, dt: float, p: PhysParams, g: Grid, t: float = 0.0) -> DiagRecord:
+def record_reference(s: State, prev, dt: float, p: PhysParams, g: Grid, t: float = 0.0,
+                     l2_t0: float = 0.0, l2_q: float = 0.0) -> DiagRecord:
     """The DiagRecord of a snapshot with valid ghosts, each integrand a whole array.
 
     prev holds the interior (v1, v2, T) one step back, or is None for a
@@ -236,7 +237,7 @@ def record_reference(s: State, prev, dt: float, p: PhysParams, g: Grid, t: float
         l2_vt = float("nan")
         l2_Tt = float("nan")
 
-    return DiagRecord(
+    return monitored(DiagRecord(
         t=t,
         l2_T=l2_T, l2_v=l2_v,
         l6_T=l6_T, l6_vtilde=l6_vtilde, l6_vz=l6_vz, l6_Tz=l6_Tz,
@@ -245,4 +246,4 @@ def record_reference(s: State, prev, dt: float, p: PhysParams, g: Grid, t: float
         l2_L1v=l2_L1v, l2_L2T=l2_L2T,
         l2_vt=l2_vt, l2_Tt=l2_Tt,
         constraint_residual=constraint_residual(vbar1, vbar2, v1, v2, g),
-    )
+    ), p, l2_t0, l2_q)

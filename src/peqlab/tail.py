@@ -39,7 +39,9 @@ class TailConfig:
 
     def validate(self, g: Grid):
         radii = tuple(self.radii)
-        if not radii or any(r <= 0 for r in radii):
+        if not radii:
+            raise ConfigError("tail radii: at least one radius is needed")
+        if any(r <= 0 for r in radii):
             raise ConfigError("tail radii must be positive")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigError("tail radii must be strictly increasing")

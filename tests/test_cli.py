@@ -1,4 +1,6 @@
+import contextlib
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +377,8 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
     ("run", TINY_RUN + "init.width = nan\n", "init.width: expected a finite number"),
     ("tail", TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii = nan,1.6,1.9"),
      "tail.radii: expected a finite number, got 'nan'"),
+    ("tail", TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii ="),
+     "tail radii: at least one radius is needed"),
     ("run", TINY_RUN + "init.width = 0\n", "init.width must be > 0, got 0.0"),
     ("run", TINY_RUN + "init.width = -0.25\n", "init.width must be > 0, got -0.25"),
     ("run", HEATED_RUN + "q.width = 0\n", "q.width must be > 0, got 0.0"),
@@ -395,7 +399,7 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
 ], ids=["mms_init_with_q", "truncate_mms_init", "contract_identical_twin",
         "negative_tail_epsilon", "negative_truncate_max_rel", "truncate_nx_3", "truncate_ny_2",
         "truncate_nz_2", "nan_f0", "inf_beta", "nan_t_amplitude", "inf_q_amplitude",
-        "nan_init_width", "nan_tail_radius", "zero_init_width", "negative_init_width",
+        "nan_init_width", "nan_tail_radius", "empty_tail_radii", "zero_init_width", "negative_init_width",
         "zero_q_width", "truncate_q_file", "zero_dt", "zero_output_every", "unknown_init_kind",
         "unknown_q_kind", "q_file_without_path", "snapshots_yes", "complex_q_file", "npz_q_file"])
 def test_unusable_input_exits_before_stepping(tmp_path, capsys, monkeypatch, command, body, message):
@@ -557,48 +561,27 @@ def test_hash_inside_a_q_path_is_part_of_the_path(tmp_path):
 
 
 def test_plot_with_envelope(tmp_path):
-    cfg = write_cfg(tmp_path, TINY_RUN)
+    """The decay envelope is a column of the run's time series, plotted as any other."""
     out = tmp_path / "plotrun"
-    assert main(["run", cfg, "--output-dir", str(out)]) == 0
-    csv = out / "timeseries.csv"
+    assert main(["run", write_cfg(tmp_path, TINY_RUN), "--output-dir", str(out)]) == 0
     svg = tmp_path / "fig.svg"
-    code = main([
-        "plot", str(csv), "l2_T,v2norm_T", "--out", str(svg),
-        "--envelope", cfg,
-    ])
-    assert code == 0
+    assert main(["plot", str(out / "timeseries.csv"), "l2_T,envelope_T", "--out", str(svg)]) == 0
     text = svg.read_text()
-    assert "gronwall_envelope" in text and "<polyline" in text
+    assert text.count("<polyline") == 2 and ">l2_T<" in text and ">envelope_T<" in text
 
 
-def test_plot_envelope_rejects_an_overflowing_heat_source_as_run_does(tmp_path, capsys, monkeypatch):
-    """An envelope config whose |Q|^2 overflows exits 1 with run's one stderr line and writes no SVG."""
-    _forbid_steps(monkeypatch)
-    body, found = re.subn(r"^q.amplitude = .*$", "q.amplitude = 1e200", (CONFIG_DIR / "reference.cfg").read_text(),
-                          flags=re.M)
-    assert found == 1
-    cfg = write_cfg(tmp_path, body)
-    assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 1
-    run_err = capsys.readouterr().err
-    assert run_err.startswith("config error: initial squared norms overflow: ") and run_err.count("\n") == 1
-    csv, svg = tmp_path / "x.csv", tmp_path / "x.svg"
-    csv.write_text("t,l2_T\n0,1\n0.1,0.5\n")
-    assert main(["plot", str(csv), "l2_T", "--envelope", cfg, "--out", str(svg)]) == 1
-    assert capsys.readouterr().err == run_err
-    assert not svg.exists()
-
-
-def test_plot_takes_its_config_only_through_envelope(tmp_path, capsys):
-    """The envelope's config is the value of --envelope; a separate --config is a usage error."""
+def test_plot_takes_no_config(tmp_path, capsys):
+    """plot reads only its CSV: an option naming a config is a usage error."""
     csv = tmp_path / "x.csv"
     csv.write_text("t,l2_T\n0,1\n0.1,0.5\n")
-    assert main(["plot", str(csv), "l2_T", "--config", str(CONFIG_DIR / "zero.cfg")]) == 1
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    for flag in ("--envelope", "--config"):
+        assert main(["plot", str(csv), "l2_T", flag, str(CONFIG_DIR / "zero.cfg")]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_plot_envelope_uses_the_runs_heat_source(tmp_path, monkeypatch):
+    """The envelope_T column of an init.kind = mms run carries the manufactured heat source's |Q|^2."""
     from peqlab import cli
-    from peqlab.config import parse_config_file
     from peqlab.diagnostics import gronwall_T_envelope, kappa, l2sq
     from peqlab.mms import MmsSpec
 
@@ -609,15 +592,79 @@ def test_plot_envelope_uses_the_runs_heat_source(tmp_path, monkeypatch):
     assert main(["run", cfg, "--output-dir", str(out)]) == 0
     plotted = {}
     monkeypatch.setattr(cli, "plot_svg", lambda series, *args, **kwargs: plotted.update(series))
-    assert main(["plot", str(out / "timeseries.csv"), "l2_T", "--envelope", cfg]) == 0
-    t, envelope = plotted["gronwall_envelope"]
+    assert main(["plot", str(out / "timeseries.csv"), "l2_T,envelope_T"]) == 0
+    t, envelope = plotted["envelope_T"]
     _, l2_T = plotted["l2_T"]
     run_cfg = parse_config_file(cfg)
     p, g = run_cfg.params(), run_cfg.grid()
     l2_q = l2sq(MmsSpec(p).forced_state(g).Q, g)
+    assert l2_q > 0.0
     # the envelope the run's decay monitor checked, which bounds the run's energy
     assert envelope.tolist() == [gronwall_T_envelope(s, l2_T[0], l2_q, kappa(p)) for s in t]
     assert np.all(l2_T <= envelope)
+
+
+@pytest.mark.parametrize("config", ["contraction_default.cfg", "dissipation_temponly.cfg"])
+def test_monitor_columns_hold_the_values_the_monitors_compare(tmp_path, config):
+    """Every row's envelope_T, poincare_T and poincare_v are, bit for bit, those of its own record."""
+    from peqlab import diagnostics as diag
+    from peqlab.integrator import initial_norms
+
+    out = tmp_path / "o"
+    assert main(["run", str(CONFIG_DIR / config), "--output-dir", str(out)]) == 0
+    data = read_timeseries(out / "timeseries.csv")
+    cfg = parse_config_file(CONFIG_DIR / config)
+    p, g = cfg.params(), cfg.grid()
+    _, l2_t0, l2_q = initial_norms(cfg.initial_state(p, g), g)
+    assert (l2_q > 0.0) == (config == "contraction_default.cfg")
+    for row in zip(*(data[name].tolist() for name in diag.CSV_COLUMNS)):
+        rec = diag.DiagRecord(*row)
+        assert rec.envelope_T == diag.gronwall_T_envelope(rec.t, l2_t0, l2_q, diag.kappa(p))
+        assert rec.poincare_T == diag.check_poincare_T(rec, p)
+        assert rec.poincare_v == diag.check_poincare_v(rec, p)
+
+
+#: per record monitor, a run on which it alone can trip (the other Poincare
+#: ratio is zero on every row), its tolerance and the value it compares
+TRIPS = {
+    "temperature": (TINY_RUN + "step.temperature_only = true\n", "POINCARE_TOL", lambda d: d["poincare_T"]),
+    "velocity": (TINY_RUN.replace("init.t_amplitude = 0.5", "init.t_amplitude = 0\ninit.v_amplitude = 0.3"),
+                 "POINCARE_TOL", lambda d: d["poincare_v"]),
+    "envelope": (HEATED_RUN.replace("init.kind = gaussian", "init.kind = zero"), "GRONWALL_FACTOR",
+                 lambda d: d["l2_T"] / d["envelope_T"]),
+}
+
+
+@pytest.mark.parametrize("monitor", sorted(TRIPS))
+def test_a_tripped_record_monitor_leaves_rows_that_pass_it(tmp_path, capsys, monkeypatch, monitor):
+    """A monitor whose limit falls between a row's value and every earlier one fails on that row's value.
+
+    The rows written before it are the untripped run's, and each passes
+    every record monitor evaluated again, as the monitors do, from its own columns.
+    """
+    import peqlab.integrator as integrator
+
+    body, tolerance, compared = TRIPS[monitor]
+    cfg = write_cfg(tmp_path, body)
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "free")]) == 0
+    free = read_timeseries(tmp_path / "free" / "timeseries.csv")
+    value = compared(free)
+    k = next(k for k in range(1, len(value)) if value[k] > value[:k].max())
+    limit = float(value[:k].max() + value[k]) / 2
+    monkeypatch.setattr(integrator, tolerance, limit - 1.0 if tolerance == "POINCARE_TOL" else limit)
+    capsys.readouterr()
+    assert main(["run", cfg, "--output-dir", str(tmp_path / "tripped")]) == 3
+    err = capsys.readouterr().err
+    if monitor == "envelope":
+        failing = f"temperature energy {free['l2_T'][k]:.6g} above decay envelope {free['envelope_T'][k] * limit:.6g}"
+    else:
+        failing = f"{monitor} Poincare ratio {value[k]:.6g} > 1 + "
+    assert err.startswith(f"check failed: {failing}") and f" at t={free['t'][k]:.6g}" in err
+    written = read_timeseries(tmp_path / "tripped" / "timeseries.csv")
+    assert all(np.array_equal(written[name], free[name][:k], equal_nan=True) for name in free)
+    assert np.all(written["poincare_T"] <= 1.0 + integrator.POINCARE_TOL)
+    assert np.all(written["poincare_v"] <= 1.0 + integrator.POINCARE_TOL)
+    assert np.all(written["l2_T"] <= written["envelope_T"] * integrator.GRONWALL_FACTOR)
 
 
 def test_successive_main_calls_behave_like_fresh_calls(tmp_path):
@@ -627,41 +674,36 @@ def test_successive_main_calls_behave_like_fresh_calls(tmp_path):
     csv = str(tmp_path / "o" / "timeseries.csv")
     assert main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == 0
 
-    def plot(name, *flags):
-        assert main(["plot", csv, "l2_T", "--out", str(tmp_path / name), *flags]) == 0
+    def plot(name, columns, *flags):
+        assert main(["plot", csv, columns, "--out", str(tmp_path / name), *flags]) == 0
         return (tmp_path / name).read_bytes()
 
-    linear = plot("linear.svg", "--linear", "--envelope", cfg)
-    log = plot("log.svg")
+    linear = plot("linear.svg", "l2_T,envelope_T", "--linear")
+    log = plot("log.svg", "l2_T")
     assert cli.build_parser() is cli.build_parser()
     cli.build_parser.cache_clear()
-    assert log == plot("fresh.svg")
-    assert b"gronwall_envelope" in linear and b"gronwall_envelope" not in log
+    assert log == plot("fresh.svg", "l2_T")
+    assert b">envelope_T<" in linear and b">envelope_T<" not in log
 
 
-ENVELOPE = ("--envelope", str(CONFIG_DIR / "zero.cfg"))
-
-
-@pytest.mark.parametrize("text,columns,where,flags", [
-    ("", "l2_T", "empty time series", ()),
-    ("t,l2_T\n0,1\n0.1,abc\n", "l2_T", "line 3", ()),
-    ("t,l2_T\n0,1\n\n0.1\n", "l2_T", "line 4", ()),
+@pytest.mark.parametrize("text,columns,where", [
+    ("", "l2_T", "empty time series"),
+    ("t,l2_T\n0,1\n0.1,abc\n", "l2_T", "line 3"),
+    ("t,l2_T\n0,1\n\n0.1\n", "l2_T", "line 4"),
     # a CSV written by hand, as no command leaves a header without rows
-    ("t,l2_T\n", "l2_T", "no rows", ()),
-    ("t,l2_T\n", "l2_T", "no rows", ENVELOPE),
-    ("t,l2_T,l2_T\n0,1,5\n0.1,0.5,6\n", "l2_T", "column l2_T twice", ()),
-    ("x,l2_T\n0,1\n", "l2_T", "no time column", ()),
-    ("t,l2_v\n0,1\n", "l2_T", "needs an l2_T column", ENVELOPE),
-    ("t,l2_T\n0,1\n", "no_such", "unknown columns ['no_such']", ()),
+    ("t,l2_T\n", "l2_T", "no rows"),
+    ("t,l2_T,l2_T\n0,1,5\n0.1,0.5,6\n", "l2_T", "column l2_T twice"),
+    ("x,l2_T\n0,1\n", "l2_T", "no time column"),
+    ("t,l2_T\n0,1\n", "no_such", "unknown columns ['no_such']"),
     # zero.cfg's l2_T, all zeros, which the log axis drops
-    ("t,l2_T\n0,0\n0.1,0\n", "l2_T", "nothing to plot", ()),
-    ("t,l2_T\n0,1\n", ",", "no column given", ()),
-], ids=["empty", "non_numeric", "ragged", "header_only", "header_only_envelope", "duplicate_column",
-        "no_time_column", "envelope_without_l2_T", "unknown_column", "all_samples_dropped", "no_column"])
-def test_malformed_timeseries_plot_exits_1(tmp_path, capsys, text, columns, where, flags):
+    ("t,l2_T\n0,0\n0.1,0\n", "l2_T", "nothing to plot"),
+    ("t,l2_T\n0,1\n", ",", "no column given"),
+], ids=["empty", "non_numeric", "ragged", "header_only", "duplicate_column",
+        "no_time_column", "unknown_column", "all_samples_dropped", "no_column"])
+def test_malformed_timeseries_plot_exits_1(tmp_path, capsys, text, columns, where):
     csv = tmp_path / "bad.csv"
     csv.write_text(text)
-    assert main(["plot", str(csv), columns, "--out", str(tmp_path / "f.svg"), *flags]) == 1
+    assert main(["plot", str(csv), columns, "--out", str(tmp_path / "f.svg")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(csv) in err and where in err
     assert not (tmp_path / "f.svg").exists()
@@ -684,10 +726,40 @@ def test_plot_one_row_series(tmp_path):
     cfg = write_cfg(tmp_path, TINY_RUN.replace("step.t_end = 0.2", "step.t_end = 0"))
     out = tmp_path / "o"
     assert main(["run", cfg, "--output-dir", str(out)]) == 0
-    assert len(read_timeseries(out / "timeseries.csv")["t"]) == 1
+    data = read_timeseries(out / "timeseries.csv")
+    assert len(data["t"]) == 1 and data["envelope_T"][0] == data["l2_T"][0]
     svg = tmp_path / "f.svg"
-    assert main(["plot", str(out / "timeseries.csv"), "l2_T", "--out", str(svg), "--envelope", cfg]) == 0
-    assert "gronwall_envelope" in svg.read_text()
+    assert main(["plot", str(out / "timeseries.csv"), "l2_T,envelope_T", "--out", str(svg)]) == 0
+    assert ">envelope_T<" in svg.read_text()
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in a call still running after `seconds` (SIGALRM, so the main thread only)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("rows,flags", [
+    ("0,1.0\n1,1.0000000000000002\n", ("--linear",)),
+    # log10 of these is -2.0 and -1.9999999999999998
+    ("0,0.01\n1,0.010000000000000004\n", ()),
+], ids=["linear", "log"])
+def test_plot_of_a_span_below_float_resolution_finishes(tmp_path, rows, flags):
+    """Values one ulp apart give a y tick step below half an ulp, which no longer moves a tick."""
+    csv, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    csv.write_text("t,a\n" + rows)
+    with time_limit(1.0):
+        assert main(["plot", str(csv), "a", "--out", str(svg), *flags]) == 0
+    assert svg.read_text().count("<polyline") == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -42,7 +42,8 @@ def serialize_config(cfg: RunConfig) -> str:
 
 GOLDEN_HEADER = (
     "t,l2_T,l2_v,l6_T,l6_vtilde,l6_vz,l6_Tz,v1norm_v,v2norm_T,grad_vbar_2d,"
-    "l2_vz,l2_gradv,l2_L1v,l2_L2T,l2_vt,l2_Tt,constraint_residual"
+    "l2_vz,l2_gradv,l2_L1v,l2_L2T,l2_vt,l2_Tt,constraint_residual,"
+    "envelope_T,poincare_T,poincare_v"
 )
 
 
@@ -290,11 +291,10 @@ class TestPlot:
             "envelope": (t, 2 * np.exp(-t / 2)),
         }
         out = tmp_path / "plot.svg"
-        plot_svg(series, out, title="decay", dashed=("envelope",))
+        plot_svg(series, out, title="decay")
         text = out.read_text()
         assert text.startswith("<svg")
         assert text.count("<polyline") == 2
-        assert "stroke-dasharray" in text
         assert "envelope" in text
 
     def test_all_dropped_raises(self, tmp_path):

@@ -63,6 +63,10 @@ def record_case(p, dims, seed=3):
     return g, s, prev
 
 
+#: initial |T0|^2 and |Q|^2 for the decay envelope a record carries
+INITIAL = dict(l2_t0=0.3, l2_q=0.02)
+
+
 def slab_planes(g):
     return max(1, diag.SLAB_CELLS // (g.ny * g.nz))
 
@@ -74,8 +78,8 @@ def test_one_slab_record_bit_equal_to_whole_array_oracle(dims, with_prev):
     g, s, prev = record_case(p, dims)
     assert slab_planes(g) >= g.nx
     prev = prev if with_prev else None
-    got = diag.compute_record(s, prev, 0.01, p, g, t=0.5)
-    want = record_reference(s, prev, 0.01, p, g, t=0.5)
+    got = diag.compute_record(s, prev, 0.01, p, g, t=0.5, **INITIAL)
+    want = record_reference(s, prev, 0.01, p, g, t=0.5, **INITIAL)
     assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -86,8 +90,8 @@ def test_multi_slab_record_matches_oracle_to_rounding(with_prev):
     planes = slab_planes(g)
     assert g.nx > planes and g.nx % planes  # two slabs, the last one partial
     prev = prev if with_prev else None
-    got = diag.compute_record(s, prev, 0.01, p, g)
-    want = record_reference(s, prev, 0.01, p, g)
+    got = diag.compute_record(s, prev, 0.01, p, g, t=0.5, **INITIAL)
+    want = record_reference(s, prev, 0.01, p, g, t=0.5, **INITIAL)
     for name in diag.CSV_COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         if math.isnan(b):
