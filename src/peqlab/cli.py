@@ -43,9 +43,9 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
 
     def records():
         # each snapshot is written after its record's row
-        for n, _, _, (rec,) in trajectory([(s, p, g)], cfg.step_config()):
+        for n, _, _, (rec,) in trajectory([(s, p, g)], cfg.step):
             yield rec
-            if cfg["output.snapshots"]:
+            if cfg.output.snapshots:
                 write_snapshot(s, out / f"snapshot_{n:06d}.peq")
 
     last = write_csv(out / "timeseries.csv", diag.CSV_COLUMNS, records())[-1]
@@ -57,8 +57,8 @@ def cmd_run(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_mms(cfg: RunConfig, out: Path) -> int:
-    sizes = tuple((n, n, n) for n in cfg["mms.sizes"])
-    report = mms_convergence_study(cfg.params(), sizes=sizes, dt=cfg["mms.dt"], horizon=cfg["mms.horizon"])
+    sizes = tuple((n, n, n) for n in cfg.mms.sizes)
+    report = mms_convergence_study(cfg.params(), sizes=sizes, dt=cfg.mms.dt, horizon=cfg.mms.horizon)
     _write_csv(out / "mms.csv", report.header, report.rows())
     print(f"observed orders: velocity {report.order_v:.3f}, temperature {report.order_T:.3f}")
     if not (1.8 <= report.order_v <= 2.2 and 1.8 <= report.order_T <= 2.2):
@@ -72,9 +72,9 @@ def cmd_mms(cfg: RunConfig, out: Path) -> int:
 
 def cmd_tail(cfg: RunConfig, out: Path) -> int:
     p, g = cfg.params(), cfg.grid()
-    tail = cfg.tail_config()
+    tail = cfg.tail
     rows = write_csv(out / "tail.csv", tail.header, tail_decay_experiment(
-        tail, cfg.initial_state(p, g), p, g, cfg.step_config()))
+        tail, cfg.initial_state(p, g), p, g, cfg.step))
     for r, sup_rel in zip(tail.radii, tail.sup_rel(rows)):
         print(f"r={r:g}: sup tail/total for t>={tail.tau_probe:g} is {sup_rel:.3e}")
     r_star = tail.r_star(rows)
@@ -85,20 +85,18 @@ def cmd_tail(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_truncate(cfg: RunConfig, out: Path) -> int:
-    if cfg["q.kind"] == "file":
+    if cfg.q.kind == "file":
         raise ConfigError("truncate requires an analytic heat source (q.kind zero or gaussian)")
-    if cfg["init.kind"] == "mms":
+    if cfg.init.kind == "mms":
         raise ConfigError("truncate cannot widen the channel under init.kind = mms: "
                           "the manufactured fields depend on physics.lx")
     g = cfg.grid()
-    factor = cfg["truncate.factor"]
     rows = write_csv(out / "truncate.csv", TruncationRow._fields, truncation_convergence(
-        cfg.params(), (g.nx, g.ny, g.nz), cfg.step_config(), cfg.initial_state, factor=factor))
+        cfg.params(), (g.nx, g.ny, g.nz), cfg.step, cfg.initial_state, factor=cfg.truncate.factor))
     max_rel_diff = max(row.rel_diff for row in rows)
-    print(f"max relative difference against {factor}x domain: {max_rel_diff:.3e}")
-    limit = cfg["truncate.max_rel"]
-    if limit > 0.0 and max_rel_diff > limit:
-        raise CheckError(f"truncation difference {max_rel_diff:.3e} exceeds {limit:g}")
+    print(f"max relative difference against {cfg.truncate.factor}x domain: {max_rel_diff:.3e}")
+    if cfg.truncate.exceeded(max_rel_diff):
+        raise CheckError(f"truncation difference {max_rel_diff:.3e} exceeds {cfg.truncate.max_rel:g}")
     return 0
 
 
@@ -106,7 +104,7 @@ def cmd_contract(cfg: RunConfig, out: Path) -> int:
     p, g = cfg.params(), cfg.grid()
     s_a, s_b = cfg.contraction_pair(p, g)
     rows = write_csv(out / "contract.csv", ContractionRow._fields, two_trajectory_contraction(
-        s_a, s_b, p, g, cfg.step_config()))
+        s_a, s_b, p, g, cfg.step))
     first, last = rows[0], rows[-1]
     print(f"distance {first.dist_l2:.6g} -> {last.dist_l2:.6g} over t={last.t:g}")
     if first.dist_l2 > 0.0 and not last.dist_l2 < first.dist_l2:

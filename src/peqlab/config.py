@@ -10,17 +10,18 @@ invariants the library enforces, which raise ConfigError themselves.  The
 serializer, `tests/test_config_io.py::serialize_config`, writes every key with
 17 significant digits, so parse -> serialize -> parse is the identity.
 
-Defaults live in one place per key.  The physics.*, step.* and tail.* keys,
-with their defaults and parsers, are the fields of PhysParams, StepConfig and
-TailConfig; KEY_SPEC lists the other keys.  A config says what to compute, not
-where its outputs go: the command line picks the output directory.
+Every key is a field of its section's class in SECTIONS, which holds the
+key's default and checks it; KEY_SPEC is built from them.  A config built in
+code rejects an unknown key as a file does.  A config says what to compute,
+not where its outputs go: the command line picks the output directory.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -34,11 +35,9 @@ from .tail import TailConfig
 
 
 def _parse_bool(text: str) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise ValueError(f"expected true/false, got {text!r}")
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text == "true"
 
 
 def _parse_float(text: str) -> float:
@@ -48,118 +47,143 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str):
-    return tuple(_parse_float(tok.strip()) for tok in text.split(",") if tok.strip())
-
-
-def _parse_int_list(text: str):
-    return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
+def _parse_tuple(item, text: str) -> tuple:
+    return tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
 #: field annotation -> parser of its config value
 _PARSERS = {"float": _parse_float, "int": int, "bool": _parse_bool, "str": str,
-            "tuple[float, ...]": _parse_float_list}
+            "tuple[float, ...]": partial(_parse_tuple, _parse_float),
+            "tuple[int, ...]": partial(_parse_tuple, int)}
 
 
-def _fields_spec(section: str, cls) -> dict:
-    """`section.<field>` -> (parser, default) for every field of dataclass cls."""
-    return {f"{section}.{f.name}": (_PARSERS[f.type], f.default) for f in fields(cls)}
+# The section classes: dataclass compiles each method it generates afresh on every import,
+# about 0.1 ms apiece, and perfbench imports peqlab anew every round, so they get __init__ alone.
+@dataclass(eq=False, repr=False)
+class GridConfig:  # make_grid checks the counts when a command builds its grid
+    nx: int = 32
+    ny: int = 16
+    nz: int = 8
 
 
-# key -> (parser, default); declaration order defines the serialized order
-KEY_SPEC = {
-    **_fields_spec("physics", PhysParams),
-    "grid.nx": (int, 32),
-    "grid.ny": (int, 16),
-    "grid.nz": (int, 8),
-    **_fields_spec("step", StepConfig),
-    "init.kind": (str, "zero"),
-    "init.width": (_parse_float, 0.25),
-    "init.t_amplitude": (_parse_float, 1.0),
-    "init.v_amplitude": (_parse_float, 0.0),
-    "q.kind": (str, "zero"),
-    "q.width": (_parse_float, 0.12),
-    "q.amplitude": (_parse_float, 0.5),
-    "q.path": (str, ""),
-    "output.snapshots": (_parse_bool, False),
-    **_fields_spec("tail", TailConfig),
-    "truncate.factor": (int, 2),
-    "truncate.max_rel": (_parse_float, 0.0),
-    "contract.t_scale": (_parse_float, 1.5),
-    "contract.shift_x": (_parse_float, 0.2),
-    "mms.sizes": (_parse_int_list, (8, 16, 32)),
-    "mms.dt": (_parse_float, 2e-3),
-    "mms.horizon": (_parse_float, 0.1),
-}
-
-
-@dataclass
-class RunConfig:
-    values: dict = field(default_factory=dict)
+@dataclass(eq=False, repr=False)
+class InitConfig:
+    kind: str = "zero"
+    width: float = 0.25
+    t_amplitude: float = 1.0
+    v_amplitude: float = 0.0
 
     def __post_init__(self):
-        merged = {key: default for key, (_, default) in KEY_SPEC.items()}
-        merged.update(self.values)
-        self.values = merged
-        self.validate()
+        if self.kind not in ("zero", "gaussian", "mms"):
+            raise ConfigError(f"unknown init.kind {self.kind!r}")
+        if not self.width > 0.0:
+            raise ConfigError(f"init.width must be > 0, got {self.width!r}")
 
-    def __getitem__(self, key):
-        return self.values[key]
 
-    def validate(self):
-        # parse_config's floats are finite already; this catches values set in code
-        for key, value in self.values.items():
+@dataclass(eq=False, repr=False)
+class QConfig:
+    kind: str = "zero"
+    width: float = 0.12
+    amplitude: float = 0.5
+    path: str = ""
+
+    def __post_init__(self):
+        if self.kind not in ("zero", "gaussian", "file"):
+            raise ConfigError(f"unknown q.kind {self.kind!r}")
+        if self.kind == "file" and not self.path:
+            raise ConfigError("q.kind = file requires q.path")
+        if not self.width > 0.0:
+            raise ConfigError(f"q.width must be > 0, got {self.width!r}")
+
+
+@dataclass(eq=False, repr=False)
+class OutputConfig:
+    snapshots: bool = False
+
+
+@dataclass(eq=False, repr=False)
+class TruncateConfig:
+    factor: int = 2
+    max_rel: float = 0.0
+
+    def __post_init__(self):
+        if not self.max_rel >= 0.0:
+            raise ConfigError(f"truncate.max_rel must be >= 0 (0 turns the check off), "
+                              f"got {self.max_rel!r}")
+
+    def exceeded(self, rel_diff: float) -> bool:
+        return self.max_rel > 0.0 and rel_diff > self.max_rel
+
+
+@dataclass(eq=False, repr=False)
+class ContractConfig:
+    t_scale: float = 1.5
+    shift_x: float = 0.2
+
+
+@dataclass(eq=False, repr=False)
+class MmsConfig:
+    sizes: tuple[int, ...] = (8, 16, 32)
+    dt: float = 2e-3
+    horizon: float = 0.1
+
+    def __post_init__(self):
+        if len(self.sizes) < 2 or len(set(self.sizes)) < len(self.sizes) or min(self.sizes) < 4:
+            raise ConfigError(f"mms.sizes must list at least two distinct grid sizes, each >= 4, "
+                              f"got {self.sizes!r}")
+        StepConfig(dt=self.dt, t_end=self.horizon)
+
+
+#: section -> the class whose fields are its keys; this order is the serialized order
+SECTIONS = {"physics": PhysParams, "grid": GridConfig, "step": StepConfig, "init": InitConfig,
+            "q": QConfig, "output": OutputConfig, "tail": TailConfig,
+            "truncate": TruncateConfig, "contract": ContractConfig, "mms": MmsConfig}
+
+#: key -> (parser, default), one per field of each section class
+KEY_SPEC = {f"{section}.{f.name}": (_PARSERS[f.type], f.default)
+            for section, cls in SECTIONS.items() for f in fields(cls)}
+
+
+class RunConfig:
+    """One instance of each SECTIONS class, cfg.q, cfg.truncate and so on; unset keys default."""
+
+    def __init__(self, values=()):
+        given = {section: {} for section in SECTIONS}
+        for key, value in dict(values).items():
+            if key not in KEY_SPEC:
+                raise ConfigError(f"unknown key {key!r}")
+            # parse_config's floats are finite already; this catches values set in code
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
-        self.params()
-        if self["init.kind"] not in ("zero", "gaussian", "mms"):
-            raise ConfigError(f"unknown init.kind {self['init.kind']!r}")
-        if self["q.kind"] not in ("zero", "gaussian", "file"):
-            raise ConfigError(f"unknown q.kind {self['q.kind']!r}")
-        if self["q.kind"] == "file" and not self["q.path"]:
-            raise ConfigError("q.kind = file requires q.path")
-        if self["init.kind"] == "mms" and self["q.kind"] != "zero":
+            section, _, name = key.partition(".")
+            given[section][name] = value
+        self.sections = {section: cls(**given[section]) for section, cls in SECTIONS.items()}
+        if self.init.kind == "mms" and self.q.kind != "zero":
             raise ConfigError("init.kind = mms brings its own heat source; q.kind must be zero")
-        if not self["truncate.max_rel"] >= 0.0:
-            raise ConfigError(f"truncate.max_rel must be >= 0 (0 turns the check off), "
-                              f"got {self['truncate.max_rel']!r}")
-        sizes = self["mms.sizes"]
-        if len(sizes) < 2 or len(set(sizes)) < len(sizes) or min(sizes) < 4:
-            raise ConfigError(f"mms.sizes must list at least two distinct grid sizes, each >= 4, "
-                              f"got {sizes!r}")
-        for key in ("init.width", "q.width"):
-            if not self[key] > 0.0:
-                raise ConfigError(f"{key} must be > 0, got {self[key]!r}")
-        self.step_config()
-        StepConfig(dt=self["mms.dt"], t_end=self["mms.horizon"])
-        return self
 
-    # builders ---------------------------------------------------------------
-    def _section(self, cls, section):
-        """cls built from the keys `section.<field>`, one per dataclass field."""
-        return cls(**{f.name: self[f"{section}.{f.name}"] for f in fields(cls)})
+    def __getattr__(self, name):  # only for names the class lacks, so cfg.grid stays the method
+        if name in self.__dict__.get("sections", ()):
+            return self.sections[name]
+        raise AttributeError(name)
+
+    def __getitem__(self, key):
+        section, _, name = key.partition(".")
+        return getattr(self.sections[section], name)
 
     def params(self) -> PhysParams:
-        return self._section(PhysParams, "physics")
+        return self.physics
 
     def grid(self) -> Grid:
-        return make_grid(self.params(), self["grid.nx"], self["grid.ny"], self["grid.nz"])
-
-    def step_config(self) -> StepConfig:
-        return self._section(StepConfig, "step")
-
-    def tail_config(self) -> TailConfig:
-        return self._section(TailConfig, "tail")
+        return make_grid(self.physics, *astuple(self.sections["grid"]))
 
     def q_field(self, g: Grid) -> np.ndarray:
         """The heat source Q on grid g, per the q.* keys."""
-        kind = self["q.kind"]
-        if kind == "zero":
+        if self.q.kind == "zero":
             return np.zeros((g.nx, g.ny, g.nz))
-        if kind == "gaussian":
-            return self["q.amplitude"] * self._blob(g, self["q.width"])
-        path = self["q.path"]
+        if self.q.kind == "gaussian":
+            return self.q.amplitude * self._blob(g, self.q.width)
+        path = self.q.path
         try:
             data = np.load(path)
         except (OSError, ValueError) as exc:
@@ -171,15 +195,12 @@ class RunConfig:
             raise ConfigError(f"q file {path} holds {data.dtype} values, not real numbers")
         data = np.asarray(data, dtype=float)
         if data.shape != (g.nx, g.ny, g.nz):
-            raise ConfigError(
-                f"q file shape {data.shape} does not match grid {(g.nx, g.ny, g.nz)}"
-            )
+            raise ConfigError(f"q file shape {data.shape} does not match grid {(g.nx, g.ny, g.nz)}")
         bad = ~np.isfinite(data)
         if bad.any():
             idx = tuple(int(v) for v in np.argwhere(bad)[0])
-            raise ConfigError(
-                f"q file {path} holds {int(bad.sum())} non-finite values (first at index {idx})"
-            )
+            raise ConfigError(f"q file {path} holds {int(bad.sum())} non-finite values "
+                              f"(first at index {idx})")
         return data
 
     @staticmethod
@@ -197,15 +218,14 @@ class RunConfig:
         Both Gaussians sit at the channel centre (0, l/2, -h/2); scale multiplies the init.*
         amplitudes, shift moves the blob along x.  A given q is the state's heat source as it is.
         """
-        kind = self["init.kind"]
-        if kind == "mms":
+        if self.init.kind == "mms":
             return MmsSpec(p).forced_state(g)
         s = State.zeros(g)
-        if kind == "gaussian":
-            blob = self._blob(g, self["init.width"], shift)
-            s.T[INTERIOR] = self["init.t_amplitude"] * scale * blob
-            s.v1[INTERIOR] = self["init.v_amplitude"] * scale * blob
-            s.v2[INTERIOR] = -self["init.v_amplitude"] * scale * blob
+        if self.init.kind == "gaussian":
+            blob = self._blob(g, self.init.width, shift)
+            s.T[INTERIOR] = self.init.t_amplitude * scale * blob
+            s.v1[INTERIOR] = self.init.v_amplitude * scale * blob
+            s.v2[INTERIOR] = -self.init.v_amplitude * scale * blob
         s.Q = self.q_field(g) if q is None else q
         return s
 
@@ -216,17 +236,16 @@ class RunConfig:
         A twin equal to the base state has nothing to contract and is rejected.
         """
         s_a = self.initial_state(p, g)
-        s_b = self.initial_state(p, g, self["contract.t_scale"], self["contract.shift_x"], s_a.Q)
+        s_b = self.initial_state(p, g, self.contract.t_scale, self.contract.shift_x, s_a.Q)
         if all(map(np.array_equal, s_a.interiors(), s_b.interiors())):
             raise ConfigError(f"the contraction twin equals the base state (init.kind = "
-                              f"{self['init.kind']}); the probe needs two distinct states")
+                              f"{self.init.kind}); the probe needs two distinct states")
         return s_a, s_b
 
 
 def parse_config(text: str) -> RunConfig:
     """Strict parse of the flat sectioned key=value format."""
-    values = {}
-    seen_lines = {}
+    values, seen_lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
@@ -234,18 +253,15 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in KEY_SPEC:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen_lines:
-            raise ConfigError(
-                f"line {lineno}: duplicate key {key!r} (first set on line {seen_lines[key]})"
-            )
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} "
+                              f"(first set on line {seen_lines[key]})")
         seen_lines[key] = lineno
-        parser, _ = KEY_SPEC[key]
         try:
-            values[key] = parser(value)
+            values[key] = KEY_SPEC[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     return RunConfig(values)

@@ -70,8 +70,8 @@ class StepConfig:
     def __post_init__(self):
         if not (self.dt > 0.0):
             raise ConfigError("dt must be positive")
-        if self.output_every < 1:
-            raise ConfigError("output_every must be >= 1")
+        if int(self.output_every) != self.output_every or self.output_every < 1:
+            raise ConfigError(f"output_every must be an integer >= 1, got {self.output_every!r}")
         # t_end/dt is rarely an exact float (0.2/0.01 is 20.000000000000004)
         steps = self.t_end / self.dt
         if not (0.0 <= steps < math.inf) or abs(steps - round(steps)) > 1e-9 * steps:

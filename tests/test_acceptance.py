@@ -48,7 +48,7 @@ def execute(cfg: RunConfig, scale=1.0):
     p = cfg.params()
     g = cfg.grid()
     s = cfg.initial_state(p, g, scale=scale)
-    final, records = run(s, p, g, cfg.step_config())
+    final, records = run(s, p, g, cfg.step)
     return {"cfg": cfg, "p": p, "g": g, "final": final, "records": records}
 
 
@@ -211,8 +211,8 @@ def test_criterion_7_tail_energy():
     p = cfg.params()
     g = cfg.grid()
     s = cfg.initial_state(p, g)
-    tail = cfg.tail_config()
-    rows = list(tail_decay_experiment(tail, s, p, g, cfg.step_config()))
+    tail = cfg.tail
+    rows = list(tail_decay_experiment(tail, s, p, g, cfg.step))
     w = np.array(rows)[:, 2:].T  # [radius][time]
     monotone = bool(np.all(np.diff(w, axis=0) <= 1e-18))
     sup_rel = tail.sup_rel(rows)
@@ -229,7 +229,7 @@ def test_criterion_8_truncation_convergence():
     cfg = load("truncation.cfg")
     p = cfg.params()
     counts = (cfg["grid.nx"], cfg["grid.ny"], cfg["grid.nz"])
-    step_cfg = cfg.step_config()
+    step_cfg = cfg.step
     d12 = max_rel_diff(truncation_convergence(p, counts, step_cfg, cfg.initial_state, factor=2))
     d23 = max_rel_diff(truncation_convergence(p, counts, step_cfg, cfg.initial_state,
                                               factor=3, factor_base=2))
@@ -248,7 +248,7 @@ def test_criterion_9_contraction():
         p = cfg.params()
         g = cfg.grid()
         s_a, s_b = cfg.contraction_pair(p, g)
-        d = [row.dist_l2 for row in two_trajectory_contraction(s_a, s_b, p, g, cfg.step_config())]
+        d = [row.dist_l2 for row in two_trajectory_contraction(s_a, s_b, p, g, cfg.step)]
         if want_monotone:
             outcomes.append(all(b <= a for a, b in zip(d, d[1:])))
         outcomes.append(d[-1] < d[0])

@@ -386,7 +386,7 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
      "truncate requires an analytic heat source"),
     ("run", TINY_RUN.replace("step.dt = 0.02", "step.dt = 0"), "dt must be positive"),
     ("run", TINY_RUN.replace("step.output_every = 2", "step.output_every = 0"),
-     "output_every must be >= 1"),
+     "output_every must be an integer >= 1"),
     ("run", TINY_RUN.replace("init.kind = gaussian", "init.kind = blob"), "unknown init.kind 'blob'"),
     ("run", TINY_RUN.replace("q.kind = zero", "q.kind = sine"), "unknown q.kind 'sine'"),
     ("run", TINY_RUN.replace("q.kind = zero", "q.kind = file"), "q.kind = file requires q.path"),
@@ -465,7 +465,7 @@ def test_contract_subcommand(tmp_path):
 
 
 def _tail_verdict(cfg, data):
-    tail = cfg.tail_config()
+    tail = cfg.tail
     rows = list(zip(*data.values()))
     lines = [f"r={r:g}: sup tail/total for t>={tail.tau_probe:g} is {sup:.3e}"
              for r, sup in zip(tail.radii, tail.sup_rel(rows))]
@@ -833,7 +833,7 @@ def test_streamed_series_matches_batch_writer(tmp_path):
     assert main(["run", cfg_path, "--output-dir", str(tmp_path / "o")]) == 0
     cfg = parse_config_file(cfg_path)
     p, g = cfg.params(), cfg.grid()
-    _, records = run(cfg.initial_state(p, g), p, g, cfg.step_config())
+    _, records = run(cfg.initial_state(p, g), p, g, cfg.step)
     write_timeseries(records, tmp_path / "batch.csv")
     assert (tmp_path / "o" / "timeseries.csv").read_bytes() == (tmp_path / "batch.csv").read_bytes()
 

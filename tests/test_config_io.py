@@ -1,11 +1,11 @@
-from dataclasses import fields
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from peqlab import PhysParams, State, StepConfig, make_grid
-from peqlab.config import KEY_SPEC, RunConfig, parse_config
+from peqlab import PhysParams, State, make_grid
+from peqlab.config import KEY_SPEC, SECTIONS, RunConfig, parse_config
 from peqlab.diagnostics import CSV_COLUMNS, DiagRecord
 from peqlab.errors import ConfigError
 from peqlab.grid import INTERIOR
@@ -16,12 +16,9 @@ from peqlab.io import (
     write_snapshot,
     write_timeseries,
 )
-from peqlab.tail import TailConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
-#: config sections whose keys are the fields of the dataclass they build
-DATACLASS_SECTIONS = {"physics": PhysParams, "step": StepConfig, "tail": TailConfig}
 
 def _fmt(value) -> str:
     """A parsed config value written back in the form the parser reads, floats exactly."""
@@ -34,9 +31,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _flat(cfg: RunConfig) -> dict:
+    """Every key of a config with its value."""
+    return {key: cfg[key] for key in KEY_SPEC}
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Every key of a config, in KEY_SPEC order, one `key = value` line each."""
-    lines = [f"{key} = {_fmt(cfg.values[key])}" for key in KEY_SPEC]
+    lines = [f"{key} = {_fmt(cfg[key])}" for key in KEY_SPEC]
     return "\n".join(lines) + "\n"
 
 
@@ -52,31 +54,42 @@ class TestConfig:
         c1 = RunConfig({})
         text = serialize_config(c1)
         c2 = parse_config(text)
-        assert c2.values == c1.values
+        assert _flat(c2) == _flat(c1)
         assert serialize_config(c2) == text
 
     def test_roundtrip_modified(self):
         c1 = parse_config("physics.alpha = 3.5\ntail.radii = 0.7,0.9\nstep.dt = 0.0125")
         c2 = parse_config(serialize_config(c1))
-        assert c2.values == c1.values
+        assert _flat(c2) == _flat(c1)
+        assert (c2.physics.alpha, c2.tail.radii, c2.step.dt) == (3.5, (0.7, 0.9), 0.0125)
 
     def test_defaults_build_the_dataclass_defaults(self):
         cfg = RunConfig({})
-        assert cfg.params() == PhysParams()
-        assert cfg.step_config() == StepConfig()
-        assert cfg.tail_config() == TailConfig()
+        assert all(vars(cfg.sections[section]) == vars(cls()) for section, cls in SECTIONS.items())
+        assert cfg.params() is cfg.physics and cfg.step is cfg.sections["step"]
+
+    def test_keys_keep_their_serialized_order(self):
+        assert list(KEY_SPEC) == [f"{section}.{name}" for section, names in (
+            ("physics", "re1 re2 rt1 rt2 ro f0 beta alpha h l lx"), ("grid", "nx ny nz"),
+            ("step", "dt t_end output_every temperature_only"),
+            ("init", "kind width t_amplitude v_amplitude"), ("q", "kind width amplitude path"),
+            ("output", "snapshots"), ("tail", "radii epsilon tau_probe"),
+            ("truncate", "factor max_rel"), ("contract", "t_scale shift_x"),
+            ("mms", "sizes dt horizon")) for name in names.split()]
 
     def test_every_key_is_read(self):
-        # a key outside the dataclass sections must be read by a literal subscript
+        # every field of every section class is read as an attribute by production code,
+        # and no production module but config's generic view reads a key by its string
         source = "".join(p.read_text() for p in (ROOT / "src" / "peqlab").glob("*.py"))
+        assert [key for key in KEY_SPEC
+                if not re.search(rf"\.{key.partition('.')[2]}\b", source)] == []
+        assert [key for key in KEY_SPEC if f'"{key}"' in source] == []
 
-        def read(key):
-            section, _, name = key.partition(".")
-            if section in DATACLASS_SECTIONS:
-                return name in {f.name for f in fields(DATACLASS_SECTIONS[section])}
-            return f'["{key}"]' in source
-
-        assert [key for key in KEY_SPEC if not read(key)] == []
+    def test_key_set_in_code_must_be_known(self):
+        with pytest.raises(ConfigError, match=r"^unknown key 'step\.dtt'$"):
+            RunConfig({"step.dtt": 0.5})
+        with pytest.raises(ConfigError, match=r"^unknown key 'viscosity'$"):
+            RunConfig({"viscosity": 1.0})
 
     def test_minimal_file_gets_defaults(self):
         cfg = parse_config("# nothing but a comment\n")
@@ -139,7 +152,7 @@ class TestConfig:
         text = (CONFIG_DIR / name).read_text()
         cfg = parse_config(text)
         cfg.grid()  # also exercises grid validation
-        assert parse_config(serialize_config(cfg)).values == cfg.values
+        assert _flat(parse_config(serialize_config(cfg))) == _flat(cfg)
 
     def test_gaussians_sit_at_the_channel_centre(self):
         """Blob, heat source and contraction twin are Gaussians at (x, l/2, -h/2), byte for byte."""

@@ -1,4 +1,5 @@
 from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from peqlab import PhysParams, State, StepConfig, make_grid, cfl_dt, run, step, trajectory
 from peqlab.integrator import CFL_TARGET, DT_MAX, Workspace
 from peqlab import operators as ops
-from peqlab.config import RunConfig, parse_config
+from peqlab.config import parse_config
 from peqlab.diagnostics import distance_sq
+from peqlab.errors import ConfigError
 from peqlab.grid import INTERIOR
 from peqlab.projection import constraint_residual, depth_mean
 
@@ -85,6 +87,13 @@ def test_n_steps_absorbs_float_quotients():
     for t_end in (0.015, 0.004, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="whole number of steps"):
             StepConfig(dt=0.01, t_end=t_end)
+
+
+@pytest.mark.parametrize("every", [2.5, 0, -1])
+def test_output_every_must_be_a_whole_number_of_steps(every):
+    """A fractional output_every would record on a stride nobody asked for (2.5 recorded every 5)."""
+    with pytest.raises(ConfigError, match=rf"^output_every must be an integer >= 1, got {every!r}$"):
+        StepConfig(dt=0.02, t_end=0.2, output_every=every)
 
 
 def test_zero_state_is_equilibrium():
@@ -204,11 +213,11 @@ def test_temporal_order_by_self_convergence(name):
     """The IMEX-Euler step is first order in time: halving dt from 0.04 to 0.005 to t = 0.4
     halves the distance between successive final states (measured orders 0.98 and 0.99)."""
     base = parse_config((Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg").read_text())
+    p, g = base.params(), base.grid()
     finals = []
     for dt in (0.04, 0.02, 0.01, 0.005):
-        cfg = RunConfig({**base.values, "step.dt": dt, "step.t_end": 0.4, "step.output_every": 1000})
-        p, g = cfg.params(), cfg.grid()
-        finals.append(run(cfg.initial_state(p, g), p, g, cfg.step_config())[0])
+        step_cfg = replace(base.step, dt=dt, t_end=0.4, output_every=1000)
+        finals.append(run(base.initial_state(p, g), p, g, step_cfg)[0])
     dist = [np.sqrt(sum(distance_sq(a, b.interiors(), g))) for a, b in zip(finals, finals[1:])]
     orders = np.log2(np.array(dist[:-1]) / dist[1:])
     assert np.all((0.95 <= orders) & (orders <= 1.05)), orders
