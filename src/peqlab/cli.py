@@ -87,9 +87,6 @@ def cmd_tail(cfg: RunConfig, out: Path) -> int:
 def cmd_truncate(cfg: RunConfig, out: Path) -> int:
     if cfg.q.kind == "file":
         raise ConfigError("truncate requires an analytic heat source (q.kind zero or gaussian)")
-    if cfg.init.kind == "mms":
-        raise ConfigError("truncate cannot widen the channel under init.kind = mms: "
-                          "the manufactured fields depend on physics.lx")
     g = cfg.grid()
     rows = write_csv(out / "truncate.csv", TruncationRow._fields, truncation_convergence(
         cfg.params(), (g.nx, g.ny, g.nz), cfg.step, cfg.initial_state, factor=cfg.truncate.factor))

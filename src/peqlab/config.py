@@ -28,7 +28,6 @@ import numpy as np
 from .errors import ConfigError
 from .grid import INTERIOR, Grid, make_grid
 from .integrator import StepConfig
-from .mms import MmsSpec
 from .model import State
 from .params import PhysParams
 from .tail import TailConfig
@@ -74,7 +73,7 @@ class InitConfig:
     v_amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "gaussian", "mms"):
+        if self.kind not in ("zero", "gaussian"):
             raise ConfigError(f"unknown init.kind {self.kind!r}")
         if not self.width > 0.0:
             raise ConfigError(f"init.width must be > 0, got {self.width!r}")
@@ -154,13 +153,11 @@ class RunConfig:
                 raise ConfigError(f"unknown key {key!r}")
             # parse_config's floats are finite already; this catches values set in code
             if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in (value if isinstance(value, tuple) else (value,))):
+                   for v in (value if isinstance(value, (tuple, list)) else (value,))):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
             section, _, name = key.partition(".")
             given[section][name] = value
         self.sections = {section: cls(**given[section]) for section, cls in SECTIONS.items()}
-        if self.init.kind == "mms" and self.q.kind != "zero":
-            raise ConfigError("init.kind = mms brings its own heat source; q.kind must be zero")
 
     def __getattr__(self, name):  # only for names the class lacks, so cfg.grid stays the method
         if name in self.__dict__.get("sections", ()):
@@ -218,8 +215,6 @@ class RunConfig:
         Both Gaussians sit at the channel centre (0, l/2, -h/2); scale multiplies the init.*
         amplitudes, shift moves the blob along x.  A given q is the state's heat source as it is.
         """
-        if self.init.kind == "mms":
-            return MmsSpec(p).forced_state(g)
         s = State.zeros(g)
         if self.init.kind == "gaussian":
             blob = self._blob(g, self.init.width, shift)

@@ -74,7 +74,8 @@ class Grid:
 def make_grid(p: PhysParams, nx: int, ny: int, nz: int) -> Grid:
     """Build the collocated mesh; rejects degenerate cell counts."""
     for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
-        if int(n) != n or n < 4:
+        # n % 1 is nan for nan and inf, so neither passes
+        if not (n % 1 == 0 and n >= 4):
             raise ConfigError(f"{name} must be an integer >= 4, got {n!r}")
     # PhysParams has checked that lx, l and h are positive
     return Grid(nx=int(nx), ny=int(ny), nz=int(nz), lx=p.lx, l=p.l, h=p.h)

@@ -68,9 +68,9 @@ class StepConfig:
     temperature_only: bool = False
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise ConfigError("dt must be positive")
-        if int(self.output_every) != self.output_every or self.output_every < 1:
+        if not (0.0 < self.dt < math.inf):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (self.output_every % 1 == 0 and self.output_every >= 1):
             raise ConfigError(f"output_every must be an integer >= 1, got {self.output_every!r}")
         # t_end/dt is rarely an exact float (0.2/0.01 is 20.000000000000004)
         steps = self.t_end / self.dt

@@ -37,7 +37,7 @@ class TailConfig:
     epsilon: float = 1e-3
     tau_probe: float = 2.0
 
-    def validate(self, g: Grid):
+    def __post_init__(self):
         radii = tuple(self.radii)
         if not radii:
             raise ConfigError("tail radii: at least one radius is needed")
@@ -51,10 +51,6 @@ class TailConfig:
                 raise ConfigError(f"tail radii {a!r} and {b!r} both name the CSV column w_{a:g}")
         if not self.epsilon >= 0.0:
             raise ConfigError(f"tail.epsilon must be >= 0, got {self.epsilon!r}")
-        if max(radii) >= g.lx / 2:
-            raise ConfigError(
-                f"largest tail radius {max(radii)} must stay below lx/2 = {g.lx / 2}"
-            )
 
     @property
     def header(self) -> tuple:
@@ -111,7 +107,8 @@ def tail_decay_experiment(
     The heat source must live well inside the smallest window radius, and
     tau_probe no later than the last output time, n_steps * dt.
     """
-    tail.validate(g)
+    if max(tail.radii) >= g.lx / 2:
+        raise ConfigError(f"largest tail radius {max(tail.radii)} must stay below lx/2 = {g.lx / 2}")
     if tail.tau_probe > cfg.n_steps * cfg.dt:
         raise ConfigError("tau_probe lies beyond the simulated horizon")
     support = _q_support_radius(initial.Q, g)

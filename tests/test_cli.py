@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from peqlab.cli import main
-from peqlab.config import parse_config_file
+from peqlab.config import parse_config, parse_config_file
 from peqlab.io import read_snapshot, read_timeseries
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -352,15 +352,12 @@ truncate.max_rel = 0.01
 """
 
 
-MMS_INIT = TINY_RUN.replace("init.kind = gaussian", "init.kind = mms")
-
-
 HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
 
 
 @pytest.mark.parametrize("command,body,message", [
-    ("run", MMS_INIT.replace("q.kind = zero", "q.kind = gaussian"), "q.kind must be zero"),
-    ("truncate", MMS_INIT, "under init.kind = mms"),
+    ("run", TINY_RUN.replace("init.kind = gaussian", "init.kind = mms"), "unknown init.kind 'mms'"),
+    ("truncate", TINY_TRUNCATE.replace("init.kind = zero", "init.kind = mms"), "unknown init.kind 'mms'"),
     ("contract", TINY_RUN.replace("init.kind = gaussian", "init.kind = zero"),
      "twin equals the base state"),
     ("tail", TINY_TAIL.replace("tail.epsilon = 0.001", "tail.epsilon = -1"), "tail.epsilon must be >= 0"),
@@ -379,6 +376,7 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
      "tail.radii: expected a finite number, got 'nan'"),
     ("tail", TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii ="),
      "tail radii: at least one radius is needed"),
+    ("run", TINY_RUN + "tail.radii = 2,1\n", "tail radii must be strictly increasing"),
     ("run", TINY_RUN + "init.width = 0\n", "init.width must be > 0, got 0.0"),
     ("run", TINY_RUN + "init.width = -0.25\n", "init.width must be > 0, got -0.25"),
     ("run", HEATED_RUN + "q.width = 0\n", "q.width must be > 0, got 0.0"),
@@ -396,10 +394,11 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
      "q file complex_q.npy holds complex128 values, not real numbers"),
     ("run", TINY_RUN.replace("q.kind = zero", "q.kind = file\nq.path = q.npz"),
      "q file q.npz is not a .npy array"),
-], ids=["mms_init_with_q", "truncate_mms_init", "contract_identical_twin",
+], ids=["run_mms_init", "truncate_mms_init", "contract_identical_twin",
         "negative_tail_epsilon", "negative_truncate_max_rel", "truncate_nx_3", "truncate_ny_2",
         "truncate_nz_2", "nan_f0", "inf_beta", "nan_t_amplitude", "inf_q_amplitude",
-        "nan_init_width", "nan_tail_radius", "empty_tail_radii", "zero_init_width", "negative_init_width",
+        "nan_init_width", "nan_tail_radius", "empty_tail_radii", "run_decreasing_tail_radii",
+        "zero_init_width", "negative_init_width",
         "zero_q_width", "truncate_q_file", "zero_dt", "zero_output_every", "unknown_init_kind",
         "unknown_q_kind", "q_file_without_path", "snapshots_yes", "complex_q_file", "npz_q_file"])
 def test_unusable_input_exits_before_stepping(tmp_path, capsys, monkeypatch, command, body, message):
@@ -579,29 +578,23 @@ def test_plot_takes_no_config(tmp_path, capsys):
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_plot_envelope_uses_the_runs_heat_source(tmp_path, monkeypatch):
-    """The envelope_T column of an init.kind = mms run carries the manufactured heat source's |Q|^2."""
-    from peqlab import cli
+def test_envelope_column_uses_the_states_own_heat_source():
+    """A run from the manufactured state, whose Q no config's q_field gives, builds envelope_T on that Q."""
+    from peqlab import run
     from peqlab.diagnostics import gronwall_T_envelope, kappa, l2sq
     from peqlab.mms import MmsSpec
 
-    # init.kind = mms brings its own heat source; the q.* keys leave q_field zero
-    body = MMS_INIT.replace("grid.nz = 4", "grid.nz = 8").replace("step.t_end = 0.2", "step.t_end = 1.0")
-    cfg = write_cfg(tmp_path, body)
-    out = tmp_path / "o"
-    assert main(["run", cfg, "--output-dir", str(out)]) == 0
-    plotted = {}
-    monkeypatch.setattr(cli, "plot_svg", lambda series, *args, **kwargs: plotted.update(series))
-    assert main(["plot", str(out / "timeseries.csv"), "l2_T,envelope_T"]) == 0
-    t, envelope = plotted["envelope_T"]
-    _, l2_T = plotted["l2_T"]
-    run_cfg = parse_config_file(cfg)
-    p, g = run_cfg.params(), run_cfg.grid()
-    l2_q = l2sq(MmsSpec(p).forced_state(g).Q, g)
-    assert l2_q > 0.0
+    body = TINY_RUN.replace("grid.nz = 4", "grid.nz = 8").replace("step.t_end = 0.2", "step.t_end = 1.0")
+    cfg = parse_config(body)
+    p, g = cfg.params(), cfg.grid()
+    s = MmsSpec(p).forced_state(g)
+    l2_q = l2sq(s.Q, g)
+    assert l2_q > 0.0 and not np.any(cfg.q_field(g))
+    _, records = run(s, p, g, cfg.step)
     # the envelope the run's decay monitor checked, which bounds the run's energy
-    assert envelope.tolist() == [gronwall_T_envelope(s, l2_T[0], l2_q, kappa(p)) for s in t]
-    assert np.all(l2_T <= envelope)
+    assert [rec.envelope_T for rec in records] == [
+        gronwall_T_envelope(rec.t, records[0].l2_T, l2_q, kappa(p)) for rec in records]
+    assert all(rec.l2_T <= rec.envelope_T for rec in records)
 
 
 @pytest.mark.parametrize("config", ["contraction_default.cfg", "dissipation_temponly.cfg"])

@@ -105,6 +105,7 @@ class TestConfig:
         ("init.t_amplitude", float("inf")),
         ("q.amplitude", float("nan")),
         ("tail.radii", (float("nan"), 1.6, 1.9)),
+        ("tail.radii", [1.2, float("nan")]),
         ("contract.shift_x", float("inf")),
     ])
     def test_non_finite_value_set_in_code_names_key(self, key, value):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from peqlab import PhysParams, make_grid
+from peqlab.errors import ConfigError
 
 
 def test_spacings():
@@ -22,6 +23,12 @@ def test_degenerate_counts_rejected():
         make_grid(p, 8, 8, 2)
     with pytest.raises(ValueError):
         make_grid(p, 3, 8, 8)
+
+
+@pytest.mark.parametrize("n", [float("nan"), float("inf")])
+def test_non_integer_counts_raise_config_error(n):
+    with pytest.raises(ConfigError, match=rf"^nx must be an integer >= 4, got {n!r}$"):
+        make_grid(PhysParams(), n, 8, 8)
 
 
 def test_cell_centers_inside_domain():

@@ -89,11 +89,18 @@ def test_n_steps_absorbs_float_quotients():
             StepConfig(dt=0.01, t_end=t_end)
 
 
-@pytest.mark.parametrize("every", [2.5, 0, -1])
+@pytest.mark.parametrize("every", [2.5, 0, -1, float("nan"), float("inf")])
 def test_output_every_must_be_a_whole_number_of_steps(every):
     """A fractional output_every would record on a stride nobody asked for (2.5 recorded every 5)."""
     with pytest.raises(ConfigError, match=rf"^output_every must be an integer >= 1, got {every!r}$"):
         StepConfig(dt=0.02, t_end=0.2, output_every=every)
+
+
+@pytest.mark.parametrize("dt", [float("inf"), float("nan")])
+def test_dt_must_be_positive_and_finite(dt):
+    """An infinite dt would build a config of zero steps."""
+    with pytest.raises(ConfigError, match=rf"^dt must be positive and finite, got {dt!r}$"):
+        StepConfig(dt=dt, t_end=0.2)
 
 
 def test_zero_state_is_equilibrium():

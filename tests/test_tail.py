@@ -91,14 +91,24 @@ class TestWindowedEnergy:
 
 class TestTailConfig:
     def test_validation(self):
+        for kwargs, message in (
+            ({"radii": (1.0, 0.5)}, "strictly increasing"),
+            ({"radii": [1.0, 1.0]}, "strictly increasing"),
+            ({"radii": (-0.5, 1.0)}, "must be positive"),
+            ({"radii": ()}, "at least one radius"),
+            ({"radii": (1.2, 1.2000001)}, "both name the CSV column w_1.2"),
+            ({"epsilon": -1e-3}, "tail.epsilon must be >= 0"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                TailConfig(**kwargs)
+        TailConfig(radii=(1.0, 1.5))
+
+    def test_largest_radius_stays_inside_the_channel(self):
         g = make_grid(TAIL_P, 16, 8, 4)
-        with pytest.raises(ConfigError):
-            TailConfig(radii=(1.0, 0.5)).validate(g)
-        with pytest.raises(ConfigError):
-            TailConfig(radii=(0.5, 2.5)).validate(g)
-        with pytest.raises(ConfigError):
-            TailConfig(radii=()).validate(g)
-        TailConfig(radii=(1.0, 1.5)).validate(g)
+        cfg = StepConfig(dt=0.02, t_end=0.2, output_every=5)
+        tail = TailConfig(radii=(0.5, 2.0), tau_probe=0.0)
+        with pytest.raises(ConfigError, match=r"largest tail radius 2.0 must stay below lx/2 = 2.0"):
+            next(tail_decay_experiment(tail, State.zeros(g), TAIL_P, g, cfg))
 
 
 @pytest.fixture
