@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError
-from .grid import INTERIOR, Grid, make_grid
+from .grid import INTERIOR, Grid, check_counts, make_grid
 from .integrator import StepConfig
 from .model import State
 from .params import PhysParams
@@ -59,10 +59,13 @@ _PARSERS = {"float": _parse_float, "int": int, "bool": _parse_bool, "str": str,
 # The section classes: dataclass compiles each method it generates afresh on every import,
 # about 0.1 ms apiece, and perfbench imports peqlab anew every round, so they get __init__ alone.
 @dataclass(eq=False, repr=False)
-class GridConfig:  # make_grid checks the counts when a command builds its grid
+class GridConfig:
     nx: int = 32
     ny: int = 16
     nz: int = 8
+
+    def __post_init__(self):  # with make_grid's check, so a command that builds no grid rejects them too
+        check_counts(self.nx, self.ny, self.nz)
 
 
 @dataclass(eq=False, repr=False)

@@ -71,11 +71,16 @@ class Grid:
         return np.zeros((self.nx + 2, self.ny + 2))
 
 
-def make_grid(p: PhysParams, nx: int, ny: int, nz: int) -> Grid:
-    """Build the collocated mesh; rejects degenerate cell counts."""
+def check_counts(nx, ny, nz):
+    """Reject cell counts no grid can have: each must be an integer >= 4."""
     for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
         # n % 1 is nan for nan and inf, so neither passes
         if not (n % 1 == 0 and n >= 4):
             raise ConfigError(f"{name} must be an integer >= 4, got {n!r}")
+
+
+def make_grid(p: PhysParams, nx: int, ny: int, nz: int) -> Grid:
+    """Build the collocated mesh; rejects degenerate cell counts."""
+    check_counts(nx, ny, nz)
     # PhysParams has checked that lx, l and h are positive
     return Grid(nx=int(nx), ny=int(ny), nz=int(nz), lx=p.lx, l=p.l, h=p.h)

@@ -103,16 +103,17 @@ def _cached_diffusion(p: PhysParams, g: Grid, dt: float, kind: str) -> ImplicitD
 class Workspace:
     """One member's face arrays, kept between steps, and the helper threads its steps run on.
 
-    The faces are free once a step's first fork-join has formed every rate,
-    so a step called with `keep` copies the previous interiors, which an
-    output step's record reads, to their leading cells (`previous`).  A
-    step's other buffers (the hydrostatic integral, one rate per field and
-    one scratch array per worker) live only for the step, so no record runs
-    beside them.  Above CONCURRENT_CELLS cells a coupled step runs its two
-    fork-joins on the calling thread plus min(3, CPUs) - 1 helpers, CPUs
-    being those the process may run on (os.cpu_count() where the system
-    cannot say); the helpers start on first use and :meth:`close` joins
-    them.
+    The faces are free once a step has formed every rate, so a step called
+    with `keep` has each finishing task copy its fields' previous
+    interiors, which an output step's record reads, to the leading cells of
+    their faces (`previous`).  A step's other buffers (the hydrostatic
+    integral, one rate per field and one scratch array per worker, whose
+    planes a slab of T's rate borrows) live only for the step, so no record
+    runs beside them.  Above CONCURRENT_CELLS cells a coupled step runs its
+    three fork-joins on the calling thread plus min(3, CPUs) - 1 helpers,
+    CPUs being those the process may run on (os.cpu_count() where the
+    system cannot say); the helpers start on first use and :meth:`close`
+    joins them.
     """
 
     def __init__(self, g: Grid, cfg: StepConfig):
@@ -170,56 +171,76 @@ def step(s: State, dt: float, p: PhysParams, g: Grid, cfg: StepConfig, ws: Works
          keep: bool = False) -> State:
     """Advance a readied state (valid ghosts, diagnosed w) by one IMEX step in place.
 
-    Two fork-joins run on the workers of `ws`.  First one task per field
-    (v1, v2, T) forms its rate, checks it finite and forms the predictor
-    f + dt * rate in the rate's buffer, solving it for v1 and v2; no field
-    is written, as v2's rate reads v1, and the first failure is raised at
-    the join.  Then the velocity's task writes and readies v1 and v2 beside
-    T's task, which solves, writes T and fills its ghosts; a temperature-only
-    step runs T's task alone, its velocity and w frozen.  With `keep`, the
-    calling thread copies the old interiors (v1, v2, T) to ws.previous
-    between the fork-joins: the faces they share are free once every rate
-    is formed.  Each task keeps its field's operation order and every
-    matrix product stays one BLAS call, so the bytes do not depend on the
-    workers.
+    Three fork-joins run on the workers of `ws`.  First one task builds the
+    x and y faces and another the z faces and, on a coupled step, the
+    hydrostatic integral.  Then each velocity component's task forms its
+    rate, checks it finite and forms the predictor f + dt * rate in the
+    rate's buffer, solving it there; T's rate is split into contiguous
+    x-slabs, one per lane the velocity tasks' last round leaves free (two
+    on two workers, one on one or three), each formed, checked and made a
+    predictor in its own planes.  No field is written, as v2's rate reads
+    v1, and the first failure is raised at the join, in the order dv1,
+    dv2, dT.  Last the velocity's task writes and readies v1 and v2 beside
+    T's task, which solves, writes T and fills its ghosts; a
+    temperature-only step runs T's task alone, its velocity and w frozen.
+    With `keep`, each finishing task first copies its old interiors to
+    ws.previous (T's task all three on a temperature-only step): the faces
+    they share are free once every rate is formed.  Each task keeps its
+    field's operation order, T's rate is elementwise, and every matrix
+    product stays one BLAS call, so the bytes do not depend on the workers.
     """
     names = ("T",) if cfg.temperature_only else ("v1", "v2", "T")
     fields = [getattr(s, name)[INTERIOR] for name in names]
     rates = [np.empty((g.nx, g.ny, g.nz)) for _ in names]
     scratch = [np.empty((g.nx, g.ny, g.nz)) for _ in range(ws.workers)]
-    faces = face_velocities(s.v1, s.v2, s.w, g, ws.faces)
-    integral = None if cfg.temperature_only else hydrostatic_integral(s.T, g)
+    # T's rate splits into x-slabs that fill the lanes the velocity tasks' last round leaves free
+    slabs = ws.workers - (len(names) - 1) % ws.workers
+    # (field, first plane, end plane) per rate task: each velocity component whole, then T's slabs
+    tasks = [(i, 0, g.nx) for i in range(len(names) - 1)]
+    tasks += [(len(names) - 1, g.nx * k // slabs, g.nx * (k + 1) // slabs) for k in range(slabs)]
+    integral = []
+
+    def build(i, buf):
+        face_velocities(s.v1, s.v2, s.w, g, ws.faces, ((0, 1), (2,))[i])
+        if i and not cfg.temperature_only:
+            integral.append(hydrostatic_integral(s.T, g))
 
     def predict(i, buf):
-        r = rates[i]
-        if names[i] == "T":
-            temperature_rhs(s, faces, r, buf)
+        f, lo, hi = tasks[i]
+        r = rates[f][lo:hi]
+        if names[f] == "T":
+            temperature_rhs(s, ws.faces, r, buf[lo:hi], lo, hi)
         else:
-            momentum_rhs(s, p, g, faces, integral, i, r, buf)
+            momentum_rhs(s, p, g, ws.faces, integral[0], f, r, buf)
         finite = np.isfinite(r)
         if not finite.all():
-            idx = tuple(int(v) for v in np.argwhere(~finite)[0])
-            raise NumericalError(f"non-finite tendency d{names[i]} at interior index {idx}")
+            idx = tuple(int(v) for v in np.argwhere(~finite)[0] + (lo, 0, 0))
+            raise NumericalError(f"non-finite tendency d{names[f]} at interior index {idx}")
         # the predictor f + dt * rate, formed (and solved, for the velocity) in the rate's own buffer
         r *= dt
-        r += fields[i]
-        if names[i] != "T":
+        r += fields[f][lo:hi]
+        if names[f] != "T":
             _cached_diffusion(p, g, dt, "velocity").solve(r, buf)
 
+    def keep_previous(first: int, end: int):
+        if keep:
+            for previous, f in zip(ws.previous[first:end], s.interiors()[first:end]):
+                previous[...] = f
+
     def finish_velocity(buf):
+        keep_previous(0, 2)
         for k in (0, 1):
             fields[k][...] = rates[k]
         _ready_velocity(s, dt, p, g, cfg, (rates[0], buf))
 
     def finish_temperature(buf):
+        keep_previous(0 if cfg.temperature_only else 2, 3)
         _cached_diffusion(p, g, dt, "temperature").solve(rates[-1], buf)
         fields[-1][...] = rates[-1]
         fill_ghosts(s.T, TEMPERATURE_BC, p, g)
 
-    ws.run(predict, len(names), scratch)
-    if keep:
-        for previous, f in zip(ws.previous, s.interiors()):
-            previous[...] = f
+    ws.run(build, 2, scratch)
+    ws.run(predict, len(tasks), scratch)
     finishing = (finish_temperature,) if cfg.temperature_only else (finish_velocity, finish_temperature)
     ws.run(lambda i, buf: finishing[i](buf), len(finishing), scratch)
     return s

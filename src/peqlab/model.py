@@ -13,7 +13,8 @@ that its discrete energy contribution cancels exactly.  `momentum_rhs` (one
 velocity component per call) and `temperature_rhs` give the explicit part of
 the step, everything but the diffusion terms -L1 v and -L2 T, which the step
 solves implicitly; both advect by the face velocities the step builds once,
-and both can form their tendency in buffers the caller lends.
+and both can form their tendency in buffers the caller lends, T's over any
+slab of x-planes.
 """
 
 from __future__ import annotations
@@ -130,20 +131,28 @@ def baroclinic_pressure_gradient(P: np.ndarray, g: Grid, axis: int, out=None) ->
     return out
 
 
-def face_velocities(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, g: Grid, out=(None,) * 3):
+#: per axis, the padded cells each face sits between (interior in the other two axes)
+_FACE_CELLS = ((np.s_[:-1, 1:-1, 1:-1], np.s_[1:, 1:-1, 1:-1]),
+               (np.s_[1:-1, :-1, 1:-1], np.s_[1:-1, 1:, 1:-1]),
+               (np.s_[1:-1, 1:-1, :-1], np.s_[1:-1, 1:-1, 1:]))
+
+
+def face_velocities(u1p: np.ndarray, u2p: np.ndarray, wp: np.ndarray, g: Grid, out=(None,) * 3,
+                    axes=(0, 1, 2)) -> tuple:
     """Pre-scaled face velocities U_{i+1/2} = (u_i + u_{i+1}) / (4 d), one array per axis.
 
     Each array holds the faces between consecutive padded cells along its
     axis (interior in the other two), ghost faces included; `out` may give
-    the three arrays to fill.
+    the three arrays to fill.  Only the listed `axes` are built; the others
+    are None in the result.
     """
-    ux = np.add(u1p[:-1, 1:-1, 1:-1], u1p[1:, 1:-1, 1:-1], out=out[0])
-    ux *= 0.25 / g.dx
-    uy = np.add(u2p[1:-1, :-1, 1:-1], u2p[1:-1, 1:, 1:-1], out=out[1])
-    uy *= 0.25 / g.dy
-    uz = np.add(wp[1:-1, 1:-1, :-1], wp[1:-1, 1:-1, 1:], out=out[2])
-    uz *= 0.25 / g.dz
-    return ux, uy, uz
+    faces = [None] * 3
+    for axis in axes:
+        behind, ahead = _FACE_CELLS[axis]
+        up = (u1p, u2p, wp)[axis]
+        faces[axis] = np.add(up[behind], up[ahead], out=out[axis])
+        faces[axis] *= 0.25 / (g.dx, g.dy, g.dz)[axis]
+    return tuple(faces)
 
 
 def advect_faces(faces, fp: np.ndarray, out=None, buf=None) -> np.ndarray:
@@ -200,7 +209,14 @@ def momentum_rhs(s: State, p: PhysParams, g: Grid, faces, P: np.ndarray, axis: i
     return out
 
 
-def temperature_rhs(s: State, faces, out=None, buf=None) -> np.ndarray:
-    """Explicit temperature tendency dT, no L2 T, formed in `out`; needs current ghosts and the step's faces."""
-    dT = advect_faces(faces, s.T, out, buf)
-    return np.subtract(s.Q, dT, out=dT)
+def temperature_rhs(s: State, faces, out=None, buf=None, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+    """Explicit temperature tendency dT, no L2 T, formed in `out`; needs current ghosts and the step's faces.
+
+    Only the interior x-planes lo:hi (all by default) are formed, so `out`
+    and `buf` are shaped like that slab.  Every operation is elementwise,
+    so a slab holds the same bytes as the same planes of the whole rate.
+    """
+    hi = s.Q.shape[0] if hi is None else hi
+    ux, uy, uz = faces
+    dT = advect_faces((ux[lo:hi + 1], uy[lo:hi], uz[lo:hi]), s.T[lo:hi + 2], out, buf)
+    return np.subtract(s.Q[lo:hi], dT, out=dT)

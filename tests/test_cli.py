@@ -366,6 +366,8 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
     ("truncate", TINY_TRUNCATE.replace("grid.nx = 16", "grid.nx = 3"), "nx must be an integer >= 4"),
     ("truncate", TINY_TRUNCATE.replace("grid.ny = 6", "grid.ny = 2"), "ny must be an integer >= 4"),
     ("truncate", TINY_TRUNCATE.replace("grid.nz = 4", "grid.nz = 2"), "nz must be an integer >= 4"),
+    # mms builds no grid from the grid.* keys, so only the config's own check rejects them
+    ("mms", (CONFIG_DIR / "mms.cfg").read_text() + "grid.nx = 3\n", "nx must be an integer >= 4, got 3"),
     ("run", TINY_RUN + "physics.f0 = nan\n", "physics.f0: expected a finite number, got 'nan'"),
     ("run", TINY_RUN + "physics.beta = inf\n", "physics.beta: expected a finite number, got 'inf'"),
     ("run", TINY_RUN.replace("init.t_amplitude = 0.5", "init.t_amplitude = nan"),
@@ -396,7 +398,7 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
      "q file q.npz is not a .npy array"),
 ], ids=["run_mms_init", "truncate_mms_init", "contract_identical_twin",
         "negative_tail_epsilon", "negative_truncate_max_rel", "truncate_nx_3", "truncate_ny_2",
-        "truncate_nz_2", "nan_f0", "inf_beta", "nan_t_amplitude", "inf_q_amplitude",
+        "truncate_nz_2", "mms_nx_3", "nan_f0", "inf_beta", "nan_t_amplitude", "inf_q_amplitude",
         "nan_init_width", "nan_tail_radius", "empty_tail_radii", "run_decreasing_tail_radii",
         "zero_init_width", "negative_init_width",
         "zero_q_width", "truncate_q_file", "zero_dt", "zero_output_every", "unknown_init_kind",

@@ -89,6 +89,75 @@ def test_concurrent_steps_match_the_serial_path(monkeypatch, workers, members, t
         assert any(name.startswith(HELPER) for name in threads)
 
 
+ODD = make_grid(P, 13, 10, 6)
+
+
+def odd_member():
+    """A heated member on 13 x-planes, which two workers split 6 + 7 for T's rate."""
+    s = random_smooth_state(P, ODD, seed=3, amp=0.3)
+    s.Q = 0.5 * np.cos(s.interiors()[2])
+    return [(s, P, ODD)]
+
+
+def rate_lanes(monkeypatch) -> list:
+    """Spy on both tendencies: per call, (lane, thread name, field, first plane, end plane).
+
+    A lane is told by the scratch array it lends its tasks, as the pool may
+    run two helper lanes on one thread.
+    """
+    calls = []
+    momentum_rhs, temperature_rhs = integrator.momentum_rhs, integrator.temperature_rhs
+
+    def lane(buf):
+        return id(buf if buf.base is None else buf.base)
+
+    def momentum_spy(s, p, g, faces, P, axis, out, buf):
+        calls.append((lane(buf), threading.current_thread().name, ("v1", "v2")[axis], 0, g.nx))
+        return momentum_rhs(s, p, g, faces, P, axis, out, buf)
+
+    def temperature_spy(s, faces, out, buf, lo, hi):
+        calls.append((lane(buf), threading.current_thread().name, "T", lo, hi))
+        return temperature_rhs(s, faces, out, buf, lo, hi)
+
+    monkeypatch.setattr(integrator, "momentum_rhs", momentum_spy)
+    monkeypatch.setattr(integrator, "temperature_rhs", temperature_spy)
+    return calls
+
+
+#: (workers, temperature_only) -> each step's rate tasks, the caller's lane first, then the helpers'
+ODD_LANES = {
+    (1, False): [[("v1", 0, 13), ("v2", 0, 13), ("T", 0, 13)]],
+    # on two CPUs each lane forms one velocity component and one slab of T's rate
+    (2, False): [[("v1", 0, 13), ("T", 0, 6)], [("v2", 0, 13), ("T", 6, 13)]],
+    # on three, as before the split, each lane forms one rate and T's stays whole
+    (3, False): [[("v1", 0, 13)], [("T", 0, 13)], [("v2", 0, 13)]],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("temperature_only", [False, True], ids=["coupled", "temperature_only"])
+def test_odd_nx_slabs_match_the_serial_path(monkeypatch, workers, temperature_only):
+    """T's x-slabs on an odd nx give the serial bytes, on every output step's kept interiors too."""
+    cfg = StepConfig(dt=0.01, t_end=0.05, output_every=1, temperature_only=temperature_only)
+    serial = advance(odd_member, cfg)
+    go_concurrent(monkeypatch, workers)
+    calls = rate_lanes(monkeypatch)
+    assert advance(odd_member, cfg) == serial
+    # a temperature-only step runs on one worker, so its rate stays whole on the caller
+    caller, *helpers = ODD_LANES.get((workers, temperature_only), [[("T", 0, 13)]])
+    per_step = len(caller) + sum(map(len, helpers))
+    assert len(calls) == per_step * cfg.n_steps
+    for n in range(cfg.n_steps):
+        lanes, threads = {}, {}
+        for lane, thread, *task in calls[n * per_step:(n + 1) * per_step]:
+            lanes.setdefault(lane, []).append(tuple(task))
+            threads.setdefault(lane, set()).add(thread.startswith(HELPER))
+        # the calling thread runs lane 0, and each helper lane runs on a helper alone
+        assert lanes.pop(next(k for k, on_helper in threads.items() if on_helper == {False})) == caller
+        assert sorted(lanes.values()) == sorted(helpers)
+        assert all(threads[k] == {True} for k in lanes)
+
+
 def test_concurrent_steps_under_a_short_switch_interval(monkeypatch):
     """More workers than this machine may have cores, switching threads every microsecond."""
     cfg = StepConfig(dt=0.01, t_end=0.06, output_every=1)
@@ -131,7 +200,7 @@ def test_velocity_is_readied_beside_the_temperature_solve(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("temperature_only", [False, True], ids=["coupled", "temperature_only"])
 def test_records_difference_the_interiors_before_the_step(monkeypatch, workers, temperature_only):
-    """l2_vt and l2_Tt of every record are those of the interiors one step back, copied by the caller."""
+    """l2_vt and l2_Tt of every record are those of the interiors one step back, kept by the finishing tasks."""
     if workers > 1:
         go_concurrent(monkeypatch, workers)
     g = make_grid(P, 12, 10, 6)
@@ -270,13 +339,21 @@ def _T_nan(s):
     s.T[3, 4, 5] = np.nan
 
 
+def _q_inf_last_slab(s):
+    # interior plane 6 of 8 lies in T's second x-slab on two workers
+    s.Q[6, 3, 1] = np.inf
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("spoil,first", [
     ((_q_inf,), "dT"),
     ((_v2_ghost_nan,), "dv2"),
     ((_v2_ghost_nan, _q_inf), "dv2"),
     ((_T_nan, _v2_ghost_nan, _q_inf), "dv1"),
-], ids=["dT", "dv2", "dv2_before_dT", "dv1_first"])
+    ((_q_inf_last_slab, _v2_ghost_nan), "dv2"),
+    ((_q_inf_last_slab, _q_inf), "dT"),
+], ids=["dT", "dv2", "dv2_before_dT", "dv1_first", "dv2_before_last_slab",
+        "dT_first_slab_first"])
 def test_concurrent_nonfinite_rate_is_raised_in_field_order(monkeypatch, workers, spoil, first):
     """The first non-finite rate, in the order dv1, dv2, dT, as the serial step names it; no field written."""
     cfg = StepConfig(dt=0.01, t_end=0.01)
@@ -295,6 +372,21 @@ def test_concurrent_nonfinite_rate_is_raised_in_field_order(monkeypatch, workers
         for name in FIELDS:
             assert np.array_equal(getattr(s, name), getattr(before, name), equal_nan=True), name
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_nonfinite_rate_in_the_last_slab_names_its_interior_index(monkeypatch, workers):
+    """A non-finite dT in T's last x-slab alone is named by its index in the whole interior."""
+    go_concurrent(monkeypatch, workers)
+    calls = rate_lanes(monkeypatch)
+    cfg = StepConfig(dt=0.01, t_end=0.01)
+    s = random_smooth_state(PR, GR, seed=0)
+    _q_inf_last_slab(s)
+    with pytest.raises(NumericalError) as info, closing(integrator.Workspace(GR, cfg)) as ws:
+        step(s, cfg.dt, PR, GR, cfg, ws)
+    assert str(info.value) == "non-finite tendency dT at interior index (6, 3, 1)"
+    slabs = sorted((lo, hi) for *_, field, lo, hi in calls if field == "T")
+    assert slabs == ([(0, 4), (4, 8)] if workers == 2 else [(0, 8)])
 
 
 def test_helper_exception_keeps_its_type_and_note(monkeypatch):
