@@ -46,8 +46,8 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_tuple(item, text: str) -> tuple:
-    return tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
+def _parse_tuple(item, text: str) -> tuple:  # an empty item is a bad value; an empty list is ()
+    return tuple(item(tok.strip()) for tok in text.split(",")) if text else ()
 
 
 #: field annotation -> parser of its config value
@@ -109,6 +109,8 @@ class TruncateConfig:
     max_rel: float = 0.0
 
     def __post_init__(self):
+        if self.factor < 2:
+            raise ConfigError(f"truncate.factor must be an integer >= 2, got {self.factor!r}")
         if not self.max_rel >= 0.0:
             raise ConfigError(f"truncate.max_rel must be >= 0 (0 turns the check off), "
                               f"got {self.max_rel!r}")
@@ -120,7 +122,6 @@ class TruncateConfig:
 @dataclass(eq=False, repr=False)
 class ContractConfig:
     t_scale: float = 1.5
-    shift_x: float = 0.2
 
 
 @dataclass(eq=False, repr=False)
@@ -230,11 +231,11 @@ class RunConfig:
     def contraction_pair(self, p: PhysParams, g: Grid):
         """The contraction probe's initial state and its twin, on one heat source.
 
-        The twin is built with scale contract.t_scale and shift contract.shift_x.
+        The twin is built with scale contract.t_scale, its blob moved 0.2 along x.
         A twin equal to the base state has nothing to contract and is rejected.
         """
         s_a = self.initial_state(p, g)
-        s_b = self.initial_state(p, g, self.contract.t_scale, self.contract.shift_x, s_a.Q)
+        s_b = self.initial_state(p, g, self.contract.t_scale, 0.2, s_a.Q)
         if all(map(np.array_equal, s_a.interiors(), s_b.interiors())):
             raise ConfigError(f"the contraction twin equals the base state (init.kind = "
                               f"{self.init.kind}); the probe needs two distinct states")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,8 +145,7 @@ class MmsSpec:
         return s
 
 
-@dataclass(frozen=True)
-class ConvergenceResult:
+class ConvergenceResult(NamedTuple):
     order: float
     monotone: bool
 
@@ -167,8 +167,7 @@ def convergence_order(errors) -> ConvergenceResult:
     return ConvergenceResult(order=float(slope), monotone=monotone)
 
 
-@dataclass(frozen=True)
-class MmsReport:
+class MmsReport(NamedTuple):
     levels: tuple  # (delta, err_v1, err_v2, err_T) per grid, in the order run
     order_v: float
     order_T: float

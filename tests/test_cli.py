@@ -379,6 +379,16 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
     ("tail", TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii ="),
      "tail radii: at least one radius is needed"),
     ("run", TINY_RUN + "tail.radii = 2,1\n", "tail radii must be strictly increasing"),
+    ("tail", TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii = 1.2,,1.6"),
+     "line 20: bad value for tail.radii: "),
+    ("tail", TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii = ,1.2,1.6"),
+     "line 20: bad value for tail.radii: "),
+    ("tail", TINY_TAIL.replace("tail.radii = 1.2,1.6,1.9", "tail.radii = 1.2, ,1.6"),
+     "line 20: bad value for tail.radii: "),
+    ("mms", (CONFIG_DIR / "mms.cfg").read_text().replace("8,16,32", "8,16,32,"),
+     "line 11: bad value for mms.sizes: "),
+    ("run", TINY_RUN + "truncate.factor = 1\n", "truncate.factor must be an integer >= 2, got 1"),
+    ("run", TINY_RUN + "truncate.factor = 0\n", "truncate.factor must be an integer >= 2, got 0"),
     ("run", TINY_RUN + "init.width = 0\n", "init.width must be > 0, got 0.0"),
     ("run", TINY_RUN + "init.width = -0.25\n", "init.width must be > 0, got -0.25"),
     ("run", HEATED_RUN + "q.width = 0\n", "q.width must be > 0, got 0.0"),
@@ -400,6 +410,8 @@ HEATED_RUN = TINY_RUN.replace("q.kind = zero", "q.kind = gaussian")
         "negative_tail_epsilon", "negative_truncate_max_rel", "truncate_nx_3", "truncate_ny_2",
         "truncate_nz_2", "mms_nx_3", "nan_f0", "inf_beta", "nan_t_amplitude", "inf_q_amplitude",
         "nan_init_width", "nan_tail_radius", "empty_tail_radii", "run_decreasing_tail_radii",
+        "empty_middle_tail_radius", "empty_first_tail_radius", "blank_tail_radius",
+        "empty_last_mms_size", "run_truncate_factor_1", "run_truncate_factor_0",
         "zero_init_width", "negative_init_width",
         "zero_q_width", "truncate_q_file", "zero_dt", "zero_output_every", "unknown_init_kind",
         "unknown_q_kind", "q_file_without_path", "snapshots_yes", "complex_q_file", "npz_q_file"])
@@ -452,10 +464,20 @@ def test_truncate_starts_from_init(tmp_path):
     assert zero["rel_diff"][-1] != blob["rel_diff"][-1]
 
 
+def test_removed_contract_shift_x_exits_1_at_parse(tmp_path, capsys, monkeypatch):
+    """The twin's blob moves a fixed 0.2 along x; the key that set it is gone."""
+    _forbid_steps(monkeypatch)
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, TINY_RUN + "contract.t_scale = 1.5\ncontract.shift_x = 0.2\n")
+    assert main(["contract", cfg, "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: line 12: unknown key 'contract.shift_x'\n"
+    assert not out.exists()
+
+
 def test_contract_subcommand(tmp_path):
     cfg = write_cfg(
         tmp_path,
-        TINY_RUN + "contract.t_scale = 1.5\ncontract.shift_x = 0.2\n",
+        TINY_RUN + "contract.t_scale = 1.5\n",
     )
     out = tmp_path / "contract"
     assert main(["contract", cfg, "--output-dir", str(out)]) == 0
@@ -486,7 +508,7 @@ def _contract_verdict(cfg, data):
 @pytest.mark.parametrize("command,body,table,verdict", [
     ("tail", TINY_TAIL, "tail.csv", _tail_verdict),
     ("truncate", TINY_TRUNCATE, "truncate.csv", _truncate_verdict),
-    ("contract", TINY_RUN + "contract.t_scale = 1.5\ncontract.shift_x = 0.2\n", "contract.csv",
+    ("contract", TINY_RUN + "contract.t_scale = 1.5\n", "contract.csv",
      _contract_verdict),
 ], ids=["tail", "truncate", "contract"])
 def test_printed_verdict_comes_from_the_written_table(tmp_path, capsys, command, body, table, verdict):
@@ -773,7 +795,7 @@ def test_nonfinite_q_file_rejected(tmp_path, capsys, bad):
 @pytest.mark.parametrize("command,body", [
     ("run", TINY_RUN),
     ("truncate", TINY_TRUNCATE),
-    ("contract", TINY_RUN + "contract.t_scale = 1.5\ncontract.shift_x = 0.2\n"),
+    ("contract", TINY_RUN + "contract.t_scale = 1.5\n"),
 ], ids=["run", "truncate", "contract"])
 def test_commands_copy_no_state(tmp_path, monkeypatch, command, body):
     """Each member advances the state its command built: no State is ever copied."""

@@ -74,7 +74,7 @@ class TestConfig:
             ("step", "dt t_end output_every temperature_only"),
             ("init", "kind width t_amplitude v_amplitude"), ("q", "kind width amplitude path"),
             ("output", "snapshots"), ("tail", "radii epsilon tau_probe"),
-            ("truncate", "factor max_rel"), ("contract", "t_scale shift_x"),
+            ("truncate", "factor max_rel"), ("contract", "t_scale"),
             ("mms", "sizes dt horizon")) for name in names.split()]
 
     def test_every_key_is_read(self):
@@ -106,11 +106,16 @@ class TestConfig:
         ("q.amplitude", float("nan")),
         ("tail.radii", (float("nan"), 1.6, 1.9)),
         ("tail.radii", [1.2, float("nan")]),
-        ("contract.shift_x", float("inf")),
+        ("contract.t_scale", float("inf")),
     ])
     def test_non_finite_value_set_in_code_names_key(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must be finite, got "):
             RunConfig({key: value})
+
+    @pytest.mark.parametrize("factor", [1, 0])
+    def test_truncate_factor_below_two_rejected_when_built(self, factor):
+        with pytest.raises(ConfigError, match=rf"^truncate\.factor must be an integer >= 2, got {factor}$"):
+            RunConfig({"truncate.factor": factor})
 
     def test_malformed_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -160,7 +165,7 @@ class TestConfig:
         cfg = parse_config("physics.l = 0.8\nphysics.h = 1.0\ngrid.nx = 8\ngrid.ny = 6\ngrid.nz = 4\n"
                            "init.kind = gaussian\ninit.width = 0.3\ninit.t_amplitude = 0.7\n"
                            "init.v_amplitude = 0.2\nq.kind = gaussian\nq.width = 0.15\n"
-                           "q.amplitude = 0.4\ncontract.t_scale = 1.5\ncontract.shift_x = 0.2\n")
+                           "q.amplitude = 0.4\ncontract.t_scale = 1.5\n")
         p, g = cfg.params(), cfg.grid()
         x, y, z = g.coords()
 
